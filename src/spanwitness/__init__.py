@@ -81,6 +81,7 @@ from .family import (
     default_zero_sample,
     determinant_d,
     eighth_root,
+    rank_one_images,
     rank_one_projector,
     realize_zero_vector,
     spanning_report,

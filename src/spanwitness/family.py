@@ -152,24 +152,53 @@ def witness_matrix(params: FamilyParams) -> Witness:
     )
 
 
-def rank_one_projector(alpha: complex) -> np.ndarray:
-    """Projector onto (1, alpha), the rank-one input probing positivity."""
-    a = complex(alpha)
-    return np.array([[1.0, a.conjugate()], [a, abs(a) ** 2]], dtype=complex)
+def _square(x: np.ndarray) -> np.ndarray:
+    # float_power calls the C library's pow, as Python's ** does on a float;
+    # an array's ** 2 multiplies instead, which can round differently.
+    return np.float_power(x, 2)
 
 
-def determinant_d(alpha: complex, beta: complex) -> float:
-    """D(alpha, beta) = |ab - conj(ab)|^2 + |a conj(b) + conj(a) b|^2.
+def rank_one_projector(alpha) -> np.ndarray:
+    """Projector onto (1, alpha), the rank-one input probing positivity.
+
+    An array of alphas gives the projectors stacked along its axes, so the
+    result has shape alpha.shape + (2, 2).
+    """
+    a = np.asarray(alpha, dtype=complex)
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 0, 1] = a.conj()
+    out[..., 1, 0] = a
+    # hypot is Python's abs of a complex scalar; np.abs rounds differently
+    out[..., 1, 1] = _square(np.hypot(a.real, a.imag))
+    return out
+
+
+def determinant_d(alpha, beta):
+    """D(alpha, beta) = |ab - conj(ab)|^2 + |a conj(b) + conj(a) b|^2
+    = (2 Im(ab))^2 + (2 Re(a conj(b)))^2.
 
     Nonnegative; equals the determinant of the rank-one image whenever
     s t = 8. Vanishes exactly when arg(alpha) is an odd multiple of pi/4
-    and arg(alpha) + arg(beta) is a multiple of pi.
+    and arg(alpha) + arg(beta) is a multiple of pi. Broadcasts over array
+    arguments; scalar arguments give a float.
     """
-    a = complex(alpha)
-    b = complex(beta)
-    ab = a * b
-    cross = a * b.conjugate()
-    return abs(ab - ab.conjugate()) ** 2 + abs(cross + cross.conjugate()) ** 2
+    a = np.asarray(alpha, dtype=complex)
+    b = np.asarray(beta, dtype=complex)
+    im_ab = a.real * b.imag + a.imag * b.real
+    re_cross = a.real * b.real + a.imag * b.imag
+    return _square(2.0 * im_ab) + _square(2.0 * re_cross)
+
+
+def rank_one_images(params: FamilyParams, alphas) -> np.ndarray:
+    """Images of the family's map on every rank-one pair drawn from `alphas`.
+
+    Entry [i, j] is the 2x2 image of (P_alphas[i], P_alphas[j]) with P the
+    `rank_one_projector`; one contraction of the stacked projectors against
+    the block table, shape (len(alphas), len(alphas), 2, 2).
+    """
+    p = rank_one_projector(np.asarray(alphas).reshape(-1))
+    return np.einsum("xij,ykl,ijklmn->xymn", p, p, bilinear_map(params).blocks)
 
 
 class ZeroFamily(Enum):
@@ -367,18 +396,15 @@ def _rref_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def _null_space_basis(vectors: list[np.ndarray], dim: int, tol: float) -> list[np.ndarray]:
-    gram = np.zeros((dim, dim), dtype=complex)
-    for v in vectors:
-        gram += np.outer(v, v.conj())
-    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    top = float(evals[-1]) if len(evals) else 0.0
-    if top <= 0:
-        return [row for row in np.eye(dim, dtype=complex)]
-    null = evecs[:, evals <= tol * top]
-    if null.shape[1] == 0:
+def _null_space_basis(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Canonical basis of the orthogonal complement of the vectors' span:
+    right singular vectors past the rank, as `numerical_rank` counts it."""
+    _, sv, vh = np.linalg.svd(np.array(vectors).conj())
+    top = float(sv[0])
+    rank = int(np.count_nonzero(sv > tol * top)) if top > 0 else 0
+    if rank == vh.shape[0]:
         return []
-    return [row for row in _rref_rows(null.conj().T)]
+    return [row for row in _rref_rows(vh[rank:])]
 
 
 def spanning_report(
@@ -407,7 +433,7 @@ def spanning_report(
         ranks[subset] = numerical_rank(images, rank_tol)
     pv1_flat = [flatten(pv) for pv in pv1]
     pv1_rank = numerical_rank(pv1_flat, rank_tol)
-    complement = _null_space_basis(pv1_flat, dim, rank_tol) if pv1_flat else []
+    complement = _null_space_basis(pv1_flat, rank_tol) if pv1_flat else []
     return SpanningReport(
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),

@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives sized for small tensor systems.
 
-Everything here is a pure function on numpy arrays; nothing is optimized
-beyond what total dimension <= 16 needs.
+Everything here is a pure function on numpy arrays. Numerical ranks count
+singular values above a tolerance relative to the largest one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import DimensionMismatchError, NotHermitianError
 # entries of order one, so an absolute threshold is appropriate.
 HERMITICITY_ATOL = 1e-9
 
-# Default rank tolerance, relative to the largest Gram eigenvalue.
+# Default rank tolerance, relative to the largest singular value.
 RANK_RTOL = 1e-8
 
 
@@ -76,11 +76,10 @@ def is_psd(m, tol: float = 1e-10, atol: float = HERMITICITY_ATOL) -> PsdCheck:
 
 
 def numerical_rank(vectors: Sequence, tol: float = RANK_RTOL) -> int:
-    """Rank of a family of vectors, from the Gram-matrix spectrum.
+    """Rank of a family of vectors, from its singular values.
 
-    Counts eigenvalues of G[i, j] = <v_i | v_j> exceeding `tol` times the
-    largest one. An empty or all-zero family has rank 0. The Gram route
-    reuses the Hermitian eigensolver and is symmetric in its inputs.
+    Counts singular values of the stacked vectors exceeding `tol` times the
+    largest one. An empty or all-zero family has rank 0.
     """
     if tol <= 0:
         raise DimensionMismatchError("rank tolerance must be positive")
@@ -90,19 +89,16 @@ def numerical_rank(vectors: Sequence, tol: float = RANK_RTOL) -> int:
     dim = vecs[0].shape[0]
     if any(v.shape[0] != dim for v in vecs):
         raise DimensionMismatchError("vectors must share a common dimension")
-    stacked = np.array(vecs)
-    gram = stacked.conj() @ stacked.T
-    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    top = float(evals[-1])
+    sv = np.linalg.svd(np.array(vecs), compute_uv=False)
+    top = float(sv[0])
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(evals > tol * top))
+    return int(np.count_nonzero(sv > tol * top))
 
 
 def matrix_rank_hermitian(m, tol: float = RANK_RTOL) -> int:
-    """Numerical rank of a matrix, via `numerical_rank` on its columns."""
-    a = as_matrix(m)
-    return numerical_rank(list(a.T), tol)
+    """Numerical rank of a matrix: singular values above `tol` times the largest."""
+    return numerical_rank(as_matrix(m), tol)
 
 
 def trace_pairing(a, b) -> complex:

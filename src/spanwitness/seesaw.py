@@ -7,6 +7,11 @@ smallest eigenvalue of H_k, so the value is nonincreasing sweep by sweep.
 The search restarts from several random product vectors; restarts draw from
 split seeds so the result is independent of execution order.
 
+The restarts run as one stack along a leading axis: each step is one
+batched contraction and one stacked `eigh` over the restarts still moving.
+A restart stops, and stays frozen, at the first sweep that improves its
+value by less than the tolerance, exactly as if it ran alone.
+
 A negative minimum certifies failure of block positivity; a minimum at zero
 (within tolerance) is what a witness with a nonempty zero set must show.
 """
@@ -35,8 +40,13 @@ class SeeSawResult:
     history: list[float] = field(default_factory=list)
 
 
+# Leading restart axis of the stacked factors in the einsum scripts.
+_STACK = "Z"
+
+
 def _contraction_scripts(n: int) -> list[str]:
-    """einsum script per party k contracting all factors but the k-th."""
+    """einsum script per party k contracting all factors but the k-th,
+    stacked over restarts."""
     rows = ascii_lowercase[:n]
     cols = ascii_lowercase[n : 2 * n]
     scripts = []
@@ -45,9 +55,9 @@ def _contraction_scripts(n: int) -> list[str]:
         for j in range(n):
             if j == k:
                 continue
-            subs.append(rows[j])
-            subs.append(cols[j])
-        scripts.append(",".join(subs) + "->" + rows[k] + cols[k])
+            subs.append(_STACK + rows[j])
+            subs.append(_STACK + cols[j])
+        scripts.append(",".join(subs) + "->" + _STACK + rows[k] + cols[k])
     return scripts
 
 
@@ -78,7 +88,9 @@ def seesaw_block_positivity(
 
     Deterministic for a fixed (seed, restarts) pair: restart r draws its
     start from the r-th child of SeedSequence(seed), and ties between
-    restarts break toward the lower restart index.
+    restarts break toward the lower restart index. `history` is the best
+    restart's value per sweep; `converged` holds when every restart stopped
+    within `max_iters` sweeps.
     """
     require_hermitian(witness.matrix, HERMITICITY_ATOL)
     if restarts < 1:
@@ -87,64 +99,61 @@ def seesaw_block_positivity(
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)
     scripts = _contraction_scripts(n)
-    children = np.random.SeedSequence(seed).spawn(restarts)
+    starts = [
+        _random_unit_factors(dims, np.random.default_rng(child))
+        for child in np.random.SeedSequence(seed).spawn(restarts)
+    ]
+    # factors[k][r] is party k's factor in restart r
+    factors = [np.array([start[k] for start in starts]) for k in range(n)]
+    values = _product_values(tensor, factors, n)
+    by_sweep = np.empty((max_iters + 1, restarts))
+    by_sweep[0] = values
+    sweeps = np.zeros(restarts, dtype=int)
+    moving = np.arange(restarts)
 
-    best_value = math.inf
-    best_factors: list[np.ndarray] | None = None
-    best_history: list[float] = []
-    all_converged = True
+    for sweep in range(1, max_iters + 1):
+        before = values[moving]
+        for k in range(n):
+            operands = [tensor]
+            for j in range(n):
+                if j == k:
+                    continue
+                operands.append(factors[j][moving].conj())
+                operands.append(factors[j][moving])
+            h = np.einsum(scripts[k], *operands)
+            h = (h + h.conj().swapaxes(-1, -2)) / 2
+            evals, evecs = np.linalg.eigh(h)
+            factors[k][moving] = evecs[:, :, 0]
+            values[moving] = evals[:, 0]
+        by_sweep[sweep, moving] = values[moving]
+        sweeps[moving] = sweep
+        moving = moving[before - values[moving] >= improvement_tol]
+        if moving.size == 0:
+            break
 
-    for ridx in range(restarts):
-        rng = np.random.default_rng(children[ridx])
-        factors = _random_unit_factors(dims, rng)
-        value = _product_value(tensor, factors, n)
-        history = [value]
-        converged = False
-        for _ in range(max_iters):
-            for k in range(n):
-                operands = [tensor]
-                for j in range(n):
-                    if j == k:
-                        continue
-                    operands.append(factors[j].conj())
-                    operands.append(factors[j])
-                h = np.einsum(scripts[k], *operands)
-                h = (h + h.conj().T) / 2
-                evals, evecs = np.linalg.eigh(h)
-                factors[k] = evecs[:, 0]
-                value = float(evals[0])
-            history.append(value)
-            if history[-2] - value < improvement_tol:
-                converged = True
-                break
-        all_converged = all_converged and converged
-        if value < best_value:
-            best_value = value
-            best_factors = factors
-            best_history = history
-
-    assert best_factors is not None
-    argmin = ProductVector([_canonical_phase(f) for f in best_factors])
+    best = int(np.argmin(values))
+    argmin = ProductVector([_canonical_phase(f[best]) for f in factors])
     return SeeSawResult(
-        min_value=best_value,
+        min_value=float(values[best]),
         argmin=argmin,
         restarts=restarts,
-        converged=all_converged,
-        history=best_history,
+        converged=moving.size == 0,
+        history=by_sweep[: sweeps[best] + 1, best].tolist(),
     )
 
 
-def _product_value(tensor: np.ndarray, factors: Sequence[np.ndarray], n: int) -> float:
+def _product_values(tensor: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """<xi|W|xi> per restart for factors stacked over restarts."""
     rows = ascii_lowercase[:n]
     cols = ascii_lowercase[n : 2 * n]
     subs = [rows + cols]
     operands = [tensor]
     for j in range(n):
-        subs.append(rows[j])
+        subs.append(_STACK + rows[j])
         operands.append(factors[j].conj())
-        subs.append(cols[j])
+        subs.append(_STACK + cols[j])
         operands.append(factors[j])
-    return float(np.einsum(",".join(subs) + "->", *operands).real)
+    return np.einsum(",".join(subs) + "->" + _STACK, *operands).real.copy()
 
 
 def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -204,7 +213,8 @@ def product_grid_minimum(
     witness: Witness, phases: int = 24, moduli: Sequence[float] = (0.5, 1.0, 2.0)
 ) -> float:
     """Exhaustive minimum of <xi|W|xi> over a deterministic grid of unit
-    product vectors; a coarse lower-bound companion to the see-saw.
+    product vectors. A finite grid's minimum is an upper bound on the true
+    minimum over all unit product vectors, so the see-saw must not exceed it.
 
     Only qubit factors are supported (each candidate set covers both poles
     and `phases` points per circle at each modulus).

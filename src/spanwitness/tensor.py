@@ -110,7 +110,7 @@ def product_vector(*factors) -> ProductVector:
 
 def flatten(pv: ProductVector) -> np.ndarray:
     """Kronecker product of the factors under the big-endian convention."""
-    return reduce(np.kron, pv.factors)
+    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), pv.factors)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from spanwitness import (
     flatten,
     numerical_rank,
     partial_conjugate,
+    rank_one_images,
     rank_one_projector,
     realize_zero_vector,
     spanning_report,
@@ -31,6 +32,7 @@ from spanwitness import (
     zeta_vector,
 )
 from spanwitness.family import SQRT2, Z_FAMILIES
+from spanwitness.report import GRID_MODULI, GRID_PHASES, _phase_modulus_grid
 from spanwitness.tensor import all_subsets
 
 
@@ -82,6 +84,40 @@ def test_map_rank_one_pair_matches_oracle():
             got = evaluate(table, rank_one_projector(alpha), rank_one_projector(beta))
             want = phi_on_projectors_oracle(params.s, params.t, alpha, beta)
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("params", [CANONICAL, FamilyParams(2.0, 4.0), FamilyParams(1.0, 1.0)])
+def test_rank_one_images_match_evaluate(params):
+    # every image of the report's grid, against one `evaluate` per pair
+    points = _phase_modulus_grid(GRID_PHASES, GRID_MODULI)
+    table = bilinear_map(params)
+    want = np.array(
+        [
+            [evaluate(table, rank_one_projector(a), rank_one_projector(b)) for b in points]
+            for a in points
+        ]
+    )
+    got = rank_one_images(params, points)
+    assert got.shape == (72, 72, 2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_rank_one_helpers_broadcast_as_scalar_calls():
+    # stacked calls equal the scalar calls, which keep the plain-Python formulas
+    rng = np.random.default_rng(29)
+    alphas = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    betas = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    stacked = rank_one_projector(alphas)
+    table = determinant_d(alphas[:, None], betas[None, :])
+    assert stacked.shape == (40, 2, 2) and table.shape == (40, 40)
+    for i, a in enumerate(map(complex, alphas)):
+        p = rank_one_projector(a)
+        assert np.array_equal(p, stacked[i])
+        assert np.array_equal(p, np.array([[1.0, a.conjugate()], [a, abs(a) ** 2]]))
+        for j, b in enumerate(map(complex, betas)):
+            ab, cross = a * b, a * b.conjugate()
+            d = abs(ab - ab.conjugate()) ** 2 + abs(cross + cross.conjugate()) ** 2
+            assert determinant_d(a, b) == d == table[i, j]
 
 
 def test_witness_entries(canonical_witness):

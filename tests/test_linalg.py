@@ -109,6 +109,15 @@ def test_numerical_rank_dependent_triple():
     assert numerical_rank([e0, e1, e0 + e1]) == 2
 
 
+def test_numerical_rank_tolerance_is_on_singular_values():
+    # singular values 1 and ~1e-6: independent at a 1e-8 relative tolerance
+    # (a Gram-eigenvalue threshold would square it away), dependent at 1e-5
+    e0 = np.array([1.0, 0.0])
+    tilted = np.array([1.0, 1e-6])
+    assert numerical_rank([e0, tilted]) == 2
+    assert numerical_rank([e0, tilted], tol=1e-5) == 1
+
+
 def test_numerical_rank_pv1_families_span_six():
     vecs = [
         flatten(realize_zero_vector(s, CANONICAL))

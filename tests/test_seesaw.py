@@ -1,3 +1,5 @@
+from string import ascii_lowercase
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from spanwitness import (
     value_on_product,
     witness_matrix,
 )
+from spanwitness import report
+from spanwitness.seesaw import _canonical_phase
 
 SEED = 7
 
@@ -83,11 +87,20 @@ def test_seed_changes_start_points(canonical_witness):
         lambda: witness_matrix(FamilyParams(2.0, 4.0)),
     ],
 )
-def test_seesaw_not_below_grid_floor(make):
+def test_seesaw_not_above_grid_minimum(make):
+    # a finite grid's minimum bounds the true minimum from above
     w = make()
     res = seesaw_block_positivity(w, restarts=16, seed=SEED)
     grid = product_grid_minimum(w)
-    assert res.min_value >= grid - 1e-6
+    assert res.min_value <= grid + 1e-6
+
+
+def test_seesaw_certificate_passes_below_grid_minimum(monkeypatch):
+    # a see-saw minimum under the grid's is the see-saw doing its job
+    monkeypatch.setattr(report, "product_grid_minimum", lambda w, **kwargs: 0.5)
+    check = report.check_seesaw(witness_matrix(CANONICAL), SEED, 16, 1e-7)
+    assert check.values["grid_minimum"] == 0.5
+    assert check.status == "PASS"
 
 
 def test_cut_isotropic():
@@ -139,3 +152,86 @@ def test_invalid_cuts(canonical_witness):
 def test_grid_minimum_isotropic():
     w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
     assert abs(product_grid_minimum(w) - 1.0) < 1e-12
+
+
+def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-12):
+    """The see-saw one restart at a time, as a plain loop: the reference the
+    stacked implementation must reproduce. Returns the result fields and the
+    index of the winning restart."""
+    dims = witness.shape.dims
+    n = len(dims)
+    rows, cols = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
+    tensor = witness.matrix.reshape(dims + dims)
+    full = ",".join([rows + cols] + [c for j in range(n) for c in (rows[j], cols[j])]) + "->"
+    best_value, best_index, best_factors, best_history = np.inf, -1, None, []
+    all_converged = True
+    for ridx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(child)
+        factors = []
+        for d in dims:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            factors.append(v / np.linalg.norm(v))
+        pairs = [x for f in factors for x in (f.conj(), f)]
+        value = float(np.einsum(full, tensor, *pairs).real)
+        history = [value]
+        converged = False
+        for _ in range(max_iters):
+            for k in range(n):
+                subs, operands = [rows + cols], [tensor]
+                for j in range(n):
+                    if j != k:
+                        subs += [rows[j], cols[j]]
+                        operands += [factors[j].conj(), factors[j]]
+                h = np.einsum(",".join(subs) + "->" + rows[k] + cols[k], *operands)
+                evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
+                factors[k] = evecs[:, 0]
+                value = float(evals[0])
+            history.append(value)
+            if history[-2] - value < improvement_tol:
+                converged = True
+                break
+        all_converged = all_converged and converged
+        if value < best_value:
+            best_value, best_index, best_factors, best_history = value, ridx, factors, history
+    argmin = [_canonical_phase(f) for f in best_factors]
+    return best_value, argmin, best_history, all_converged, best_index
+
+
+def assert_matches_reference(res, ref):
+    # identical arithmetic per restart, so equality is exact
+    value, argmin, history, converged, _ = ref
+    assert res.min_value == value
+    assert res.history == history
+    assert res.converged == converged
+    for got, want in zip(res.argmin.factors, argmin):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "make, restarts, seed",
+    [
+        (lambda: witness_matrix(CANONICAL), 64, SEED),
+        (lambda: witness_matrix(FamilyParams(2.0, 4.0)), 16, 11),
+        (lambda: witness_matrix(FamilyParams(1.0, 4.0)), 16, SEED),
+        (minus_e00, 8, SEED),
+        (lambda: witness_matrix(CANONICAL), 1, 3),
+    ],
+)
+def test_stacked_seesaw_matches_reference_loop(make, restarts, seed):
+    w = make()
+    res = seesaw_block_positivity(w, restarts=restarts, seed=seed)
+    assert_matches_reference(res, reference_seesaw(w, restarts, seed))
+
+
+def test_stacked_seesaw_tie_breaks_to_first_restart():
+    w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
+    ref = reference_seesaw(w, 16, SEED)
+    assert ref[4] == 0
+    assert_matches_reference(seesaw_block_positivity(w, restarts=16, seed=SEED), ref)
+
+
+def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
+    for idx, cut in enumerate(((1,), (2,), (3,)), start=1):
+        regrouped, _ = regroup_for_cut(canonical_witness, cut)
+        res = cut_block_positivity(canonical_witness, cut, restarts=16, seed=SEED + idx)
+        assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))

@@ -161,6 +161,21 @@ def test_rho_lambda_boundary_family():
         assert len(dec.vectors) == 10
 
 
+@pytest.mark.parametrize("lam", [1e-5, 1 - 1e-5])
+def test_rho_lambda_full_rank_near_endpoints(lam):
+    # smallest partial-transpose singular values are 2e-6 and 6e-7 of the
+    # largest: small, yet far above the 1e-8 relative rank tolerance
+    w = witness_matrix(CANONICAL)
+    state, dec = rho_lambda(lam)
+    assert verify_decomposition(state, dec)
+    assert abs(pairing(state, w)) < 1e-10
+    rep = is_ppt(state, 1e-12)
+    assert rep.is_ppt and min(rep.min_eigenvalues.values()) > 0
+    interior = ppt_interior_check(state)
+    assert interior.full_rank
+    assert set(interior.ranks.values()) == {8}
+
+
 def test_rho_lambda_zero_pairing_on_st8_grid():
     for params in ST8_GRID:
         w = witness_matrix(params)

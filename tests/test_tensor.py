@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ def test_flatten_phase_locked_vector():
     w = eighth_root
     expected = np.array([1, w(3), w(1), -1, w(7), w(2), 1, w(3)])
     assert np.allclose(flatten(pv), expected, atol=1e-14)
+
+
+def test_flatten_equals_kron_reduction():
+    rng = np.random.default_rng(41)
+    for dims in ((2, 2, 2), (2, 4), (4, 2), (2, 3, 4)):
+        factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        assert np.array_equal(flatten(ProductVector(factors)), reduce(np.kron, factors))
 
 
 def test_partial_transpose_empty_and_full():
