@@ -19,6 +19,7 @@ from .errors import (
     OffVarietyError,
     OutOfRangeError,
     SpanWitnessError,
+    UsageError,
 )
 from .linalg import (
     HERMITICITY_ATOL,
@@ -28,7 +29,6 @@ from .linalg import (
     hermiticity_defect,
     is_psd,
     kron,
-    matrix_rank_hermitian,
     numerical_rank,
     trace_pairing,
 )

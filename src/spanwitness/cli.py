@@ -18,7 +18,7 @@ import sys
 import time
 
 from .errors import SpanWitnessError
-from .family import FamilyParams, SQRT2
+from .family import SQRT2, FamilyParams, witness_matrix
 from .report import (
     DEFAULT_TOLERANCES,
     ReportDocument,
@@ -124,14 +124,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         params = FamilyParams(parse_param(args.s), parse_param(args.t))
-    except SpanWitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-
-    try:
         if args.command == "build":
-            from .family import witness_matrix
-
             payload = witness_payload(witness_matrix(params))
             if args.out:
                 save_json(args.out, payload)
@@ -140,22 +133,16 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             doc = run_verify(params, seed=args.seed, restarts=args.restarts, seesaw_tol=args.tol)
-            return _emit(doc, args, started)
-        if args.command == "detect":
+        elif args.command == "detect":
             doc = run_detect(args.state_spec, params, tol=args.tol)
-            return _emit(doc, args, started)
-        if args.command == "spanning":
+        elif args.command == "spanning":
             doc = run_spanning(params, families=args.families, seed=args.seed, rank_tol=args.tol)
-            return _emit(doc, args, started)
-        if args.command == "report":
-            doc = run_full_report(
-                params, seed=args.seed, restarts=args.restarts, seesaw_tol=args.tol
-            )
-            return _emit(doc, args, started)
+        else:
+            doc = run_full_report(params, seed=args.seed, restarts=args.restarts, seesaw_tol=args.tol)
     except SpanWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return USAGE_EXIT
+    return _emit(doc, args, started)
 
 
 def run() -> None:

@@ -35,3 +35,7 @@ class OffVarietyError(SpanWitnessError):
 
 class OutOfRangeError(SpanWitnessError):
     """A scalar argument lies outside its admissible open interval."""
+
+
+class UsageError(SpanWitnessError):
+    """A command-line argument (state spec, family selection) is malformed."""

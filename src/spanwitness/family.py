@@ -396,15 +396,11 @@ def _rref_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def _null_space_basis(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Canonical basis of the orthogonal complement of the vectors' span:
-    right singular vectors past the rank, as `numerical_rank` counts it."""
-    _, sv, vh = np.linalg.svd(np.array(vectors).conj())
-    top = float(sv[0])
-    rank = int(np.count_nonzero(sv > tol * top)) if top > 0 else 0
-    if rank == vh.shape[0]:
-        return []
-    return [row for row in _rref_rows(vh[rank:])]
+def _null_space_basis(vectors: list[np.ndarray], rank: int) -> list[np.ndarray]:
+    """Canonical basis of the orthogonal complement of the span of vectors
+    of the given numerical rank: right singular vectors past the rank."""
+    vh = np.linalg.svd(np.array(vectors).conj())[2]
+    return list(_rref_rows(vh[rank:]))
 
 
 def spanning_report(
@@ -423,9 +419,7 @@ def spanning_report(
             raise OffVarietyError("the default spanning sample needs s*t = 8")
         samples = default_zero_sample(params)
     pvs = [realize_zero_vector(s, params) for s in samples]
-    pv1 = [
-        realize_zero_vector(s, params) for s in samples if s.family in PV1_FAMILIES
-    ]
+    pv1 = [pv for s, pv in zip(samples, pvs) if s.family in PV1_FAMILIES]
     dim = THREE_QUBITS.total_dim
     ranks: dict[tuple[int, ...], int] = {}
     for subset in all_subsets(THREE_QUBITS.n_parties):
@@ -433,7 +427,7 @@ def spanning_report(
         ranks[subset] = numerical_rank(images, rank_tol)
     pv1_flat = [flatten(pv) for pv in pv1]
     pv1_rank = numerical_rank(pv1_flat, rank_tol)
-    complement = _null_space_basis(pv1_flat, rank_tol) if pv1_flat else []
+    complement = _null_space_basis(pv1_flat, pv1_rank) if pv1_flat else []
     return SpanningReport(
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),

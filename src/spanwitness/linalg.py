@@ -38,7 +38,7 @@ def hermiticity_defect(m) -> float:
 
 def require_hermitian(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     a = as_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    defect = hermiticity_defect(a)
     if defect > atol:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |M - M^H| = {defect:.3e} > {atol:.1e}"
@@ -94,11 +94,6 @@ def numerical_rank(vectors: Sequence, tol: float = RANK_RTOL) -> int:
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * top))
-
-
-def matrix_rank_hermitian(m, tol: float = RANK_RTOL) -> int:
-    """Numerical rank of a matrix: singular values above `tol` times the largest."""
-    return numerical_rank(as_matrix(m), tol)
 
 
 def trace_pairing(a, b) -> complex:

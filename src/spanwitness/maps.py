@@ -16,13 +16,19 @@ through the identity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from string import ascii_lowercase
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
-from .linalg import HERMITICITY_ATOL, as_matrix, is_psd, require_hermitian, trace_pairing
-from .tensor import ProductVector, State, TensorShape, flatten
+from .linalg import (
+    HERMITICITY_ATOL,
+    as_matrix,
+    hermiticity_defect,
+    is_psd,
+    require_hermitian,
+    trace_pairing,
+)
+from .tensor import ProductVector, State, TensorShape, flatten, party_script
 
 
 @dataclass
@@ -78,7 +84,7 @@ def choi_matrix(table: MultilinearMapTable, atol: float = HERMITICITY_ATOL) -> W
     col_axes = list(range(1, 2 * n, 2))
     d = table.shape.total_dim
     w = table.blocks.transpose(row_axes + col_axes).reshape(d, d).copy()
-    defect = float(np.max(np.abs(w - w.conj().T)))
+    defect = hermiticity_defect(w)
     if defect > atol:
         raise NonHermitianMapError(
             f"map table violates block(i,j) = block(j,i)^dagger: defect {defect:.3e}"
@@ -92,9 +98,7 @@ def map_from_choi(witness: Witness, atol: float = HERMITICITY_ATOL) -> Multiline
     dims = witness.shape.dims
     n = len(dims)
     t = a.reshape(dims + dims)
-    perm: list[int] = []
-    for j in range(n):
-        perm += [j, n + j]
+    perm = [axis for j in range(n) for axis in (j, n + j)]
     return MultilinearMapTable(shape=witness.shape, blocks=t.transpose(perm).copy())
 
 
@@ -112,15 +116,7 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
                 f"input {j + 1} has shape {m.shape}, expected ({dims[j]}, {dims[j]})"
             )
         xs.append(m)
-    letters = iter(ascii_lowercase)
-    in_subs = []
-    blocks_sub = ""
-    for _ in range(n - 1):
-        r, c = next(letters), next(letters)
-        in_subs.append(r + c)
-        blocks_sub += r + c
-    out = next(letters) + next(letters)
-    script = ",".join(in_subs + [blocks_sub + out]) + "->" + out
+    script = party_script(n, lambda j, row, col: (row + col,), open_party=n - 1, block_table=True)
     return np.einsum(script, *xs, table.blocks)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import HERMITICITY_ATOL, require_hermitian
 from .maps import Witness
-from .tensor import ProductVector, TensorShape, subset_complement
+from .tensor import ProductVector, TensorShape, party_script, subset_complement
 
 
 @dataclass
@@ -44,21 +44,9 @@ class SeeSawResult:
 _STACK = "Z"
 
 
-def _contraction_scripts(n: int) -> list[str]:
-    """einsum script per party k contracting all factors but the k-th,
-    stacked over restarts."""
-    rows = ascii_lowercase[:n]
-    cols = ascii_lowercase[n : 2 * n]
-    scripts = []
-    for k in range(n):
-        subs = [rows + cols]
-        for j in range(n):
-            if j == k:
-                continue
-            subs.append(_STACK + rows[j])
-            subs.append(_STACK + cols[j])
-        scripts.append(",".join(subs) + "->" + _STACK + rows[k] + cols[k])
-    return scripts
+def _bra_ket(j: int, row: str, col: str) -> tuple[str, str]:
+    """Subscripts of party j's bra and ket factors, stacked over restarts."""
+    return _STACK + row, _STACK + col
 
 
 def _random_unit_factors(dims: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
@@ -98,7 +86,8 @@ def seesaw_block_positivity(
     dims = witness.shape.dims
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)
-    scripts = _contraction_scripts(n)
+    # per party k: contract all factors but the k-th
+    scripts = [party_script(n, _bra_ket, _STACK, open_party=k) for k in range(n)]
     starts = [
         _random_unit_factors(dims, np.random.default_rng(child))
         for child in np.random.SeedSequence(seed).spawn(restarts)
@@ -144,16 +133,10 @@ def seesaw_block_positivity(
 
 def _product_values(tensor: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
     """<xi|W|xi> per restart for factors stacked over restarts."""
-    rows = ascii_lowercase[:n]
-    cols = ascii_lowercase[n : 2 * n]
-    subs = [rows + cols]
     operands = [tensor]
-    for j in range(n):
-        subs.append(_STACK + rows[j])
-        operands.append(factors[j].conj())
-        subs.append(_STACK + cols[j])
-        operands.append(factors[j])
-    return np.einsum(",".join(subs) + "->" + _STACK, *operands).real.copy()
+    for f in factors:
+        operands += [f.conj(), f]
+    return np.einsum(party_script(n, _bra_ket, _STACK), *operands).real.copy()
 
 
 def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -198,19 +181,28 @@ def cut_block_positivity(
     return seesaw_block_positivity(regrouped, restarts=restarts, max_iters=max_iters, seed=seed)
 
 
+# Default grid of product_grid_minimum, also the report's rank-one grid.
+GRID_PHASES = 24
+GRID_MODULI = (0.5, 1.0, 2.0)
+
+
+def phase_modulus_grid(phases: int = GRID_PHASES, moduli: Sequence[float] = GRID_MODULI) -> np.ndarray:
+    """The points m e^{2 pi i k / phases}, modulus by modulus."""
+    return np.array([m * np.exp(2j * np.pi * k / phases) for m in moduli for k in range(phases)])
+
+
 def _qubit_candidates(phases: int, moduli: Sequence[float]) -> np.ndarray:
-    """Deterministic unit vectors (1, m e^{i phi}) / norm, plus both poles."""
+    """Deterministic unit vectors (1, z) / norm over the phase-modulus grid,
+    plus both poles."""
     out = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-    for m in moduli:
-        for k in range(phases):
-            z = m * np.exp(2j * np.pi * k / phases)
-            v = np.array([1.0, z], dtype=complex)
-            out.append(v / np.linalg.norm(v))
+    for z in phase_modulus_grid(phases, moduli):
+        v = np.array([1.0, z], dtype=complex)
+        out.append(v / np.linalg.norm(v))
     return np.array(out)
 
 
 def product_grid_minimum(
-    witness: Witness, phases: int = 24, moduli: Sequence[float] = (0.5, 1.0, 2.0)
+    witness: Witness, phases: int = GRID_PHASES, moduli: Sequence[float] = GRID_MODULI
 ) -> float:
     """Exhaustive minimum of <xi|W|xi> over a deterministic grid of unit
     product vectors. A finite grid's minimum is an upper bound on the true
@@ -225,15 +217,7 @@ def product_grid_minimum(
     n = len(dims)
     cand = _qubit_candidates(phases, moduli)
     tensor = witness.matrix.reshape(dims + dims)
-    rows = ascii_lowercase[:n]
-    cols = ascii_lowercase[n : 2 * n]
     grid = ascii_lowercase[2 * n : 3 * n]
-    subs = [rows + cols]
-    operands = [tensor]
-    for j in range(n):
-        subs.append(grid[j] + rows[j])
-        operands.append(cand.conj())
-        subs.append(grid[j] + cols[j])
-        operands.append(cand)
-    values = np.einsum(",".join(subs) + "->" + grid, *operands, optimize=True)
+    script = party_script(n, lambda j, row, col: (grid[j] + row, grid[j] + col), grid)
+    values = np.einsum(script, tensor, *[cand.conj(), cand] * n, optimize=True)
     return float(values.real.min())

@@ -81,17 +81,12 @@ def biseparable_vector(i: int, alpha: complex) -> BiseparableVector:
         extended = np.array([0.0, 1.0, a, 0.0], dtype=complex)
     else:
         extended = np.array([1.0, 0.0, 0.0, a], dtype=complex)
-    flat = np.zeros(8, dtype=complex)
-    for b1 in range(2):
-        for b2 in range(2):
-            for b3 in range(2):
-                if i == 1:
-                    val = local[b1] * extended[2 * b2 + b3]
-                elif i == 2:
-                    val = local[b2] * extended[2 * b1 + b3]
-                else:
-                    val = local[b3] * extended[2 * b1 + b2]
-                flat[4 * b1 + 2 * b2 + b3] = val
+    # axes (cut party, other two in order), permuted back to party order;
+    # scalar products, since an array multiply may fuse and leave conj(a) a
+    # with a nonzero imaginary part
+    outer = np.array([[x * y for y in extended] for x in local]).reshape(2, 2, 2)
+    perm = [p - 1 for p in _CUTS[i][0] + _CUTS[i][1]]
+    flat = outer.transpose(np.argsort(perm)).reshape(8)
     return BiseparableVector(
         cut_index=i, alpha=a, local=local, extended=extended, flat=flat, cut=_CUTS[i]
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence
+from string import ascii_lowercase
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .linalg import (
     HERMITICITY_ATOL,
     RANK_RTOL,
     hermitian_eigenvalues,
-    matrix_rank_hermitian,
+    numerical_rank,
     require_hermitian,
 )
 
@@ -176,6 +177,31 @@ def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector
     )
 
 
+def party_script(
+    n: int,
+    terms: Callable[[int, str, str], Sequence[str]],
+    out: str = "",
+    open_party: int | None = None,
+    block_table: bool = False,
+) -> str:
+    """einsum script contracting an n-party tensor with operands per party.
+
+    The tensor carries a row and a column label per party: all rows, then
+    all columns, for a matrix reshaped to dims + dims; or row and column
+    party by party for a map's block table, which then comes last, after
+    its inputs. `terms(j, row, col)` gives the subscripts of party j's
+    operands. The open party is not contracted: its row and column follow
+    `out` in the output.
+    """
+    letters = ascii_lowercase[: 2 * n]
+    rows, cols = (letters[::2], letters[1::2]) if block_table else (letters[:n], letters[n:])
+    subs = [sub for j in range(n) if j != open_party for sub in terms(j, rows[j], cols[j])]
+    if open_party is not None:
+        out += rows[open_party] + cols[open_party]
+    subs = subs + [letters] if block_table else [letters] + subs
+    return ",".join(subs) + "->" + out
+
+
 @dataclass
 class PptReport:
     """Verdict plus the smallest partial-transpose eigenvalue per subset."""
@@ -224,5 +250,5 @@ def ppt_interior_check(
     d = state.shape.total_dim
     ranks: dict[tuple[int, ...], int] = {}
     for sub in all_subsets(state.shape.n_parties):
-        ranks[sub] = matrix_rank_hermitian(partial_transpose(state, sub), rank_tol)
+        ranks[sub] = numerical_rank(partial_transpose(state, sub), rank_tol)
     return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks, dimension=d)

@@ -32,7 +32,7 @@ from spanwitness import (
     zeta_vector,
 )
 from spanwitness.family import SQRT2, Z_FAMILIES
-from spanwitness.report import GRID_MODULI, GRID_PHASES, _phase_modulus_grid
+from spanwitness.seesaw import phase_modulus_grid
 from spanwitness.tensor import all_subsets
 
 
@@ -89,7 +89,7 @@ def test_map_rank_one_pair_matches_oracle():
 @pytest.mark.parametrize("params", [CANONICAL, FamilyParams(2.0, 4.0), FamilyParams(1.0, 1.0)])
 def test_rank_one_images_match_evaluate(params):
     # every image of the report's grid, against one `evaluate` per pair
-    points = _phase_modulus_grid(GRID_PHASES, GRID_MODULI)
+    points = phase_modulus_grid()
     table = bilinear_map(params)
     want = np.array(
         [

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from spanwitness.cli import main, parse_param
-from spanwitness.errors import SpanWitnessError
+from spanwitness.errors import SpanWitnessError, UsageError
 from spanwitness.family import CANONICAL, FamilyParams
 from spanwitness.report import (
     run_detect,
@@ -66,13 +66,49 @@ def test_run_verify_passes_anywhere_on_curve():
 
 
 def test_run_verify_off_variety_skips():
-    doc = run_verify(FamilyParams(1.0, 1.0), seed=7, restarts=4)
-    statuses = {c.name: c.status for c in doc.checks}
-    assert statuses["hermiticity"] == "PASS"
-    assert statuses["witness_not_psd"] == "PASS"
-    assert statuses["seesaw_certificate"] == "SKIP"
-    assert statuses["full_spanning"] == "SKIP"
-    assert doc.all_pass  # skips do not fail
+    # positivity runs for every (s, t) and fails below s t = 8; the claims
+    # that need the curve are skipped
+    curve_only = {
+        "determinant_identity_grid",
+        "zero_set_families",
+        "full_spanning",
+        "canonical_ten_spanning",
+        "biseparable_values",
+        "cut_negativity",
+    }
+    for s, t, positive in ((1.0, 1.0, False), (1.0, 4.0, False), (4.0, 4.0, True)):
+        doc = run_verify(FamilyParams(s, t), seed=7, restarts=16)
+        by_name = {c.name: c for c in doc.checks}
+        assert {n for n, c in by_name.items() if c.status == "SKIP"} == curve_only
+        assert by_name["hermiticity"].status == "PASS"
+        assert by_name["witness_not_psd"].status == "PASS"
+        assert by_name["pv1_span_rank6"].status == "PASS"
+        expected = "PASS" if positive else "FAIL"
+        assert by_name["rank_one_positivity_grid"].status == expected
+        assert by_name["seesaw_certificate"].status == expected
+        assert doc.all_pass is positive
+        seesaw_min = by_name["seesaw_certificate"].values["min_value"]
+        grid_min = by_name["rank_one_positivity_grid"].values["min_eigenvalue"]
+        assert (seesaw_min < -0.1) is not positive
+        assert (grid_min < -1.0) is not positive
+
+
+def test_run_verify_calls_checks_by_module_name(monkeypatch):
+    # the registry looks each check up at call time, so a wrapper installed
+    # on the module attribute (as a tracer does) sees every call
+    import spanwitness.report as report
+
+    calls = []
+    real = report.check_seesaw
+
+    def counting(ctx, tol):
+        calls.append(tol)
+        return real(ctx, tol)
+
+    monkeypatch.setattr(report, "check_seesaw", counting)
+    doc = run_verify(CANONICAL, seed=7, restarts=4, seesaw_tol=1e-7)
+    assert calls == [1e-7]
+    assert [c.status for c in doc.checks if c.name == "seesaw_certificate"] == ["PASS"]
 
 
 def test_full_report_contains_every_check_once():
@@ -107,10 +143,11 @@ def test_run_detect_specs():
 
 
 def test_run_detect_malformed():
-    with pytest.raises(SpanWitnessError):
-        run_detect("nonsense", CANONICAL)
-    with pytest.raises(SpanWitnessError):
-        run_detect("rho-lambda:abc", CANONICAL)
+    for spec in ("nonsense", "rho-lambda:abc", "perturbed:abc", "file:/no/such/file.json"):
+        with pytest.raises(UsageError):
+            run_detect(spec, CANONICAL)
+    with pytest.raises(UsageError):
+        run_spanning(CANONICAL, families="bogus")
 
 
 def test_run_spanning_modes():

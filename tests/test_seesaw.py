@@ -98,9 +98,9 @@ def test_seesaw_not_above_grid_minimum(make):
 def test_seesaw_certificate_passes_below_grid_minimum(monkeypatch):
     # a see-saw minimum under the grid's is the see-saw doing its job
     monkeypatch.setattr(report, "product_grid_minimum", lambda w, **kwargs: 0.5)
-    check = report.check_seesaw(witness_matrix(CANONICAL), SEED, 16, 1e-7)
-    assert check.values["grid_minimum"] == 0.5
-    assert check.status == "PASS"
+    ok, values = report.check_seesaw(report.Context(CANONICAL, seed=SEED, restarts=16), 1e-7)
+    assert values["grid_minimum"] == 0.5
+    assert ok
 
 
 def test_cut_isotropic():
