@@ -495,14 +495,14 @@ REGISTRY = (
 )
 
 
-def select(selection: str) -> tuple[Entry, ...]:
+def _select(selection: str) -> tuple[Entry, ...]:
     """The entries a selection runs, in registry order."""
     return tuple(e for e in REGISTRY if selection in e.selections)
 
 
-VERIFY = select("verify")
-REPORT = select("report")
-SPANNING = {families: select(families) for families in ("default", "pv1", "canonical-ten")}
+VERIFY = _select("verify")
+REPORT = _select("report")
+SPANNING = {families: _select(families) for families in ("default", "pv1", "canonical-ten")}
 SPANNING_FAMILY_CHOICES = tuple(SPANNING)
 
 
