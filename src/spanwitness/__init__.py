@@ -22,8 +22,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import (
-    HERMITICITY_ATOL,
-    RANK_RTOL,
+    TOLERANCES,
     PsdCheck,
     hermitian_eigenvalues,
     hermiticity_defect,

@@ -19,8 +19,8 @@ import time
 
 from .errors import SpanWitnessError
 from .family import SQRT2, FamilyParams, witness_matrix
+from .linalg import TOLERANCES
 from .report import (
-    DEFAULT_TOLERANCES,
     ReportDocument,
     SPANNING_FAMILY_CHOICES,
     render_text,
@@ -37,6 +37,14 @@ PARAM_TOKENS = {"2r2": 2.0 * SQRT2, "r2": SQRT2}
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+
+# The document tolerance each command's --tol overrides, and its help.
+TOL_OPTIONS = (
+    ("verify", "seesaw", "see-saw verdict tolerance"),
+    ("detect", "pairing", "pairing tolerance"),
+    ("spanning", "rank", "relative rank tolerance"),
+    ("report", "seesaw", "see-saw verdict tolerance"),
+)
 
 
 def parse_param(token: str) -> float:
@@ -65,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_search:
             p.add_argument("--seed", type=int, default=7, help="see-saw seed")
             p.add_argument("--restarts", type=int, default=64, help="see-saw restarts")
-            p.add_argument(
-                "--tol",
-                type=float,
-                default=DEFAULT_TOLERANCES["seesaw"],
-                help="see-saw verdict tolerance",
-            )
 
     p_build = sub.add_parser("build", help="write the witness matrix as JSON")
     add_common(p_build, with_search=False)
@@ -84,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="xstate | rho-lambda:<l> | perturbed:<e> | file:<path>",
     )
     add_common(p_detect, with_search=False)
-    p_detect.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCES["pairing"], help="pairing tolerance"
-    )
 
     p_span = sub.add_parser("spanning", help="partial-conjugation rank tables")
     add_common(p_span, with_search=False)
@@ -95,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which zero-set sample to use",
     )
     p_span.add_argument("--seed", type=int, default=7, help="echoed into the report")
-    p_span.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCES["rank"],
-        help="relative rank tolerance",
-    )
 
     p_report = sub.add_parser("report", help="run every check, states included")
     add_common(p_report)
+    for command, key, text in TOL_OPTIONS:
+        sub.choices[command].add_argument("--tol", type=float, default=TOLERANCES[key], help=text)
     return parser
 
 

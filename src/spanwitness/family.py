@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParamsError, OffVarietyError
-from .linalg import RANK_RTOL, numerical_rank
+from .linalg import TOLERANCES, numerical_rank
 from .maps import MultilinearMapTable, Witness
 from .tensor import (
     THREE_QUBITS,
@@ -46,7 +46,6 @@ SQRT2 = math.sqrt(2.0)
 R = 2.0 * SQRT2
 
 ST_PRODUCT = 8.0
-VARIETY_TOL = 1e-12
 
 _HALF = SQRT2 / 2.0
 
@@ -94,7 +93,7 @@ class FamilyParams:
 
     @property
     def on_variety(self) -> bool:
-        return abs(self.s * self.t - ST_PRODUCT) < VARIETY_TOL
+        return abs(self.s * self.t - ST_PRODUCT) < TOLERANCES["variety"]
 
 
 CANONICAL = FamilyParams(R, R)
@@ -375,7 +374,7 @@ class SpanningReport:
     sample_size: int
 
 
-def _rref_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _rref_rows(rows: np.ndarray) -> np.ndarray:
     """Reduced row echelon form with rounding, for canonical basis output."""
     m = np.array(rows, dtype=complex)
     nrows, ncols = m.shape
@@ -384,7 +383,7 @@ def _rref_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         if pivot_row >= nrows:
             break
         pick = pivot_row + int(np.argmax(np.abs(m[pivot_row:, col])))
-        if abs(m[pick, col]) < tol:
+        if abs(m[pick, col]) < TOLERANCES["pivot"]:
             continue
         m[[pivot_row, pick]] = m[[pick, pivot_row]]
         m[pivot_row] = m[pivot_row] / m[pivot_row, col]
@@ -392,7 +391,7 @@ def _rref_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             if r != pivot_row:
                 m[r] = m[r] - m[r, col] * m[pivot_row]
         pivot_row += 1
-    m[np.abs(m) < tol] = 0.0
+    m[np.abs(m) < TOLERANCES["pivot"]] = 0.0
     return m
 
 
@@ -406,7 +405,7 @@ def _null_space_basis(vectors: list[np.ndarray], rank: int) -> list[np.ndarray]:
 def spanning_report(
     params: FamilyParams,
     samples: list[ZeroSample] | None = None,
-    rank_tol: float = RANK_RTOL,
+    rank_tol: float = TOLERANCES["rank"],
 ) -> SpanningReport:
     """Rank of the partially conjugated zero-set sample, for every subset.
 

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra primitives sized for small tensor systems.
+"""Dense complex linear algebra primitives sized for small tensor systems,
+and the package's one table of numeric thresholds.
 
 Everything here is a pure function on numpy arrays. Numerical ranks count
 singular values above a tolerance relative to the largest one.
@@ -6,18 +7,50 @@ singular values above a tolerance relative to the largest one.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError, UsageError
 
-# Absolute Hermiticity tolerance; all constructions in this package have
-# entries of order one, so an absolute threshold is appropriate.
-HERMITICITY_ATOL = 1e-9
+# Every numeric threshold of the package, one entry per role, commented with
+# what it bounds and in which unit: absolute on matrix entries, absolute on
+# eigenvalues (so also on <xi|W|xi> for unit xi and on pairings <rho, W>),
+# or relative to the largest singular value.
+TOLERANCES = {
+    # recorded in every report; a command's --tol overrides one (cli.TOL_OPTIONS)
+    "pairing": 1e-10,  # eigenvalues: pairings, zero-set values, PPT; entries: certificates
+    "seesaw": 1e-7,  # eigenvalues: see-saw and cut minima
+    "rank": 1e-8,  # relative: singular values that count toward a numerical rank
+    "eigenvalue": 1e-9,  # eigenvalues: the spectrum of W against its closed form
+    # fixed
+    "hermiticity": 1e-9,  # entries: max |M - M^H| of a matrix taken as Hermitian
+    "psd": 1e-10,  # eigenvalues: a smallest eigenvalue >= -psd is positive
+    "imaginary": 1e-10,  # eigenvalues: Im <rho, W>, zero for Hermitian operands
+    "trace": 1e-10,  # eigenvalues: |tr rho - 1| below it flags a state normalized
+    "pivot": 1e-10,  # entries: pivots and zeros of a reduced row echelon form
+    "determinant": 1e-10,  # eigenvalues squared: det of a 2x2 rank-one image against D
+    "basis": 1e-8,  # entries: a computed basis vector against the expected one
+    "strict": 1e-6,  # eigenvalues: above it an eigenvalue counts as strictly positive
+    "grid_slack": 1e-6,  # eigenvalues: how far the see-saw minimum may exceed the grid's
+    "sweep": 1e-12,  # eigenvalues: a see-saw restart stops once a sweep gains less
+    "rounding": 1e-12,  # entries and eigenvalues: fixtures against their closed forms
+    "variety": 1e-12,  # absolute on s t - 8: the curve s t = 8
+    "exact": 0.0,  # entries: equal bit for bit
+}
 
-# Default rank tolerance, relative to the largest singular value.
-RANK_RTOL = 1e-8
+DEFAULT_TOLERANCES = {k: TOLERANCES[k] for k in ("pairing", "seesaw", "rank", "eigenvalue")}
+
+
+def document_tolerances(**overrides: float) -> dict:
+    """`DEFAULT_TOLERANCES` with overrides, each finite and >= 0 (the rank
+    tolerance > 0); raises UsageError otherwise."""
+    for key, value in overrides.items():
+        if not (math.isfinite(value) and (value > 0 or value == 0 and key != "rank")):
+            bound = "> 0" if key == "rank" else ">= 0"
+            raise UsageError(f"{key} tolerance must be finite and {bound}, got {value!r}")
+    return dict(DEFAULT_TOLERANCES, **overrides)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -36,12 +69,13 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def require_hermitian(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if defect > TOLERANCES["hermiticity"]:
         raise NotHermitianError(
-            f"matrix is not Hermitian: max |M - M^H| = {defect:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max |M - M^H| = {defect:.3e}"
+            f" > {TOLERANCES['hermiticity']:.1e}"
         )
     return a
 
@@ -54,13 +88,9 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_eigenvalues(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Raises NotHermitianError if the Hermiticity defect exceeds `atol`.
-    """
-    a = require_hermitian(m, atol)
-    return np.linalg.eigvalsh(a)
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix; NotHermitianError otherwise."""
+    return np.linalg.eigvalsh(require_hermitian(m))
 
 
 class PsdCheck(NamedTuple):
@@ -68,14 +98,13 @@ class PsdCheck(NamedTuple):
     min_eigenvalue: float
 
 
-def is_psd(m, tol: float = 1e-10, atol: float = HERMITICITY_ATOL) -> PsdCheck:
-    """Positive semidefiniteness up to -tol, reporting the smallest eigenvalue."""
-    evals = hermitian_eigenvalues(m, atol)
-    lo = float(evals[0])
-    return PsdCheck(lo >= -tol, lo)
+def is_psd(m) -> PsdCheck:
+    """Positive semidefiniteness up to the psd tolerance, with the smallest eigenvalue."""
+    lo = float(hermitian_eigenvalues(m)[0])
+    return PsdCheck(lo >= -TOLERANCES["psd"], lo)
 
 
-def numerical_rank(vectors: Sequence, tol: float = RANK_RTOL) -> int:
+def numerical_rank(vectors: Sequence, tol: float = TOLERANCES["rank"]) -> int:
     """Rank of a family of vectors, from its singular values.
 
     Counts singular values of the stacked vectors exceeding `tol` times the

@@ -20,14 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
-from .linalg import (
-    HERMITICITY_ATOL,
-    as_matrix,
-    hermiticity_defect,
-    is_psd,
-    require_hermitian,
-    trace_pairing,
-)
+from .linalg import TOLERANCES, as_matrix, hermiticity_defect, is_psd
+from .linalg import require_hermitian, trace_pairing
 from .tensor import ProductVector, State, TensorShape, flatten, party_script
 
 
@@ -73,7 +67,7 @@ class MultilinearMapTable:
             )
 
 
-def choi_matrix(table: MultilinearMapTable, atol: float = HERMITICITY_ATOL) -> Witness:
+def choi_matrix(table: MultilinearMapTable) -> Witness:
     """Assemble W_phi from the block table.
 
     Pure reindexing, so the round trip with `map_from_choi` is exact.
@@ -85,16 +79,16 @@ def choi_matrix(table: MultilinearMapTable, atol: float = HERMITICITY_ATOL) -> W
     d = table.shape.total_dim
     w = table.blocks.transpose(row_axes + col_axes).reshape(d, d).copy()
     defect = hermiticity_defect(w)
-    if defect > atol:
+    if defect > TOLERANCES["hermiticity"]:
         raise NonHermitianMapError(
             f"map table violates block(i,j) = block(j,i)^dagger: defect {defect:.3e}"
         )
     return Witness(matrix=w, shape=table.shape, meta={})
 
 
-def map_from_choi(witness: Witness, atol: float = HERMITICITY_ATOL) -> MultilinearMapTable:
+def map_from_choi(witness: Witness) -> MultilinearMapTable:
     """Extract the block table of a Hermitian witness; inverse of `choi_matrix`."""
-    a = require_hermitian(witness.matrix, atol)
+    a = require_hermitian(witness.matrix)
     dims = witness.shape.dims
     n = len(dims)
     t = a.reshape(dims + dims)
@@ -120,23 +114,23 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
     return np.einsum(script, *xs, table.blocks)
 
 
-def is_completely_positive(table: MultilinearMapTable, tol: float = 1e-10) -> bool:
+def is_completely_positive(table: MultilinearMapTable) -> bool:
     """True iff the assembled W_phi is positive semidefinite."""
-    return is_psd(choi_matrix(table).matrix, tol).ok
+    return is_psd(choi_matrix(table).matrix).ok
 
 
-def pairing(state: State, witness: Witness, imag_tol: float = 1e-10) -> float:
+def pairing(state: State, witness: Witness) -> float:
     """<rho, W> = tr(W rho^T), the entrywise sum of products.
 
     For Hermitian operands this is real; a residual imaginary part above
-    `imag_tol` raises NonRealPairingError. Negative values mean detection.
+    its tolerance raises NonRealPairingError. Negative values mean detection.
     """
     if state.shape != witness.shape:
         raise DimensionMismatchError(
             f"state dims {state.shape.dims} do not match witness dims {witness.shape.dims}"
         )
     val = trace_pairing(state.matrix, witness.matrix)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > TOLERANCES["imaginary"]:
         raise NonRealPairingError(f"pairing has imaginary part {val.imag:.3e}")
     return float(val.real)
 

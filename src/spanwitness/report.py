@@ -37,7 +37,8 @@ from .family import (
     spanning_report,
     witness_matrix,
 )
-from .linalg import hermitian_eigenvalues, hermiticity_defect, is_psd, numerical_rank
+from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect
+from .linalg import is_psd, numerical_rank
 from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import (
     cut_block_positivity,
@@ -56,13 +57,6 @@ from .states import (
     x_state,
 )
 from .tensor import all_subsets, flatten, is_ppt, partial_conjugate
-
-DEFAULT_TOLERANCES = {
-    "pairing": 1e-10,
-    "seesaw": 1e-7,
-    "rank": 1e-8,
-    "eigenvalue": 1e-9,
-}
 
 
 @dataclass
@@ -164,7 +158,7 @@ class Context:
     params: FamilyParams
     seed: int = 7
     restarts: int = 64
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = field(default_factory=document_tolerances)
     checks: list[Check] = field(default_factory=list)
 
     @cached_property
@@ -181,8 +175,7 @@ class Context:
 
     @cached_property
     def pv1(self) -> SpanningReport:
-        """Spanning report of the six free-factor families, at the document's
-        rank tolerance."""
+        """Spanning report of the six free-factor families at the rank tolerance."""
         samples = [s for s in default_zero_sample(self.params) if s.family in PV1_FAMILIES]
         return spanning_report(self.params, samples=samples, rank_tol=self.tolerances["rank"])
 
@@ -260,7 +253,7 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
     """
     result = seesaw_block_positivity(ctx.witness, restarts=ctx.restarts, seed=ctx.seed)
     grid_min = product_grid_minimum(ctx.witness)
-    ok = -tol <= result.min_value <= tol and result.min_value <= grid_min + 1e-6
+    ok = -tol <= result.min_value <= tol and result.min_value <= grid_min + TOLERANCES["grid_slack"]
     return ok, {
         "min_value": result.min_value,
         "grid_minimum": grid_min,
@@ -298,7 +291,7 @@ def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
     rep = ctx.pv1
     expected = np.eye(8)[[3, 4]]  # |011>, |100>
     got = np.array(rep.pv1_complement) if rep.pv1_complement else np.zeros((0, 8))
-    basis_ok = got.shape == (2, 8) and float(np.max(np.abs(got - expected))) <= 1e-8
+    basis_ok = got.shape == (2, 8) and float(np.max(np.abs(got - expected))) <= TOLERANCES["basis"]
     return rep.pv1_rank == 6 and basis_ok, {
         "rank": rep.pv1_rank,
         "complement_labels": ["011", "100"] if basis_ok else [],
@@ -362,7 +355,6 @@ def check_xstate_ppt(ctx: Context, tol: float) -> tuple[bool, dict]:
 def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
     """rho_lambda: certificate verifies, pairing vanishes, every partial
     transpose strictly positive definite (full rank)."""
-    eig_floor = 1e-6
     rows = {}
     ok = True
     for lam in (0.1, 0.5, 0.9):
@@ -375,7 +367,7 @@ def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
             "pairing": pair_val,
             "min_pt_eigenvalue": min_eig,
         }
-        ok = ok and verified and abs(pair_val) <= tol and min_eig > eig_floor
+        ok = ok and verified and abs(pair_val) <= tol and min_eig > TOLERANCES["strict"]
     return ok, rows
 
 
@@ -446,10 +438,10 @@ def check_report_determinism(ctx: Context, tol: float | None) -> tuple[bool, dic
 class Entry:
     """One claim: its check name, the selections that run it (the commands
     `verify` and `report`, and the `spanning` families), its tolerance (a
-    key of the document's tolerances, a fixed value, or None), and the name
-    of its check function, called as check(context, tolerance) -> (ok,
-    values). `st8` marks a claim that holds only on the curve s t = 8; it is
-    skipped elsewhere.
+    key of `TOLERANCES`, taken from the document's tolerances where they
+    override it, or None), and the name of its check function, called as
+    check(context, tolerance) -> (ok, values). `st8` marks a claim that
+    holds only on the curve s t = 8; it is skipped elsewhere.
 
     The check is looked up by its module-global name when the entry runs,
     so a wrapper installed on that name (a tracer, a test double) sees it.
@@ -457,7 +449,7 @@ class Entry:
 
     name: str
     selections: tuple[str, ...]
-    tolerance: str | float | None
+    tolerance: str | None
     check: str
     st8: bool = False
     note: str = ""
@@ -467,12 +459,12 @@ _VR = ("verify", "report")
 _R = ("report",)
 
 REGISTRY = (
-    Entry("hermiticity", _VR, "eigenvalue", "check_hermiticity"),
-    Entry("witness_matrix_fixture", _VR, 0.0, "check_witness_fixture"),
+    Entry("hermiticity", _VR, "hermiticity", "check_hermiticity"),
+    Entry("witness_matrix_fixture", _VR, "exact", "check_witness_fixture"),
     Entry("witness_not_psd", _VR, "eigenvalue", "check_not_psd"),
     # positivity is expected wherever s t >= 8 and must fail below it
-    Entry("rank_one_positivity_grid", _VR, 1e-10, "check_rank_one_grid"),
-    Entry("determinant_identity_grid", _VR, 1e-10, "check_determinant_identity", st8=True),
+    Entry("rank_one_positivity_grid", _VR, "psd", "check_rank_one_grid"),
+    Entry("determinant_identity_grid", _VR, "determinant", "check_determinant_identity", st8=True),
     Entry("seesaw_certificate", _VR, "seesaw", "check_seesaw"),
     Entry("zero_set_families", _VR, "pairing", "check_zero_set", st8=True),
     Entry("full_spanning", _VR + ("default",), "rank", "check_full_spanning", st8=True),
@@ -480,7 +472,7 @@ REGISTRY = (
     Entry(
         "canonical_ten_spanning", _VR + ("canonical-ten",), "rank", "check_canonical_ten", st8=True
     ),
-    Entry("biseparable_values", _VR, "pairing", "check_biseparable", st8=True),
+    Entry("biseparable_values", _VR, "pairing", "check_biseparable"),
     Entry("cut_negativity", _VR, "seesaw", "check_cut_negativity", st8=True),
     Entry("xstate_detection_value", _R, "pairing", "check_xstate_detection", st8=True),
     Entry("xstate_ppt", _R, "pairing", "check_xstate_ppt", st8=True),
@@ -488,8 +480,8 @@ REGISTRY = (
         "boundary_family", _R, "pairing", "check_boundary_family", st8=True,
         note="partial transposes must be strictly positive (eigenvalues > 1e-6)",
     ),
-    Entry("rho1_fixture", _R, 1e-12, "check_rho1_fixture", st8=True, note="canonical parameters"),
-    Entry("detected_interior", _R, 1e-12, "check_detected_interior", st8=True),
+    Entry("rho1_fixture", _R, "rounding", "check_rho1_fixture", note="canonical parameters"),
+    Entry("detected_interior", _R, "rounding", "check_detected_interior", st8=True),
     Entry("report_determinism", _R, None, "check_report_determinism"),
     Entry("pv1_subset_ranks", ("pv1",), "rank", "check_pv1_subset_ranks"),
 )
@@ -509,11 +501,12 @@ SPANNING_FAMILY_CHOICES = tuple(SPANNING)
 def _run(command: str, ctx: Context, entries: tuple[Entry, ...]) -> ReportDocument:
     """Run `entries` in order into one document: skip the curve-only claims
     off the curve, resolve each tolerance, grade each result."""
+    table = dict(TOLERANCES, **ctx.tolerances)
     for e in entries:
         if e.st8 and not ctx.params.on_variety:
             ctx.checks.append(Check(e.name, "SKIP", note="requires s*t = 8"))
             continue
-        tol = ctx.tolerances[e.tolerance] if isinstance(e.tolerance, str) else e.tolerance
+        tol = None if e.tolerance is None else table[e.tolerance]
         ok, values = globals()[e.check](ctx, tol)
         status = "PASS" if ok else "FAIL"
         ctx.checks.append(Check(e.name, status, values, tolerance=tol, note=e.note))
@@ -524,9 +517,9 @@ def run_verify(
     params: FamilyParams,
     seed: int = 7,
     restarts: int = 64,
-    seesaw_tol: float = DEFAULT_TOLERANCES["seesaw"],
+    seesaw_tol: float = TOLERANCES["seesaw"],
 ) -> ReportDocument:
-    tolerances = dict(DEFAULT_TOLERANCES, seesaw=seesaw_tol)
+    tolerances = document_tolerances(seesaw=seesaw_tol)
     return _run("verify", Context(params, seed, restarts, tolerances), VERIFY)
 
 
@@ -534,11 +527,11 @@ def run_full_report(
     params: FamilyParams,
     seed: int = 7,
     restarts: int = 64,
-    seesaw_tol: float = DEFAULT_TOLERANCES["seesaw"],
+    seesaw_tol: float = TOLERANCES["seesaw"],
 ) -> ReportDocument:
     """Everything `verify` runs, plus the state-level checks and the
     determinism self-test; each acceptance-level check appears exactly once."""
-    tolerances = dict(DEFAULT_TOLERANCES, seesaw=seesaw_tol)
+    tolerances = document_tolerances(seesaw=seesaw_tol)
     return _run("report", Context(params, seed, restarts, tolerances), REPORT)
 
 
@@ -546,11 +539,11 @@ def run_spanning(
     params: FamilyParams,
     families: str = "default",
     seed: int = 7,
-    rank_tol: float = DEFAULT_TOLERANCES["rank"],
+    rank_tol: float = TOLERANCES["rank"],
 ) -> ReportDocument:
     if families not in SPANNING:
         raise UsageError(f"unknown family selection {families!r}")
-    tolerances = dict(DEFAULT_TOLERANCES, rank=rank_tol)
+    tolerances = document_tolerances(rank=rank_tol)
     return _run("spanning", Context(params, seed, 0, tolerances), SPANNING[families])
 
 
@@ -593,13 +586,13 @@ def parse_state_spec(spec: str, params: FamilyParams):
 def run_detect(
     spec: str,
     params: FamilyParams,
-    tol: float = DEFAULT_TOLERANCES["pairing"],
+    tol: float = TOLERANCES["pairing"],
     seed: int = 7,
 ) -> ReportDocument:
     """Three informational rows from one `detect` result: the pairing, the
     partial-transpose table and the verdict."""
+    ctx = Context(params, seed, 0, document_tolerances(pairing=tol))
     state, dec, label = parse_state_spec(spec, params)
-    ctx = Context(params, seed, 0)
     result = detect(state, ctx.witness, tol=tol, decomposition=dec)
     mins = {subset_key(k): v for k, v in result.ppt.min_eigenvalues.items()}
     checks = [

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import HERMITICITY_ATOL, require_hermitian
+from .linalg import TOLERANCES, require_hermitian
 from .maps import Witness
 from .tensor import ProductVector, TensorShape, party_script, subset_complement
 
@@ -42,6 +42,9 @@ class SeeSawResult:
 
 # Leading restart axis of the stacked factors in the einsum scripts.
 _STACK = "Z"
+
+# Sweeps after which a restart stops even if it still improves.
+MAX_SWEEPS = 500
 
 
 def _bra_ket(j: int, row: str, col: str) -> tuple[str, str]:
@@ -65,22 +68,16 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (v[idx].conjugate() / mag)
 
 
-def seesaw_block_positivity(
-    witness: Witness,
-    restarts: int = 64,
-    max_iters: int = 500,
-    seed: int = 0,
-    improvement_tol: float = 1e-12,
-) -> SeeSawResult:
+def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0) -> SeeSawResult:
     """Best product-vector minimum over `restarts` random starts.
 
     Deterministic for a fixed (seed, restarts) pair: restart r draws its
     start from the r-th child of SeedSequence(seed), and ties between
     restarts break toward the lower restart index. `history` is the best
     restart's value per sweep; `converged` holds when every restart stopped
-    within `max_iters` sweeps.
+    within `MAX_SWEEPS` sweeps.
     """
-    require_hermitian(witness.matrix, HERMITICITY_ATOL)
+    require_hermitian(witness.matrix)
     if restarts < 1:
         raise DimensionMismatchError("see-saw needs at least one restart")
     dims = witness.shape.dims
@@ -95,12 +92,12 @@ def seesaw_block_positivity(
     # factors[k][r] is party k's factor in restart r
     factors = [np.array([start[k] for start in starts]) for k in range(n)]
     values = _product_values(tensor, factors, n)
-    by_sweep = np.empty((max_iters + 1, restarts))
+    by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     by_sweep[0] = values
     sweeps = np.zeros(restarts, dtype=int)
     moving = np.arange(restarts)
 
-    for sweep in range(1, max_iters + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         before = values[moving]
         for k in range(n):
             operands = [tensor]
@@ -116,7 +113,7 @@ def seesaw_block_positivity(
             values[moving] = evals[:, 0]
         by_sweep[sweep, moving] = values[moving]
         sweeps[moving] = sweep
-        moving = moving[before - values[moving] >= improvement_tol]
+        moving = moving[before - values[moving] >= TOLERANCES["sweep"]]
         if moving.size == 0:
             break
 
@@ -170,52 +167,47 @@ def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tupl
 
 
 def cut_block_positivity(
-    witness: Witness,
-    cut: Iterable[int],
-    restarts: int = 64,
-    seed: int = 0,
-    max_iters: int = 500,
+    witness: Witness, cut: Iterable[int], restarts: int = 64, seed: int = 0
 ) -> SeeSawResult:
     """Two-party see-saw across one bipartite cut of the parties."""
     regrouped, _ = regroup_for_cut(witness, cut)
-    return seesaw_block_positivity(regrouped, restarts=restarts, max_iters=max_iters, seed=seed)
+    return seesaw_block_positivity(regrouped, restarts=restarts, seed=seed)
 
 
-# Default grid of product_grid_minimum, also the report's rank-one grid.
+# Grid of product_grid_minimum, also the report's rank-one grid.
 GRID_PHASES = 24
 GRID_MODULI = (0.5, 1.0, 2.0)
 
 
-def phase_modulus_grid(phases: int = GRID_PHASES, moduli: Sequence[float] = GRID_MODULI) -> np.ndarray:
-    """The points m e^{2 pi i k / phases}, modulus by modulus."""
-    return np.array([m * np.exp(2j * np.pi * k / phases) for m in moduli for k in range(phases)])
+def phase_modulus_grid() -> np.ndarray:
+    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus."""
+    angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
+    return np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
 
 
-def _qubit_candidates(phases: int, moduli: Sequence[float]) -> np.ndarray:
+def _qubit_candidates() -> np.ndarray:
     """Deterministic unit vectors (1, z) / norm over the phase-modulus grid,
     plus both poles."""
     out = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-    for z in phase_modulus_grid(phases, moduli):
+    for z in phase_modulus_grid():
         v = np.array([1.0, z], dtype=complex)
         out.append(v / np.linalg.norm(v))
     return np.array(out)
 
 
-def product_grid_minimum(
-    witness: Witness, phases: int = GRID_PHASES, moduli: Sequence[float] = GRID_MODULI
-) -> float:
+def product_grid_minimum(witness: Witness) -> float:
     """Exhaustive minimum of <xi|W|xi> over a deterministic grid of unit
     product vectors. A finite grid's minimum is an upper bound on the true
     minimum over all unit product vectors, so the see-saw must not exceed it.
 
     Only qubit factors are supported (each candidate set covers both poles
-    and `phases` points per circle at each modulus).
+    and `GRID_PHASES` points per circle at each modulus).
     """
     dims = witness.shape.dims
     if any(d != 2 for d in dims):
         raise DimensionMismatchError("grid search is implemented for qubit factors only")
     n = len(dims)
-    cand = _qubit_candidates(phases, moduli)
+    cand = _qubit_candidates()
     tensor = witness.matrix.reshape(dims + dims)
     grid = ascii_lowercase[2 * n : 3 * n]
     script = party_script(n, lambda j, row, col: (grid[j] + row, grid[j] + col), grid)

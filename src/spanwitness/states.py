@@ -18,6 +18,7 @@ from .family import (
     basis_product_vector,
     zeta_vector,
 )
+from .linalg import TOLERANCES
 from .maps import Witness, pairing
 from .tensor import (
     THREE_QUBITS,
@@ -116,7 +117,9 @@ def assemble(dec: SeparableDecomposition) -> np.ndarray:
     return out
 
 
-def verify_decomposition(state: State, dec: SeparableDecomposition, tol: float = 1e-10) -> bool:
+def verify_decomposition(
+    state: State, dec: SeparableDecomposition, tol: float = TOLERANCES["pairing"]
+) -> bool:
     """True iff the decomposition reassembles the state entrywise within tol."""
     built = assemble(dec)
     if built.shape != state.matrix.shape:
@@ -205,7 +208,7 @@ class DetectionReport:
 def detect(
     state: State,
     witness: Witness,
-    tol: float = 1e-10,
+    tol: float = TOLERANCES["pairing"],
     decomposition: SeparableDecomposition | None = None,
 ) -> DetectionReport:
     """Classify a state against a witness.

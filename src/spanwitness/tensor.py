@@ -17,13 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import (
-    HERMITICITY_ATOL,
-    RANK_RTOL,
-    hermitian_eigenvalues,
-    numerical_rank,
-    require_hermitian,
-)
+from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_rank, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -131,11 +125,11 @@ class State:
 
 
 def state_from(matrix, dims: Sequence[int]) -> State:
-    """Wrap a matrix as a State, flagging it normalized when tr = 1 within 1e-10."""
+    """Wrap a matrix as a State, flagged normalized when tr = 1 within tolerance."""
     shape = TensorShape(tuple(dims))
     m = np.asarray(matrix, dtype=complex)
     tr = complex(np.trace(m)) if m.size else 0.0
-    return State(matrix=m, shape=shape, normalized=abs(tr - 1.0) < 1e-10)
+    return State(matrix=m, shape=shape, normalized=abs(tr - 1.0) < TOLERANCES["trace"])
 
 
 def product_state(pv: ProductVector) -> State:
@@ -213,17 +207,17 @@ class PptReport:
         return self.is_ppt
 
 
-def is_ppt(state: State, tol: float = 1e-10, atol: float = HERMITICITY_ATOL) -> PptReport:
+def is_ppt(state: State, tol: float = TOLERANCES["psd"]) -> PptReport:
     """Check positivity of every partial transpose, all 2^n subsets.
 
     The empty subset (positivity of the state itself) is included, and so are
     complementary pairs even though they carry equal spectra; the redundancy
-    is cheap and doubles as a self-check.
+    is cheap and doubles as a self-check. The empty subset, first, also
+    rejects a non-Hermitian state.
     """
-    require_hermitian(state.matrix, atol)
     table: dict[tuple[int, ...], float] = {}
     for sub in all_subsets(state.shape.n_parties):
-        evals = hermitian_eigenvalues(partial_transpose(state, sub), atol)
+        evals = hermitian_eigenvalues(partial_transpose(state, sub))
         table[sub] = float(evals[0])
     return PptReport(is_ppt=all(v >= -tol for v in table.values()), min_eigenvalues=table)
 
@@ -243,12 +237,10 @@ class InteriorReport:
         return self.full_rank
 
 
-def ppt_interior_check(
-    state: State, rank_tol: float = RANK_RTOL, atol: float = HERMITICITY_ATOL
-) -> InteriorReport:
-    require_hermitian(state.matrix, atol)
+def ppt_interior_check(state: State) -> InteriorReport:
+    require_hermitian(state.matrix)
     d = state.shape.total_dim
     ranks: dict[tuple[int, ...], int] = {}
     for sub in all_subsets(state.shape.n_parties):
-        ranks[sub] = numerical_rank(partial_transpose(state, sub), rank_tol)
+        ranks[sub] = numerical_rank(partial_transpose(state, sub))
     return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks, dimension=d)

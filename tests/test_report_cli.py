@@ -73,7 +73,6 @@ def test_run_verify_off_variety_skips():
         "zero_set_families",
         "full_spanning",
         "canonical_ten_spanning",
-        "biseparable_values",
         "cut_negativity",
     }
     for s, t, positive in ((1.0, 1.0, False), (1.0, 4.0, False), (4.0, 4.0, True)):
@@ -83,6 +82,8 @@ def test_run_verify_off_variety_skips():
         assert by_name["hermiticity"].status == "PASS"
         assert by_name["witness_not_psd"].status == "PASS"
         assert by_name["pv1_span_rank6"].status == "PASS"
+        # the three xi_i values are -2 for every (s, t)
+        assert by_name["biseparable_values"].status == "PASS"
         expected = "PASS" if positive else "FAIL"
         assert by_name["rank_one_positivity_grid"].status == expected
         assert by_name["seesaw_certificate"].status == expected
@@ -140,6 +141,14 @@ def test_run_detect_specs():
     by_name = {c.name: c for c in doc.checks}
     assert by_name["verdict"].values["verdict"] == "PPT_ENTANGLED_DETECTED"
     assert by_name["ppt_table"].values["is_ppt"] is True
+
+
+def test_run_detect_records_its_tolerance():
+    # the document states the pairing tolerance its rows and verdict used
+    doc = run_detect("xstate", CANONICAL, tol=1e-8)
+    assert doc.tolerances["pairing"] == 1e-8
+    rows = [c.tolerance for c in doc.checks if c.tolerance is not None]
+    assert rows and all(t == doc.tolerances["pairing"] for t in rows)
 
 
 def test_run_detect_malformed():
@@ -215,6 +224,27 @@ def test_cli_detect_exit_codes(capsys):
     assert main(["detect", "nonsense"]) == 2
     assert main(["detect", "rho-lambda:1.5"]) == 2
     assert main(["detect", "file:/no/such/file.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "xstate", "--tol", "-1"],
+        ["detect", "xstate", "--tol", "nan"],
+        ["detect", "rho-lambda:0.5", "--tol", "inf"],
+        ["verify", "--tol", "inf"],
+        ["verify", "--tol", "-1"],
+        ["report", "--tol", "nan"],
+        ["spanning", "--tol", "nan"],
+        ["spanning", "--tol", "inf"],
+        ["spanning", "--tol", "0"],
+    ],
+)
+def test_cli_rejects_out_of_range_tol(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_detect_file_spec(tmp_path, capsys):
