@@ -30,13 +30,7 @@ import numpy as np
 from .errors import InvalidParamsError, OffVarietyError
 from .linalg import TOLERANCES, numerical_rank
 from .maps import MultilinearMapTable, Witness
-from .tensor import (
-    THREE_QUBITS,
-    ProductVector,
-    all_subsets,
-    flatten,
-    partial_conjugate,
-)
+from .tensor import THREE_QUBITS, ProductVector, conjugation_ranks, flatten
 
 SQRT2 = math.sqrt(2.0)
 
@@ -194,10 +188,12 @@ def rank_one_images(params: FamilyParams, alphas) -> np.ndarray:
 
     Entry [i, j] is the 2x2 image of (P_alphas[i], P_alphas[j]) with P the
     `rank_one_projector`; one contraction of the stacked projectors against
-    the block table, shape (len(alphas), len(alphas), 2, 2).
+    the block table, shape (len(alphas), len(alphas), 2, 2), along a fixed
+    path: the table against the first inputs, then against the second.
     """
     p = rank_one_projector(np.asarray(alphas).reshape(-1))
-    return np.einsum("xij,ykl,ijklmn->xymn", p, p, bilinear_map(params).blocks)
+    path = ["einsum_path", (0, 2), (0, 1)]
+    return np.einsum("xij,ykl,ijklmn->xymn", p, p, bilinear_map(params).blocks, optimize=path)
 
 
 class ZeroFamily(Enum):
@@ -418,13 +414,9 @@ def spanning_report(
             raise OffVarietyError("the default spanning sample needs s*t = 8")
         samples = default_zero_sample(params)
     pvs = [realize_zero_vector(s, params) for s in samples]
-    pv1 = [pv for s, pv in zip(samples, pvs) if s.family in PV1_FAMILIES]
+    pv1_flat = [flatten(pv) for s, pv in zip(samples, pvs) if s.family in PV1_FAMILIES]
     dim = THREE_QUBITS.total_dim
-    ranks: dict[tuple[int, ...], int] = {}
-    for subset in all_subsets(THREE_QUBITS.n_parties):
-        images = [flatten(partial_conjugate(pv, subset)) for pv in pvs]
-        ranks[subset] = numerical_rank(images, rank_tol)
-    pv1_flat = [flatten(pv) for pv in pv1]
+    ranks = conjugation_ranks(pvs, THREE_QUBITS, rank_tol)
     pv1_rank = numerical_rank(pv1_flat, rank_tol)
     complement = _null_space_basis(pv1_flat, pv1_rank) if pv1_flat else []
     return SpanningReport(

@@ -20,13 +20,14 @@ from .errors import DimensionMismatchError, NotHermitianError, UsageError
 # or relative to the largest singular value.
 TOLERANCES = {
     # recorded in every report; a command's --tol overrides one (cli.TOL_OPTIONS)
-    "pairing": 1e-10,  # eigenvalues: pairings, zero-set values, PPT; entries: certificates
+    "pairing": 1e-10,  # eigenvalues: pairings, zero-set and bi-separable values
     "seesaw": 1e-7,  # eigenvalues: see-saw and cut minima
     "rank": 1e-8,  # relative: singular values that count toward a numerical rank
     "eigenvalue": 1e-9,  # eigenvalues: the spectrum of W against its closed form
     # fixed
     "hermiticity": 1e-9,  # entries: max |M - M^H| of a matrix taken as Hermitian
     "psd": 1e-10,  # eigenvalues: a smallest eigenvalue >= -psd is positive
+    "certificate": 1e-10,  # entries: a separable decomposition against its state
     "imaginary": 1e-10,  # eigenvalues: Im <rho, W>, zero for Hermitian operands
     "trace": 1e-10,  # eigenvalues: |tr rho - 1| below it flags a state normalized
     "pivot": 1e-10,  # entries: pivots and zeros of a reduced row echelon form
@@ -105,24 +106,20 @@ def is_psd(m) -> PsdCheck:
 
 
 def numerical_rank(vectors: Sequence, tol: float = TOLERANCES["rank"]) -> int:
-    """Rank of a family of vectors, from its singular values.
+    """Rank of a family of vectors (`numerical_ranks`); an empty family has rank 0."""
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if len({v.shape[0] for v in vecs}) > 1:
+        raise DimensionMismatchError("vectors must share a common dimension")
+    return int(numerical_ranks(np.array(vecs) if vecs else np.zeros((0, 0)), tol))
 
-    Counts singular values of the stacked vectors exceeding `tol` times the
-    largest one. An empty or all-zero family has rank 0.
-    """
+
+def numerical_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> np.ndarray:
+    """Ranks of vector families stacked as (..., vectors, dim), from one SVD: per
+    family, the count of singular values above `tol` times its largest one."""
     if tol <= 0:
         raise DimensionMismatchError("rank tolerance must be positive")
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
-        return 0
-    dim = vecs[0].shape[0]
-    if any(v.shape[0] != dim for v in vecs):
-        raise DimensionMismatchError("vectors must share a common dimension")
-    sv = np.linalg.svd(np.array(vecs), compute_uv=False)
-    top = float(sv[0])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * top))
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
 
 
 def trace_pairing(a, b) -> complex:

@@ -38,7 +38,7 @@ from .family import (
     witness_matrix,
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect
-from .linalg import is_psd, numerical_rank
+from .linalg import is_psd
 from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import (
     cut_block_positivity,
@@ -56,7 +56,7 @@ from .states import (
     verify_decomposition,
     x_state,
 )
-from .tensor import all_subsets, flatten, is_ppt, partial_conjugate
+from .tensor import THREE_QUBITS, conjugation_ranks, is_ppt
 
 
 @dataclass
@@ -228,12 +228,18 @@ def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
     }
 
 
+def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+
+
 def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Positivity of the bilinear map on a deterministic rank-one grid, from
     the stacked images of `rank_one_images`."""
     images = ctx.images
-    evals = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)
-    worst = float(evals[..., 0].min())
+    worst = float(_lowest_eigenvalues(images).min())
     return worst >= -tol, {"pairs": images.shape[0] * images.shape[1], "min_eigenvalue": worst}
 
 
@@ -307,11 +313,8 @@ def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations."""
-    ten = canonical_ten(ctx.params)
-    ranks = {}
-    for subset in all_subsets(3):
-        images = [flatten(partial_conjugate(pv, subset)) for pv in ten]
-        ranks[subset_key(subset)] = numerical_rank(images, tol)
+    ranks = conjugation_ranks(canonical_ten(ctx.params), THREE_QUBITS, tol)
+    ranks = {subset_key(k): v for k, v in ranks.items()}
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 
 
@@ -353,15 +356,15 @@ def check_xstate_ppt(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """rho_lambda: certificate verifies, pairing vanishes, every partial
-    transpose strictly positive definite (full rank)."""
+    """rho_lambda: certificate verifies (within its own tolerance), pairing
+    vanishes, every partial transpose strictly positive definite (full rank)."""
     rows = {}
     ok = True
     for lam in (0.1, 0.5, 0.9):
         state, dec = rho_lambda(lam, ctx.params)
-        verified = verify_decomposition(state, dec, tol)
+        verified = verify_decomposition(state, dec)
         pair_val = pairing(state, ctx.witness)
-        min_eig = min(is_ppt(state, tol).min_eigenvalues.values())
+        min_eig = min(is_ppt(state).min_eigenvalues.values())
         rows[str(lam)] = {
             "decomposition_verified": verified,
             "pairing": pair_val,
@@ -475,7 +478,7 @@ REGISTRY = (
     Entry("biseparable_values", _VR, "pairing", "check_biseparable"),
     Entry("cut_negativity", _VR, "seesaw", "check_cut_negativity", st8=True),
     Entry("xstate_detection_value", _R, "pairing", "check_xstate_detection", st8=True),
-    Entry("xstate_ppt", _R, "pairing", "check_xstate_ppt", st8=True),
+    Entry("xstate_ppt", _R, "psd", "check_xstate_ppt", st8=True),
     Entry(
         "boundary_family", _R, "pairing", "check_boundary_family", st8=True,
         note="partial transposes must be strictly positive (eigenvalues > 1e-6)",
@@ -595,9 +598,10 @@ def run_detect(
     state, dec, label = parse_state_spec(spec, params)
     result = detect(state, ctx.witness, tol=tol, decomposition=dec)
     mins = {subset_key(k): v for k, v in result.ppt.min_eigenvalues.items()}
+    table = {"is_ppt": result.ppt.is_ppt, "min_eigenvalues": mins}
     checks = [
         Check("pairing", "PASS", {"state": label, "value": result.pairing_value}, tol),
-        Check("ppt_table", "PASS", {"is_ppt": result.ppt.is_ppt, "min_eigenvalues": mins}, tol),
+        Check("ppt_table", "PASS", table, TOLERANCES["psd"]),
         Check("verdict", "PASS", {"verdict": result.verdict.value, "certified": result.certified}),
     ]
     return ctx.document("detect", checks)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from string import ascii_lowercase
 from typing import Iterable, Sequence
 
@@ -52,11 +53,17 @@ def _bra_ket(j: int, row: str, col: str) -> tuple[str, str]:
     return _STACK + row, _STACK + col
 
 
-def _random_unit_factors(dims: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
+def _random_unit_factors(dims: Sequence[int], children: Sequence) -> list[np.ndarray]:
+    """Unit start factors per party, stacked over restarts. Restart r takes
+    one draw of 2 sum(dims) normals from its seed `children[r]`: party by
+    party, d real parts, then d imaginary parts."""
+    draws = np.array([np.random.default_rng(c).standard_normal(2 * sum(dims)) for c in children])
     factors = []
-    for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        factors.append(v / np.linalg.norm(v))
+    for part, d in zip(np.split(draws, np.cumsum([2 * d for d in dims])[:-1], axis=1), dims):
+        v = part[:, :d] + 1j * part[:, d:]
+        # row @ column of the strided .real and .imag views: np.linalg.norm's own dots
+        re, im = v.real[:, None], v.imag[:, None]
+        factors.append(v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0])
     return factors
 
 
@@ -85,12 +92,8 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     tensor = witness.matrix.reshape(dims + dims)
     # per party k: contract all factors but the k-th
     scripts = [party_script(n, _bra_ket, _STACK, open_party=k) for k in range(n)]
-    starts = [
-        _random_unit_factors(dims, np.random.default_rng(child))
-        for child in np.random.SeedSequence(seed).spawn(restarts)
-    ]
     # factors[k][r] is party k's factor in restart r
-    factors = [np.array([start[k] for start in starts]) for k in range(n)]
+    factors = _random_unit_factors(dims, np.random.SeedSequence(seed).spawn(restarts))
     values = _product_values(tensor, factors, n)
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     by_sweep[0] = values
@@ -185,14 +188,18 @@ def phase_modulus_grid() -> np.ndarray:
     return np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
 
 
-def _qubit_candidates() -> np.ndarray:
-    """Deterministic unit vectors (1, z) / norm over the phase-modulus grid,
-    plus both poles."""
-    out = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-    for z in phase_modulus_grid():
-        v = np.array([1.0, z], dtype=complex)
-        out.append(v / np.linalg.norm(v))
-    return np.array(out)
+@cache
+def _grid_contraction(n: int) -> tuple[str, list, list[np.ndarray]]:
+    """einsum script, contraction path and operands of the n-qubit product
+    grid, built on first use. The candidates are both poles and the unit
+    vectors (1, z) / norm over the phase-modulus grid."""
+    unnormed = [np.array([1.0, z]) for z in phase_modulus_grid()]
+    cand = np.array([*np.eye(2), *(v / np.linalg.norm(v) for v in unnormed)], dtype=complex)
+    operands = [cand.conj(), cand] * n
+    grid = ascii_lowercase[2 * n : 3 * n]
+    script = party_script(n, lambda j, row, col: (grid[j] + row, grid[j] + col), grid)
+    path = np.einsum_path(script, np.zeros((2,) * 2 * n), *operands, optimize=True)[0]
+    return script, path, operands
 
 
 def product_grid_minimum(witness: Witness) -> float:
@@ -206,10 +213,6 @@ def product_grid_minimum(witness: Witness) -> float:
     dims = witness.shape.dims
     if any(d != 2 for d in dims):
         raise DimensionMismatchError("grid search is implemented for qubit factors only")
-    n = len(dims)
-    cand = _qubit_candidates()
-    tensor = witness.matrix.reshape(dims + dims)
-    grid = ascii_lowercase[2 * n : 3 * n]
-    script = party_script(n, lambda j, row, col: (grid[j] + row, grid[j] + col), grid)
-    values = np.einsum(script, tensor, *[cand.conj(), cand] * n, optimize=True)
+    script, path, operands = _grid_contraction(len(dims))
+    values = np.einsum(script, witness.matrix.reshape(dims + dims), *operands, optimize=path)
     return float(values.real.min())

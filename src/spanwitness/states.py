@@ -118,7 +118,7 @@ def assemble(dec: SeparableDecomposition) -> np.ndarray:
 
 
 def verify_decomposition(
-    state: State, dec: SeparableDecomposition, tol: float = TOLERANCES["pairing"]
+    state: State, dec: SeparableDecomposition, tol: float = TOLERANCES["certificate"]
 ) -> bool:
     """True iff the decomposition reassembles the state entrywise within tol."""
     built = assemble(dec)
@@ -217,15 +217,16 @@ def detect(
     PPT_ENTANGLED_DETECTED needs a PPT state with pairing below -tol; a
     negative partial transpose yields ENTANGLED_NPT; anything else is
     INCONCLUSIVE (a witness only ever certifies entanglement, not its
-    absence).
+    absence). `tol` is the pairing threshold alone: the PPT table and the
+    certificate keep their own tolerances, `psd` and `certificate`.
     """
     if state.shape != witness.shape:
         raise DimensionMismatchError(
             f"state dims {state.shape.dims} do not match witness dims {witness.shape.dims}"
         )
     value = pairing(state, witness)
-    table = is_ppt(state, tol)
-    certified = decomposition is not None and verify_decomposition(state, decomposition, tol)
+    table = is_ppt(state)
+    certified = decomposition is not None and verify_decomposition(state, decomposition)
     if certified:
         verdict = Verdict.SEPARABLE_CERTIFIED
     elif not table.is_ppt:

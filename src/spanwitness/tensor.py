@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_rank, require_hermitian
+from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,24 @@ def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector
     )
 
 
+def conjugation_ranks(
+    pvs: Sequence[ProductVector], shape: TensorShape, tol: float = TOLERANCES["rank"]
+) -> dict[tuple[int, ...], int]:
+    """Rank of the flattened `flatten(partial_conjugate(pv, subset))` family per
+    subset, in `all_subsets` order: party j's factors are conjugated where bit j
+    of the subset mask is set, all 2^n families are flattened together, left to
+    right as `flatten` does, and ranked by one stacked SVD (`numerical_ranks`)."""
+    masks = np.arange(2**shape.n_parties)[:, None, None]
+    parties = []
+    for j, d in enumerate(shape.dims):
+        f = np.array([pv.factors[j] for pv in pvs], dtype=complex).reshape(len(pvs), d)
+        parties.append(np.where(masks >> j & 1, f.conj(), f))
+    flat = parties[0]
+    for f in parties[1:]:
+        flat = (flat[..., None] * f[..., None, :]).reshape(*f.shape[:2], flat.shape[2] * f.shape[2])
+    return dict(zip(all_subsets(shape.n_parties), numerical_ranks(flat, tol).tolist()))
+
+
 def party_script(
     n: int,
     terms: Callable[[int, str, str], Sequence[str]],
@@ -240,7 +258,7 @@ class InteriorReport:
 def ppt_interior_check(state: State) -> InteriorReport:
     require_hermitian(state.matrix)
     d = state.shape.total_dim
-    ranks: dict[tuple[int, ...], int] = {}
-    for sub in all_subsets(state.shape.n_parties):
-        ranks[sub] = numerical_rank(partial_transpose(state, sub))
+    subsets = all_subsets(state.shape.n_parties)
+    stack = np.array([partial_transpose(state, sub) for sub in subsets])
+    ranks = dict(zip(subsets, numerical_ranks(stack).tolist()))
     return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks, dimension=d)

@@ -31,9 +31,9 @@ from spanwitness import (
     zero_pair_and_kernel,
     zeta_vector,
 )
-from spanwitness.family import SQRT2, Z_FAMILIES
+from spanwitness.family import PV1_FAMILIES, SQRT2, Z_FAMILIES
 from spanwitness.seesaw import phase_modulus_grid
-from spanwitness.tensor import all_subsets
+from spanwitness.tensor import THREE_QUBITS, all_subsets, conjugation_ranks
 
 
 def phi_on_projectors_oracle(s, t, alpha, beta):
@@ -331,3 +331,34 @@ def test_scale_covariance(canonical_witness):
         scaled2[0] = scaled2[0] * c
         got = value_on_product(canonical_witness, ProductVector(scaled2))
         assert abs(got - abs(c) ** 2 * base) < 1e-10
+
+
+def _rank_cases():
+    """The zero sample at the four ST8_GRID points and at one random point of
+    the curve, the rank-6 pv1 sample, and the canonical ten."""
+    s = float(2 ** np.random.default_rng(5).uniform(-0.5, 2.5))
+    cases = [
+        (f"sample_{p.s:.4g}_{p.t:.4g}", [realize_zero_vector(x, p) for x in default_zero_sample(p)])
+        for p in (*ST8_GRID, FamilyParams(s, 8.0 / s))
+    ]
+    pv1 = [x for x in default_zero_sample(CANONICAL) if x.family in PV1_FAMILIES]
+    cases.append(("pv1", [realize_zero_vector(x, CANONICAL) for x in pv1]))
+    cases.append(("canonical_ten", canonical_ten(CANONICAL)))
+    return cases
+
+
+RANK_CASES = _rank_cases()
+
+
+@pytest.mark.parametrize("label, pvs", RANK_CASES, ids=[label for label, _ in RANK_CASES])
+def test_conjugation_ranks_match_reference_loop(label, pvs):
+    # one stacked SVD against numerical_rank of each conjugated family
+    want = {
+        sub: numerical_rank([flatten(partial_conjugate(pv, sub)) for pv in pvs])
+        for sub in all_subsets(3)
+    }
+    got = conjugation_ranks(pvs, THREE_QUBITS)
+    assert list(got) == all_subsets(3)
+    assert got == want
+    assert set(got.values()) == ({6} if label == "pv1" else {8})
+

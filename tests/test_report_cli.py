@@ -3,18 +3,23 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import spanwitness
 from spanwitness.cli import main, parse_param
 from spanwitness.errors import SpanWitnessError, UsageError
-from spanwitness.family import CANONICAL, FamilyParams
+from spanwitness.family import CANONICAL, FamilyParams, rank_one_images
+from spanwitness.linalg import TOLERANCES
 from spanwitness.report import (
+    _lowest_eigenvalues,
     run_detect,
     run_full_report,
     run_spanning,
     run_verify,
     to_json,
 )
+from spanwitness.seesaw import phase_modulus_grid
 
 VERIFY_CHECKS = {
     "hermiticity",
@@ -112,6 +117,26 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
     assert [c.status for c in doc.checks if c.name == "seesaw_certificate"] == ["PASS"]
 
 
+def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
+    # the spanning checks conjugate and rank all 2^3 families in one stack;
+    # calls are counted in every module that binds the name, as a tracer sees them
+    owners = {"partial_conjugate": spanwitness.tensor, "numerical_rank": spanwitness.linalg}
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("spanwitness")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    assert run_verify(CANONICAL).all_pass
+    assert calls["partial_conjugate"] == 0
+    assert calls["numerical_rank"] <= 2
+
+
 def test_full_report_contains_every_check_once():
     doc = run_full_report(CANONICAL, seed=7, restarts=8)
     names = [c.name for c in doc.checks]
@@ -144,11 +169,23 @@ def test_run_detect_specs():
 
 
 def test_run_detect_records_its_tolerance():
-    # the document states the pairing tolerance its rows and verdict used
+    # the document states the tolerance each row used: the pairing row the
+    # document's pairing tolerance, the PPT table its fixed psd floor
     doc = run_detect("xstate", CANONICAL, tol=1e-8)
     assert doc.tolerances["pairing"] == 1e-8
-    rows = [c.tolerance for c in doc.checks if c.tolerance is not None]
-    assert rows and all(t == doc.tolerances["pairing"] for t in rows)
+    rows = {c.name: c.tolerance for c in doc.checks if c.tolerance is not None}
+    assert rows == {"pairing": 1e-8, "ppt_table": TOLERANCES["psd"]}
+
+
+def test_detect_tol_moves_only_the_pairing_threshold():
+    # a certificate that reassembles its state verifies at any pairing
+    # tolerance, and the PPT table keeps its own floor
+    for spec in ("rho-lambda:0.5", "rho-lambda:1e-5"):
+        doc = run_detect(spec, CANONICAL, tol=0.0)
+        by_name = {c.name: c for c in doc.checks}
+        assert by_name["verdict"].values == {"verdict": "SEPARABLE_CERTIFIED", "certified": True}
+        assert by_name["ppt_table"].values["is_ppt"]
+        assert by_name["ppt_table"].tolerance == TOLERANCES["psd"]
 
 
 def test_run_detect_malformed():
@@ -324,3 +361,13 @@ def test_cli_report_command(capsys):
     names = [c["name"] for c in doc["checks"]]
     assert set(names) == VERIFY_CHECKS | FULL_ONLY_CHECKS
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(4.0, 4.0), CANONICAL],
+)
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
+    images = rank_one_images(params, phase_modulus_grid())
+    want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
+    assert np.max(np.abs(_lowest_eigenvalues(images) - want)) <= 1e-13

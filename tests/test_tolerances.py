@@ -3,6 +3,7 @@ overrides enter it through one validated door."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import spanwitness
 from spanwitness.errors import UsageError
 from spanwitness.linalg import DEFAULT_TOLERANCES, TOLERANCES, document_tolerances
+from spanwitness.report import REGISTRY
 
 SRC = Path(spanwitness.__file__).parent
 
@@ -71,3 +73,10 @@ def test_document_tolerances_are_the_table_head():
 def test_document_tolerances_reject_out_of_range(key, value):
     with pytest.raises(UsageError, match=f"{key} tolerance"):
         document_tolerances(**{key: value})
+
+
+def test_boundary_family_note_states_the_strict_entry():
+    # the note is text; the number in it must be the threshold the check uses
+    (entry,) = [e for e in REGISTRY if e.name == "boundary_family"]
+    (number,) = re.findall(r"eigenvalues > ([0-9.e+-]+)\)", entry.note)
+    assert float(number) == TOLERANCES["strict"]
