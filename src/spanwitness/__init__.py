@@ -41,7 +41,6 @@ from .tensor import (
     all_subsets,
     flatten,
     is_ppt,
-    normalize,
     partial_conjugate,
     partial_transpose,
     ppt_interior_check,

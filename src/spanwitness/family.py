@@ -28,9 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParamsError, OffVarietyError
-from .linalg import TOLERANCES, numerical_rank
+from .linalg import TOLERANCES, numerical_ranks
 from .maps import MultilinearMapTable, Witness
-from .tensor import THREE_QUBITS, ProductVector, conjugation_ranks, flatten
+from .tensor import THREE_QUBITS, ProductVector, all_subsets, conjugation_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -358,8 +358,8 @@ class SpanningReport:
 
     `full_spanning` holds when every one of the 2^n conjugated images spans
     the whole space. The first-six-family section is reported separately:
-    those vectors always span the same 6-dimensional subspace, whose
-    complement is returned as an explicit basis.
+    its rank, and the computational basis vectors outside the support of
+    its vectors, which are orthogonal to their span.
     """
 
     subset_ranks: dict[tuple[int, ...], int]
@@ -370,34 +370,6 @@ class SpanningReport:
     sample_size: int
 
 
-def _rref_rows(rows: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form with rounding, for canonical basis output."""
-    m = np.array(rows, dtype=complex)
-    nrows, ncols = m.shape
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        pick = pivot_row + int(np.argmax(np.abs(m[pivot_row:, col])))
-        if abs(m[pick, col]) < TOLERANCES["pivot"]:
-            continue
-        m[[pivot_row, pick]] = m[[pick, pivot_row]]
-        m[pivot_row] = m[pivot_row] / m[pivot_row, col]
-        for r in range(nrows):
-            if r != pivot_row:
-                m[r] = m[r] - m[r, col] * m[pivot_row]
-        pivot_row += 1
-    m[np.abs(m) < TOLERANCES["pivot"]] = 0.0
-    return m
-
-
-def _null_space_basis(vectors: list[np.ndarray], rank: int) -> list[np.ndarray]:
-    """Canonical basis of the orthogonal complement of the span of vectors
-    of the given numerical rank: right singular vectors past the rank."""
-    vh = np.linalg.svd(np.array(vectors).conj())[2]
-    return list(_rref_rows(vh[rank:]))
-
-
 def spanning_report(
     params: FamilyParams,
     samples: list[ZeroSample] | None = None,
@@ -405,25 +377,27 @@ def spanning_report(
 ) -> SpanningReport:
     """Rank of the partially conjugated zero-set sample, for every subset.
 
+    The sample is flattened once; one SVD ranks its 2^n conjugations, one
+    more its first-six-family rows. `pv1_complement` is the basis vectors on
+    which all those rows are exactly zero: the orthogonal complement of
+    their span exactly when `pv1_rank + len(pv1_complement) == dimension`.
+
     With the default sample on s t = 8 every rank is full; restricted to the
-    first six families the rank is 6 and the complement is spanned by
-    |011> and |100>.
+    first six families the rank is 6 and the complement is |011>, |100>.
     """
     if samples is None:
         if not params.on_variety:
             raise OffVarietyError("the default spanning sample needs s*t = 8")
         samples = default_zero_sample(params)
-    pvs = [realize_zero_vector(s, params) for s in samples]
-    pv1_flat = [flatten(pv) for s, pv in zip(samples, pvs) if s.family in PV1_FAMILIES]
+    flats = conjugation_stack([realize_zero_vector(s, params) for s in samples], THREE_QUBITS)
+    ranks = dict(zip(all_subsets(3), numerical_ranks(flats, rank_tol).tolist()))
+    pv1 = flats[0][[s.family in PV1_FAMILIES for s in samples]]
     dim = THREE_QUBITS.total_dim
-    ranks = conjugation_ranks(pvs, THREE_QUBITS, rank_tol)
-    pv1_rank = numerical_rank(pv1_flat, rank_tol)
-    complement = _null_space_basis(pv1_flat, pv1_rank) if pv1_flat else []
     return SpanningReport(
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
-        pv1_rank=pv1_rank,
-        pv1_complement=complement,
+        pv1_rank=int(numerical_ranks(pv1, rank_tol)),
+        pv1_complement=list(np.eye(dim)[~np.any(pv1, axis=0)]),
         dimension=dim,
-        sample_size=len(pvs),
+        sample_size=len(samples),
     )

@@ -30,9 +30,7 @@ TOLERANCES = {
     "certificate": 1e-10,  # entries: a separable decomposition against its state
     "imaginary": 1e-10,  # eigenvalues: Im <rho, W>, zero for Hermitian operands
     "trace": 1e-10,  # eigenvalues: |tr rho - 1| below it flags a state normalized
-    "pivot": 1e-10,  # entries: pivots and zeros of a reduced row echelon form
     "determinant": 1e-10,  # eigenvalues squared: det of a 2x2 rank-one image against D
-    "basis": 1e-8,  # entries: a computed basis vector against the expected one
     "strict": 1e-6,  # eigenvalues: above it an eigenvalue counts as strictly positive
     "grid_slack": 1e-6,  # eigenvalues: how far the see-saw minimum may exceed the grid's
     "sweep": 1e-12,  # eigenvalues: a see-saw restart stops once a sweep gains less

@@ -87,6 +87,8 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     require_hermitian(witness.matrix)
     if restarts < 1:
         raise DimensionMismatchError("see-saw needs at least one restart")
+    if seed < 0:
+        raise DimensionMismatchError(f"see-saw seed must be non-negative, got {seed}")
     dims = witness.shape.dims
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)

@@ -30,7 +30,7 @@ def matrix_payload(m: np.ndarray) -> list:
 def parse_matrix(rows) -> np.ndarray:
     try:
         return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError, ValueError) as exc:
         raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
 
 
@@ -53,13 +53,17 @@ def state_payload(s: State, meta: dict | None = None) -> dict:
 def parse_payload(doc: dict) -> tuple[np.ndarray, TensorShape, dict]:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise DimensionMismatchError("payload must carry 'dims' and 'matrix'")
-    shape = TensorShape(tuple(int(d) for d in doc["dims"]))
+    try:
+        dims, meta = tuple(int(d) for d in doc["dims"]), dict(doc.get("meta", {}))
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"malformed 'dims' or 'meta' in payload: {exc}") from exc
+    shape = TensorShape(dims)
     matrix = parse_matrix(doc["matrix"])
     if matrix.shape != (shape.total_dim, shape.total_dim):
         raise DimensionMismatchError(
             f"matrix shape {matrix.shape} does not match dims {shape.dims}"
         )
-    return matrix, shape, dict(doc.get("meta", {}))
+    return matrix, shape, meta
 
 
 def witness_from_payload(doc: dict) -> Witness:

@@ -101,8 +101,8 @@ class SeparableDecomposition:
     vectors: list[ProductVector]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.vectors):
-            raise DimensionMismatchError("one weight per product vector")
+        if not self.vectors or len(self.weights) != len(self.vectors):
+            raise DimensionMismatchError("one weight per product vector, at least one vector")
         if any(w <= 0 for w in self.weights):
             raise OutOfRangeError("decomposition weights must be positive")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from string import ascii_lowercase
 from typing import Callable, Iterable, Sequence
 
@@ -39,28 +38,6 @@ class TensorShape:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    def flat_index(self, multi: Sequence[int]) -> int:
-        if len(multi) != self.n_parties:
-            raise DimensionMismatchError("multi-index length does not match party count")
-        flat = 0
-        for i, d in zip(multi, self.dims):
-            if not 0 <= i < d:
-                raise DimensionMismatchError(f"index {i} out of range for dimension {d}")
-            flat = flat * d + i
-        return flat
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total_dim:
-            raise DimensionMismatchError(f"flat index {flat} out of range")
-        out = []
-        for d in reversed(self.dims):
-            out.append(flat % d)
-            flat //= d
-        return tuple(reversed(out))
-
-    def basis_label(self, flat: int) -> str:
-        return "".join(str(i) for i in self.multi_index(flat))
 
 
 THREE_QUBITS = TensorShape((2, 2, 2))
@@ -103,9 +80,20 @@ def product_vector(*factors) -> ProductVector:
     return ProductVector(list(factors))
 
 
+def kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product along the last axis, left to right under the
+    big-endian convention: party factors stacked as (..., d_j), with equal
+    leading axes, give the flattened vectors (..., d_1 ... d_n)."""
+    flat = factors[0]
+    for f in factors[1:]:
+        dim = flat.shape[-1] * f.shape[-1]
+        flat = (flat[..., :, None] * f[..., None, :]).reshape(*f.shape[:-1], dim)
+    return flat
+
+
 def flatten(pv: ProductVector) -> np.ndarray:
     """Kronecker product of the factors under the big-endian convention."""
-    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), pv.factors)
+    return kron_rows(pv.factors)
 
 
 @dataclass
@@ -138,13 +126,6 @@ def product_state(pv: ProductVector) -> State:
     return state_from(np.outer(v, v.conj()), pv.shape.dims)
 
 
-def normalize(state: State) -> State:
-    tr = complex(np.trace(state.matrix)).real
-    if tr <= 0:
-        raise DimensionMismatchError("cannot normalize a state with non-positive trace")
-    return State(matrix=state.matrix / tr, shape=state.shape, normalized=True)
-
-
 def partial_transpose(state: State, subset: Iterable[int]) -> np.ndarray:
     """Transpose the tensor factors indexed by `subset` (1-based), leave the rest.
 
@@ -171,22 +152,25 @@ def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector
     )
 
 
-def conjugation_ranks(
-    pvs: Sequence[ProductVector], shape: TensorShape, tol: float = TOLERANCES["rank"]
-) -> dict[tuple[int, ...], int]:
-    """Rank of the flattened `flatten(partial_conjugate(pv, subset))` family per
-    subset, in `all_subsets` order: party j's factors are conjugated where bit j
-    of the subset mask is set, all 2^n families are flattened together, left to
-    right as `flatten` does, and ranked by one stacked SVD (`numerical_ranks`)."""
+def conjugation_stack(pvs: Sequence[ProductVector], shape: TensorShape) -> np.ndarray:
+    """`flatten(partial_conjugate(pv, subset))` for every subset and pv, as one
+    (2^n, len(pvs), total_dim) array, subsets in `all_subsets` order: party
+    j's factors are conjugated where bit j of the subset mask is set."""
     masks = np.arange(2**shape.n_parties)[:, None, None]
     parties = []
     for j, d in enumerate(shape.dims):
         f = np.array([pv.factors[j] for pv in pvs], dtype=complex).reshape(len(pvs), d)
         parties.append(np.where(masks >> j & 1, f.conj(), f))
-    flat = parties[0]
-    for f in parties[1:]:
-        flat = (flat[..., None] * f[..., None, :]).reshape(*f.shape[:2], flat.shape[2] * f.shape[2])
-    return dict(zip(all_subsets(shape.n_parties), numerical_ranks(flat, tol).tolist()))
+    return kron_rows(parties)
+
+
+def conjugation_ranks(
+    pvs: Sequence[ProductVector], shape: TensorShape, tol: float = TOLERANCES["rank"]
+) -> dict[tuple[int, ...], int]:
+    """Rank of each subset's conjugated family of `conjugation_stack`, all
+    2^n from one stacked SVD (`numerical_ranks`)."""
+    ranks = numerical_ranks(conjugation_stack(pvs, shape), tol)
+    return dict(zip(all_subsets(shape.n_parties), ranks.tolist()))
 
 
 def party_script(

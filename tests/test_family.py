@@ -270,11 +270,18 @@ def test_spanning_report_default():
     assert set(rep.subset_ranks.values()) == {8}
     assert rep.pv1_rank == 6
     assert rep.sample_size == 36
-    comp = np.array(rep.pv1_complement)
-    expected = np.zeros((2, 8))
-    expected[0, 3] = 1.0  # |011>
-    expected[1, 4] = 1.0  # |100>
-    assert np.max(np.abs(comp - expected)) < 1e-8
+    # |011> and |100>, read off the support: bit for bit, no rounding
+    assert np.array_equal(np.array(rep.pv1_complement), np.eye(8)[[3, 4]])
+    assert rep.pv1_rank + len(rep.pv1_complement) == rep.dimension
+
+
+def test_pv1_complement_outside_a_coordinate_span_falls_short():
+    # XI_01 at (1, 1) alone is |001> + |101>: support {1, 5}, rank 1, so the
+    # six zero coordinates are orthogonal to it but not all of its complement
+    rep = spanning_report(CANONICAL, samples=[ZeroSample(family=ZeroFamily.XI_01, params=(1, 1))])
+    assert rep.pv1_rank == 1
+    assert len(rep.pv1_complement) == 6
+    assert rep.pv1_rank + len(rep.pv1_complement) < rep.dimension
 
 
 def test_spanning_report_empty_sample():

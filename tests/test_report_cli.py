@@ -8,9 +8,18 @@ import pytest
 
 import spanwitness
 from spanwitness.cli import main, parse_param
-from spanwitness.errors import SpanWitnessError, UsageError
-from spanwitness.family import CANONICAL, FamilyParams, rank_one_images
+from spanwitness.errors import DimensionMismatchError, SpanWitnessError, UsageError
+from spanwitness.family import (
+    CANONICAL,
+    ST8_GRID,
+    FamilyParams,
+    default_zero_sample,
+    rank_one_images,
+    realize_zero_vector,
+    witness_matrix,
+)
 from spanwitness.linalg import TOLERANCES
+from spanwitness.maps import value_on_product
 from spanwitness.report import (
     _lowest_eigenvalues,
     run_detect,
@@ -20,6 +29,7 @@ from spanwitness.report import (
     to_json,
 )
 from spanwitness.seesaw import phase_modulus_grid
+from spanwitness.serialize import state_from_payload
 
 VERIFY_CHECKS = {
     "hermiticity",
@@ -118,9 +128,15 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
-    # the spanning checks conjugate and rank all 2^3 families in one stack;
+    # each spanning family is flattened once and ranked by stacked SVDs: one
+    # for the canonical ten, two per spanning report (the 2^3 conjugations,
+    # the pv1 rows), and the report runs for full_spanning and for pv1;
     # calls are counted in every module that binds the name, as a tracer sees them
-    owners = {"partial_conjugate": spanwitness.tensor, "numerical_rank": spanwitness.linalg}
+    owners = {
+        "partial_conjugate": spanwitness.tensor,
+        "numerical_rank": spanwitness.linalg,
+        "svd": np.linalg,
+    }
     calls = dict.fromkeys(owners, 0)
     for name, owner in owners.items():
         real = getattr(owner, name)
@@ -129,12 +145,35 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in [m for key, m in sys.modules.items() if key.startswith("spanwitness")]:
+        modules = [m for key, m in sys.modules.items() if key.startswith("spanwitness")]
+        for module in modules + [owner]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(CANONICAL).all_pass
-    assert calls["partial_conjugate"] == 0
-    assert calls["numerical_rank"] <= 2
+    assert calls == {"partial_conjugate": 0, "numerical_rank": 0, "svd": 5}
+
+
+CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
+
+
+@pytest.mark.parametrize(
+    "params", [*ST8_GRID, *(FamilyParams(s, 8.0 / s) for s in CURVE_S)], ids=lambda p: f"{p.s:.6g}"
+)
+def test_zero_set_values_match_reference_loop(params):
+    # one stacked contraction against value_on_product of each sample
+    doc = run_verify(params, restarts=1)
+    (check,) = [c for c in doc.checks if c.name == "zero_set_families"]
+    witness = witness_matrix(params)
+    want: dict[str, float] = {}
+    for sample in default_zero_sample(params):
+        value = abs(value_on_product(witness, realize_zero_vector(sample, params)))
+        want[sample.family.value] = max(want.get(sample.family.value, 0.0), value)
+    got = check.values["per_family"]
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+    assert abs(check.values["max_abs_value"] - max(want.values())) <= 1e-12
+    if params in ST8_GRID:
+        assert got == want
 
 
 def test_full_report_contains_every_check_once():
@@ -242,9 +281,16 @@ def test_cli_build_rejects_nonpositive(capsys):
     assert main(["build", "--s", "x", "--t", "1"]) == 2
 
 
-def test_cli_usage_error_exit_code():
+def test_cli_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+    # a negative see-saw seed is a usage error, not a SeedSequence traceback
+    for argv in (["verify", "--seed", "-1"], ["report", "--seed", "-3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_cli_verify_quick(capsys):
@@ -279,6 +325,33 @@ def test_cli_detect_exit_codes(capsys):
 )
 def test_cli_rejects_out_of_range_tol(argv, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+_GOOD_MATRIX = [[[0.0, 0.0]] * 4] * 4
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dims": ["a", "b", "c"], "matrix": _GOOD_MATRIX},
+        {"dims": 5, "matrix": _GOOD_MATRIX},
+        {"dims": [2, 2], "matrix": [[{"re": 0.0}] * 4] * 4},
+        {"dims": [2, 2], "matrix": _GOOD_MATRIX, "meta": [1]},
+        {"dims": [2, 2], "matrix": [[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3] * 2},
+    ],
+    ids=[
+        "dims_not_ints", "dims_not_a_list", "entry_is_an_object", "meta_not_an_object", "ragged_rows"
+    ],
+)
+def test_cli_detect_malformed_state_file(payload, tmp_path, capsys):
+    with pytest.raises(DimensionMismatchError):
+        state_from_payload(payload)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert main(["detect", f"file:{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -3,6 +3,7 @@ import pytest
 
 from spanwitness import (
     CANONICAL,
+    DimensionMismatchError,
     FamilyParams,
     OutOfRangeError,
     ProductVector,
@@ -235,6 +236,12 @@ def test_verify_decomposition_rejects_wrong_target():
 def test_decomposition_weight_validation():
     with pytest.raises(OutOfRangeError):
         SeparableDecomposition(weights=[0.0], vectors=[product_vector([1, 0], [1, 0], [1, 0])])
+
+
+def test_empty_decomposition_is_rejected():
+    # nothing to assemble: a package error, not an IndexError downstream
+    with pytest.raises(DimensionMismatchError):
+        SeparableDecomposition(weights=[], vectors=[])
 
 
 def test_detect_x_state():

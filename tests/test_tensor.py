@@ -12,7 +12,6 @@ from spanwitness import (
     eighth_root,
     flatten,
     is_ppt,
-    normalize,
     partial_conjugate,
     partial_transpose,
     ppt_interior_check,
@@ -25,16 +24,9 @@ from spanwitness import (
     zeta_vector,
 )
 from spanwitness.family import FamilyParams, ZeroFamily
+from spanwitness.tensor import conjugation_stack, kron_rows
 
 SUBSETS3 = all_subsets(3)
-
-
-def test_flat_index_big_endian():
-    shape = TensorShape((2, 2, 2))
-    assert shape.flat_index((0, 1, 1)) == 3
-    assert shape.flat_index((1, 0, 0)) == 4
-    assert shape.multi_index(5) == (1, 0, 1)
-    assert shape.basis_label(6) == "110"
 
 
 def test_all_subsets_order():
@@ -69,6 +61,25 @@ def test_flatten_equals_kron_reduction():
     for dims in ((2, 2, 2), (2, 4), (4, 2), (2, 3, 4)):
         factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
         assert np.array_equal(flatten(ProductVector(factors)), reduce(np.kron, factors))
+
+
+def test_stacked_flatten_matches_flatten_row_by_row():
+    # one stacked Kronecker path: every row of the family's stack, and of
+    # each conjugated copy, is the single vector's flatten, bit for bit
+    rng = np.random.default_rng(43)
+    shape = TensorShape((2, 3, 2))
+    pvs = [
+        ProductVector([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in shape.dims])
+        for _ in range(5)
+    ]
+    flats = kron_rows([np.array([pv.factors[j] for pv in pvs]) for j in range(3)])
+    assert flats.shape == (5, 12)
+    stack = conjugation_stack(pvs, shape)
+    assert stack.shape == (8, 5, 12)
+    for i, pv in enumerate(pvs):
+        assert np.array_equal(flats[i], flatten(pv))
+        for k, sub in enumerate(SUBSETS3):
+            assert np.array_equal(stack[k, i], flatten(partial_conjugate(pv, sub)))
 
 
 def test_partial_transpose_empty_and_full():
@@ -203,9 +214,3 @@ def test_interior_check_boundary_family_midpoint():
     rep = ppt_interior_check(state)
     assert rep.full_rank
     assert list(rep.ranks.values()) == [8] * 8
-
-
-def test_normalize():
-    state = normalize(x_state(CANONICAL))
-    assert abs(np.trace(state.matrix) - 1.0) < 1e-12
-    assert state.normalized
