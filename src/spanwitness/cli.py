@@ -103,12 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: ReportDocument, args, started: float) -> int:
-    doc.elapsed_ms = int((time.monotonic() - started) * 1000)
-    text = to_json(doc) if args.json else render_text(doc)
-    sys.stdout.write(text)
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    sys.stdout.write(to_json(doc) if args.json else render_text(doc))
     if args.out:
         save_json(args.out, to_dict(doc))
-    print(f"elapsed {doc.elapsed_ms} ms", file=sys.stderr)
+    print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
     return 0 if doc.all_pass else FAIL_EXIT
 
 

@@ -357,17 +357,21 @@ class SpanningReport:
     """Partial-conjugation ranks of a zero-set sample.
 
     `full_spanning` holds when every one of the 2^n conjugated images spans
-    the whole space. The first-six-family section is reported separately:
-    its rank, and the computational basis vectors outside the support of
-    its vectors, which are orthogonal to their span.
+    the whole space. The first-six-family rows are ranked separately, under
+    every conjugation too; `pv1_complement` is the computational basis
+    vectors outside their support, which are orthogonal to their span.
     """
 
     subset_ranks: dict[tuple[int, ...], int]
     full_spanning: bool
-    pv1_rank: int
+    pv1_subset_ranks: dict[tuple[int, ...], int]
     pv1_complement: list[np.ndarray]
     dimension: int
     sample_size: int
+
+    @property
+    def pv1_rank(self) -> int:
+        return self.pv1_subset_ranks[()]
 
 
 def spanning_report(
@@ -378,26 +382,28 @@ def spanning_report(
     """Rank of the partially conjugated zero-set sample, for every subset.
 
     The sample is flattened once; one SVD ranks its 2^n conjugations, one
-    more its first-six-family rows. `pv1_complement` is the basis vectors on
-    which all those rows are exactly zero: the orthogonal complement of
-    their span exactly when `pv1_rank + len(pv1_complement) == dimension`.
+    more the first-six-family rows of each. `pv1_complement` is the basis
+    vectors on which all those rows are exactly zero: the orthogonal
+    complement of their span exactly when `pv1_rank + len(pv1_complement)
+    == dimension`.
 
     With the default sample on s t = 8 every rank is full; restricted to the
-    first six families the rank is 6 and the complement is |011>, |100>.
+    first six families every rank is 6 and the complement is |011>, |100>.
     """
     if samples is None:
         if not params.on_variety:
             raise OffVarietyError("the default spanning sample needs s*t = 8")
         samples = default_zero_sample(params)
     flats = conjugation_stack([realize_zero_vector(s, params) for s in samples], THREE_QUBITS)
-    ranks = dict(zip(all_subsets(3), numerical_ranks(flats, rank_tol).tolist()))
-    pv1 = flats[0][[s.family in PV1_FAMILIES for s in samples]]
+    subsets = all_subsets(3)
+    ranks = dict(zip(subsets, numerical_ranks(flats, rank_tol).tolist()))
+    pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]
     dim = THREE_QUBITS.total_dim
     return SpanningReport(
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
-        pv1_rank=int(numerical_ranks(pv1, rank_tol)),
-        pv1_complement=list(np.eye(dim)[~np.any(pv1, axis=0)]),
+        pv1_subset_ranks=dict(zip(subsets, numerical_ranks(pv1, rank_tol).tolist())),
+        pv1_complement=list(np.eye(dim)[~np.any(pv1[0], axis=0)]),
         dimension=dim,
         sample_size=len(samples),
     )

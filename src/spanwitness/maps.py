@@ -16,13 +16,14 @@ through the identity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from string import ascii_lowercase
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
 from .linalg import TOLERANCES, as_matrix, hermiticity_defect, is_psd
 from .linalg import require_hermitian, trace_pairing
-from .tensor import ProductVector, State, TensorShape, flatten, party_script
+from .tensor import ProductVector, State, TensorShape, flatten
 
 
 @dataclass
@@ -110,8 +111,10 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
                 f"input {j + 1} has shape {m.shape}, expected ({dims[j]}, {dims[j]})"
             )
         xs.append(m)
-    script = party_script(n, lambda j, row, col: (row + col,), open_party=n - 1, block_table=True)
-    return np.einsum(script, *xs, table.blocks)
+    # the block table's axes are (row, column) party by party, output last
+    letters = ascii_lowercase[: 2 * n]
+    inputs = [letters[2 * j : 2 * j + 2] for j in range(n - 1)]
+    return np.einsum(",".join(inputs + [letters]) + "->" + letters[-2:], *xs, table.blocks)
 
 
 def is_completely_positive(table: MultilinearMapTable) -> bool:

@@ -24,7 +24,6 @@ from . import __version__
 from .errors import UsageError
 from .family import (
     CANONICAL,
-    PV1_FAMILIES,
     SQRT2,
     FamilyParams,
     SpanningReport,
@@ -38,7 +37,6 @@ from .family import (
     witness_matrix,
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect
-from .linalg import is_psd
 from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import (
     cut_block_positivity,
@@ -46,7 +44,7 @@ from .seesaw import (
     product_grid_minimum,
     seesaw_block_positivity,
 )
-from .serialize import load_json, state_from_payload
+from .serialize import dump_json, load_json, state_from_payload
 from .states import (
     biseparable_vector,
     detect,
@@ -77,7 +75,6 @@ class ReportDocument:
     restarts: int
     tolerances: dict
     checks: list[Check]
-    elapsed_ms: int = 0  # informational only, never serialized
 
     @property
     def all_pass(self) -> bool:
@@ -88,39 +85,20 @@ def subset_key(subset: tuple[int, ...]) -> str:
     return "".join(str(p) for p in subset) if subset else "none"
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        z = complex(value)
-        return [z.real, z.imag]
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    return value
-
-
 def to_dict(doc: ReportDocument) -> dict:
     return {
         "tool": "spanwitness",
         "tool_version": doc.tool_version,
         "command": doc.command,
-        "params": _jsonify(doc.params),
+        "params": doc.params,
         "seed": doc.seed,
         "restarts": doc.restarts,
-        "tolerances": _jsonify(doc.tolerances),
+        "tolerances": doc.tolerances,
         "checks": [
             {
                 "name": c.name,
                 "status": c.status,
-                "values": _jsonify(c.values),
+                "values": c.values,
                 "tolerance": c.tolerance,
                 "note": c.note,
             }
@@ -131,7 +109,7 @@ def to_dict(doc: ReportDocument) -> dict:
 
 
 def to_json(doc: ReportDocument) -> str:
-    return json.dumps(to_dict(doc), indent=2) + "\n"
+    return dump_json(to_dict(doc))
 
 
 def render_text(doc: ReportDocument) -> str:
@@ -141,7 +119,7 @@ def render_text(doc: ReportDocument) -> str:
         f" on_variety={doc.params['on_variety']} seed={doc.seed}",
     ]
     for c in doc.checks:
-        summary = json.dumps(_jsonify(c.values), separators=(",", ":"))
+        summary = json.dumps(c.values, separators=(",", ":"))
         tol = "" if c.tolerance is None else f" tol={c.tolerance!r}"
         note = f"  ({c.note})" if c.note else ""
         lines.append(f"[{c.status}] {c.name}{tol} {summary}{note}")
@@ -152,8 +130,9 @@ def render_text(doc: ReportDocument) -> str:
 @dataclass
 class Context:
     """What the checks of one document share: its inputs, the checks run so
-    far, and the witness, the rank-one grid and its images, and the pv1
-    spanning report, each built once, on first use."""
+    far, and the witness, the rank-one grid and its images, and the
+    spanning report of the default zero-set sample, each built once, on
+    first use."""
 
     params: FamilyParams
     seed: int = 7
@@ -174,9 +153,9 @@ class Context:
         return rank_one_images(self.params, self.grid)
 
     @cached_property
-    def pv1(self) -> SpanningReport:
-        """Spanning report of the six free-factor families at the rank tolerance."""
-        samples = [s for s in default_zero_sample(self.params) if s.family in PV1_FAMILIES]
+    def spanning(self) -> SpanningReport:
+        """Spanning report of the default zero-set sample at the rank tolerance."""
+        samples = default_zero_sample(self.params)
         return spanning_report(self.params, samples=samples, rank_tol=self.tolerances["rank"])
 
     def document(self, command: str, checks: list[Check]) -> ReportDocument:
@@ -214,13 +193,12 @@ def check_witness_fixture(ctx: Context, tol: float) -> tuple[bool, dict]:
 def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
     """min eigenvalue -1; full spectrum from the three anti-diagonal pairs
     plus the central block [[t, 1], [1, s]]."""
-    w = ctx.witness
-    evals = hermitian_eigenvalues(w.matrix)
+    evals = hermitian_eigenvalues(ctx.witness.matrix)
     s, t = float(ctx.params.s), float(ctx.params.t)
     disc = math.sqrt((s - t) ** 2 + 4.0)
     expected = sorted([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, (s + t - disc) / 2, (s + t + disc) / 2])
     dev = float(np.max(np.abs(evals - np.array(expected))))
-    ok = abs(evals[0] + 1.0) <= tol and dev <= tol and not is_psd(w.matrix).ok
+    ok = abs(evals[0] + 1.0) <= tol and dev <= tol and evals[0] < -TOLERANCES["psd"]
     return ok, {
         "min_eigenvalue": float(evals[0]),
         "spectrum": [float(v) for v in evals],
@@ -282,7 +260,7 @@ def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
-    rep = spanning_report(ctx.params, rank_tol=tol)
+    rep = ctx.spanning
     ranks = {subset_key(k): v for k, v in rep.subset_ranks.items()}
     return rep.full_spanning, {
         "ranks": ranks,
@@ -294,7 +272,7 @@ def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
 def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families span exactly six dimensions; the
     complement is the span of |011> and |100>."""
-    rep = ctx.pv1
+    rep = ctx.spanning
     labels = [format(int(np.argmax(v)), "03b") for v in rep.pv1_complement]
     basis_ok = labels == ["011", "100"]
     return rep.pv1_rank == 6 and basis_ok, {
@@ -306,7 +284,7 @@ def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families keep rank 6 under every partial conjugation."""
-    ranks = {subset_key(k): v for k, v in ctx.pv1.subset_ranks.items()}
+    ranks = {subset_key(k): v for k, v in ctx.spanning.pv1_subset_ranks.items()}
     return all(r == 6 for r in ranks.values()), {"ranks": ranks}
 
 

@@ -53,11 +53,14 @@ def state_payload(s: State, meta: dict | None = None) -> dict:
 def parse_payload(doc: dict) -> tuple[np.ndarray, TensorShape, dict]:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise DimensionMismatchError("payload must carry 'dims' and 'matrix'")
+    dims = doc["dims"]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise DimensionMismatchError(f"'dims' must be a list of integers, got {dims!r}")
     try:
-        dims, meta = tuple(int(d) for d in doc["dims"]), dict(doc.get("meta", {}))
+        meta = dict(doc.get("meta", {}))
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"malformed 'dims' or 'meta' in payload: {exc}") from exc
-    shape = TensorShape(dims)
+        raise DimensionMismatchError(f"malformed 'meta' in payload: {exc}") from exc
+    shape = TensorShape(tuple(dims))
     matrix = parse_matrix(doc["matrix"])
     if matrix.shape != (shape.total_dim, shape.total_dim):
         raise DimensionMismatchError(

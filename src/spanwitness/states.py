@@ -25,8 +25,8 @@ from .tensor import (
     PptReport,
     ProductVector,
     State,
-    flatten,
     is_ppt,
+    kron_rows,
     state_from,
 )
 
@@ -108,13 +108,10 @@ class SeparableDecomposition:
 
 
 def assemble(dec: SeparableDecomposition) -> np.ndarray:
-    """Sum of weighted projectors onto the flattened product vectors."""
-    flats = [flatten(pv) for pv in dec.vectors]
-    dim = flats[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, v in zip(dec.weights, flats):
-        out += w * np.outer(v, v.conj())
-    return out
+    """Sum of weighted projectors onto the product vectors, flattened as one stack."""
+    flats = kron_rows([np.array(f) for f in zip(*(pv.factors for pv in dec.vectors), strict=True)])
+    w = np.asarray(dec.weights)
+    return (w[:, None, None] * (flats[:, :, None] * flats.conj()[:, None, :])).sum(axis=0)
 
 
 def verify_decomposition(

@@ -178,24 +178,21 @@ def party_script(
     terms: Callable[[int, str, str], Sequence[str]],
     out: str = "",
     open_party: int | None = None,
-    block_table: bool = False,
 ) -> str:
-    """einsum script contracting an n-party tensor with operands per party.
+    """einsum script contracting an n-party matrix, reshaped to dims + dims
+    and first in the script, with operands per party.
 
-    The tensor carries a row and a column label per party: all rows, then
-    all columns, for a matrix reshaped to dims + dims; or row and column
-    party by party for a map's block table, which then comes last, after
-    its inputs. `terms(j, row, col)` gives the subscripts of party j's
-    operands. The open party is not contracted: its row and column follow
-    `out` in the output.
+    The matrix carries all row labels, then all column labels.
+    `terms(j, row, col)` gives the subscripts of party j's operands. The
+    open party is not contracted: its row and column follow `out` in the
+    output.
     """
     letters = ascii_lowercase[: 2 * n]
-    rows, cols = (letters[::2], letters[1::2]) if block_table else (letters[:n], letters[n:])
+    rows, cols = letters[:n], letters[n:]
     subs = [sub for j in range(n) if j != open_party for sub in terms(j, rows[j], cols[j])]
     if open_party is not None:
         out += rows[open_party] + cols[open_party]
-    subs = subs + [letters] if block_table else [letters] + subs
-    return ",".join(subs) + "->" + out
+    return ",".join([letters] + subs) + "->" + out
 
 
 @dataclass

@@ -275,6 +275,18 @@ def test_spanning_report_default():
     assert rep.pv1_rank + len(rep.pv1_complement) == rep.dimension
 
 
+@pytest.mark.parametrize(
+    "params", [*ST8_GRID, FamilyParams(1.0, 1.0)], ids=lambda p: f"{p.s:.4g}_{p.t:.4g}"
+)
+def test_pv1_subset_ranks_match_conjugation_ranks(params):
+    # the pv1 rows of the one stacked report, against the pv1 samples alone
+    samples = default_zero_sample(params)
+    rep = spanning_report(params, samples=samples)
+    pv1 = [realize_zero_vector(x, params) for x in samples if x.family in PV1_FAMILIES]
+    assert rep.pv1_subset_ranks == conjugation_ranks(pv1, THREE_QUBITS)
+    assert rep.pv1_rank == rep.pv1_subset_ranks[()] == 6
+
+
 def test_pv1_complement_outside_a_coordinate_span_falls_short():
     # XI_01 at (1, 1) alone is |001> + |101>: support {1, 5}, rank 1, so the
     # six zero coordinates are orthogonal to it but not all of its complement

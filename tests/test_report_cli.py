@@ -129,13 +129,16 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # each spanning family is flattened once and ranked by stacked SVDs: one
-    # for the canonical ten, two per spanning report (the 2^3 conjugations,
-    # the pv1 rows), and the report runs for full_spanning and for pv1;
+    # for the canonical ten, two for the one spanning report of the document
+    # (the 2^3 conjugations of the sample, and of its pv1 rows), which
+    # full_spanning and pv1_span_rank6 share; W's spectrum is computed once;
     # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
         "partial_conjugate": spanwitness.tensor,
         "numerical_rank": spanwitness.linalg,
+        "spanning_report": spanwitness.family,
         "svd": np.linalg,
+        "eigvalsh": np.linalg,
     }
     calls = dict.fromkeys(owners, 0)
     for name, owner in owners.items():
@@ -150,7 +153,32 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(CANONICAL).all_pass
-    assert calls == {"partial_conjugate": 0, "numerical_rank": 0, "svd": 5}
+    assert calls == {
+        "partial_conjugate": 0, "numerical_rank": 0, "spanning_report": 1, "svd": 3, "eigvalsh": 1
+    }
+
+
+def _json_native(value) -> bool:
+    """Exact JSON types all the way down, so json.dumps needs no conversion."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_native(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("params", [CANONICAL, FamilyParams(2.0, 4.0), FamilyParams(1.0, 1.0)],
+                         ids=lambda p: f"{p.s:.4g}_{p.t:.4g}")
+def test_document_values_are_json_native(params):
+    docs = [run_verify(params, restarts=4), run_full_report(params, restarts=4)]
+    docs += [run_spanning(params, families=f) for f in ("default", "pv1", "canonical-ten")]
+    specs = ("xstate", "rho-lambda:0.5", "perturbed:0.1")
+    docs += [run_detect(spec, params) for spec in specs if params.on_variety or "rho" not in spec]
+    for doc in docs:
+        assert _json_native(doc.params) and _json_native(doc.tolerances)
+        for c in doc.checks:
+            assert _json_native(c.values), (doc.command, c.name)
+            assert c.tolerance is None or type(c.tolerance) is float
 
 
 CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
@@ -331,6 +359,8 @@ def test_cli_rejects_out_of_range_tol(argv, capsys):
 
 
 _GOOD_MATRIX = [[[0.0, 0.0]] * 4] * 4
+# a valid three-qubit state, so only `dims` is wrong
+_GOOD_STATE = [[[float(i == j) / 8, 0.0] for j in range(8)] for i in range(8)]
 
 
 @pytest.mark.parametrize(
@@ -341,9 +371,13 @@ _GOOD_MATRIX = [[[0.0, 0.0]] * 4] * 4
         {"dims": [2, 2], "matrix": [[{"re": 0.0}] * 4] * 4},
         {"dims": [2, 2], "matrix": _GOOD_MATRIX, "meta": [1]},
         {"dims": [2, 2], "matrix": [[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3] * 2},
+        {"dims": "222", "matrix": _GOOD_STATE},
+        {"dims": [2.9, 2.2], "matrix": _GOOD_STATE},
+        {"dims": [True, 2, 2], "matrix": _GOOD_STATE},
     ],
     ids=[
-        "dims_not_ints", "dims_not_a_list", "entry_is_an_object", "meta_not_an_object", "ragged_rows"
+        "dims_not_ints", "dims_not_a_list", "entry_is_an_object", "meta_not_an_object",
+        "ragged_rows", "dims_a_string", "dims_floats", "dims_a_bool",
     ],
 )
 def test_cli_detect_malformed_state_file(payload, tmp_path, capsys):

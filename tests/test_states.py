@@ -13,6 +13,7 @@ from spanwitness import (
     assemble,
     biseparable_vector,
     detect,
+    flatten,
     is_ppt,
     pairing,
     perturbed_detected_state,
@@ -225,6 +226,26 @@ def test_verify_decomposition_round_trip_random():
         dec = SeparableDecomposition(weights=weights, vectors=vectors)
         state = state_from(assemble(dec), (2, 2, 2))
         assert verify_decomposition(state, dec)
+
+
+def _assemble_reference(dec):
+    """The weighted projectors summed one flattened vector at a time."""
+    flats = [flatten(pv) for pv in dec.vectors]
+    out = np.zeros((flats[0].shape[0],) * 2, dtype=complex)
+    for w, v in zip(dec.weights, flats):
+        out += w * np.outer(v, v.conj())
+    return out
+
+
+@pytest.mark.parametrize("s", [*(2 ** np.linspace(-0.5, 2.5, 8))], ids=lambda s: f"{s:.4g}")
+def test_assemble_matches_per_vector_loop_bit_for_bit(s):
+    params = FamilyParams(s, 8.0 / s)
+    for lam in (1e-5, 0.1, 0.5, 0.9, 1 - 1e-5):
+        _, dec = rho_lambda(lam, params)
+        got, want = assemble(dec), _assemble_reference(dec)
+        assert np.array_equal(got, want)
+        # the sign of each zero too
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def test_verify_decomposition_rejects_wrong_target():
