@@ -7,8 +7,9 @@
     spanwitness report   --json
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error. Irrational parameters are written as tokens (`2r2` for 2 sqrt 2,
-`r2` for sqrt 2) so fixtures avoid decimal round-trip loss.
+error, or an --out path that cannot be written. Irrational parameters are
+written as tokens (`2r2` for 2 sqrt 2, `r2` for sqrt 2) so fixtures avoid
+decimal round-trip loss.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: ReportDocument, args, started: float) -> int:
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    sys.stdout.write(to_json(doc) if args.json else render_text(doc))
     if args.out:
         save_json(args.out, to_dict(doc))
+    sys.stdout.write(to_json(doc) if args.json else render_text(doc))
     print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
     return 0 if doc.all_pass else FAIL_EXIT
 
@@ -135,10 +136,10 @@ def main(argv=None) -> int:
             doc = run_spanning(params, families=args.families, seed=args.seed, rank_tol=args.tol)
         else:
             doc = run_full_report(params, seed=args.seed, restarts=args.restarts, seesaw_tol=args.tol)
-    except SpanWitnessError as exc:
+        return _emit(doc, args, started)
+    except (SpanWitnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return _emit(doc, args, started)
 
 
 def run() -> None:

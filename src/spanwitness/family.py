@@ -356,12 +356,15 @@ def default_zero_sample(params: FamilyParams) -> list[ZeroSample]:
 class SpanningReport:
     """Partial-conjugation ranks of a zero-set sample.
 
+    `stack` is the sample flattened under every conjugation, as
+    `conjugation_stack` gives it; its first entry is the sample itself.
     `full_spanning` holds when every one of the 2^n conjugated images spans
     the whole space. The first-six-family rows are ranked separately, under
     every conjugation too; `pv1_complement` is the computational basis
     vectors outside their support, which are orthogonal to their span.
     """
 
+    stack: np.ndarray
     subset_ranks: dict[tuple[int, ...], int]
     full_spanning: bool
     pv1_subset_ranks: dict[tuple[int, ...], int]
@@ -400,6 +403,7 @@ def spanning_report(
     pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]
     dim = THREE_QUBITS.total_dim
     return SpanningReport(
+        stack=flats,
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
         pv1_subset_ranks=dict(zip(subsets, numerical_ranks(pv1, rank_tol).tolist())),

@@ -29,7 +29,6 @@ TOLERANCES = {
     "psd": 1e-10,  # eigenvalues: a smallest eigenvalue >= -psd is positive
     "certificate": 1e-10,  # entries: a separable decomposition against its state
     "imaginary": 1e-10,  # eigenvalues: Im <rho, W>, zero for Hermitian operands
-    "trace": 1e-10,  # eigenvalues: |tr rho - 1| below it flags a state normalized
     "determinant": 1e-10,  # eigenvalues squared: det of a 2x2 rank-one image against D
     "strict": 1e-6,  # eigenvalues: above it an eigenvalue counts as strictly positive
     "grid_slack": 1e-6,  # eigenvalues: how far the see-saw minimum may exceed the grid's

@@ -27,23 +27,14 @@ from .tensor import ProductVector, State, TensorShape, flatten
 
 
 @dataclass
-class Witness:
+class Witness(State):
     """Hermitian matrix on the full tensor space with provenance metadata.
 
     A useful witness is block positive but not positive semidefinite; both
     facts are checked by callers, never assumed here.
     """
 
-    matrix: np.ndarray
-    shape: TensorShape
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.shape.total_dim, self.shape.total_dim):
-            raise DimensionMismatchError(
-                f"witness shape {self.matrix.shape} does not match dims {self.shape.dims}"
-            )
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .family import (
     default_zero_sample,
     determinant_d,
     rank_one_images,
-    realize_zero_vector,
     spanning_report,
     witness_matrix,
 )
@@ -54,7 +53,7 @@ from .states import (
     verify_decomposition,
     x_state,
 )
-from .tensor import THREE_QUBITS, conjugation_ranks, is_ppt, kron_rows
+from .tensor import THREE_QUBITS, conjugation_ranks, is_ppt
 
 
 @dataclass
@@ -86,26 +85,9 @@ def subset_key(subset: tuple[int, ...]) -> str:
 
 
 def to_dict(doc: ReportDocument) -> dict:
-    return {
-        "tool": "spanwitness",
-        "tool_version": doc.tool_version,
-        "command": doc.command,
-        "params": doc.params,
-        "seed": doc.seed,
-        "restarts": doc.restarts,
-        "tolerances": doc.tolerances,
-        "checks": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "values": c.values,
-                "tolerance": c.tolerance,
-                "note": c.note,
-            }
-            for c in doc.checks
-        ],
-        "all_pass": doc.all_pass,
-    }
+    """The document's and each check's fields in declaration order, not deep-copied."""
+    checks = [dict(vars(c)) for c in doc.checks]
+    return {"tool": "spanwitness", **vars(doc), "checks": checks, "all_pass": doc.all_pass}
 
 
 def to_json(doc: ReportDocument) -> str:
@@ -248,10 +230,9 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
-    sample flattened as one stack, its values from one contraction."""
+    document's spanning sample, unconjugated, its values from one contraction."""
     samples = default_zero_sample(ctx.params)
-    pvs = [realize_zero_vector(sample, ctx.params) for sample in samples]
-    flats = kron_rows([np.array([pv.factors[j] for pv in pvs]) for j in range(3)])
+    flats = ctx.spanning.stack[0]
     values = np.abs(np.einsum("ni,ij,nj->n", flats.conj(), ctx.witness.matrix, flats).real)
     families = np.array([sample.family.value for sample in samples])
     per_family = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
@@ -567,11 +548,10 @@ def run_detect(
     spec: str,
     params: FamilyParams,
     tol: float = TOLERANCES["pairing"],
-    seed: int = 7,
 ) -> ReportDocument:
     """Three informational rows from one `detect` result: the pairing, the
     partial-transpose table and the verdict."""
-    ctx = Context(params, seed, 0, document_tolerances(pairing=tol))
+    ctx = Context(params, restarts=0, tolerances=document_tolerances(pairing=tol))
     state, dec, label = parse_state_spec(spec, params)
     result = detect(state, ctx.witness, tol=tol, decomposition=dec)
     mins = {subset_key(k): v for k, v in result.ppt.min_eigenvalues.items()}

@@ -36,7 +36,6 @@ from .tensor import ProductVector, TensorShape, party_script, subset_complement
 class SeeSawResult:
     min_value: float
     argmin: ProductVector
-    restarts: int
     converged: bool
     history: list[float] = field(default_factory=list)
 
@@ -127,7 +126,6 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     return SeeSawResult(
         min_value=float(values[best]),
         argmin=argmin,
-        restarts=restarts,
         converged=moving.size == 0,
         history=by_sweep[: sweeps[best] + 1, best].tolist(),
     )

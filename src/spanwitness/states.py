@@ -46,7 +46,7 @@ def x_state(params: FamilyParams) -> State:
     m[1, 6] = m[6, 1] = -1.0
     m[2, 5] = m[5, 2] = 1.0
     m[3, 4] = m[4, 3] = -1.0
-    return State(matrix=m, shape=THREE_QUBITS, normalized=False)
+    return State(matrix=m, shape=THREE_QUBITS)
 
 
 _CUTS = {1: ((1,), (2, 3)), 2: ((2,), (1, 3)), 3: ((3,), (1, 2))}
@@ -56,18 +56,14 @@ _CUTS = {1: ((1,), (2, 3)), 2: ((2,), (1, 3)), 3: ((3,), (1, 2))}
 class BiseparableVector:
     """A vector that is product across one bipartite cut only.
 
-    The 2-dim factor lives on the single party of the cut, the 4-dim factor
-    on the merged pair; `flat` is the embedding back into the A, B, C order.
-    The witness quadratic form evaluates to -2|alpha|^2 + (alpha^2 +
-    conj(alpha)^2) for cuts 1 and 2 and to -2|alpha|^2 - (alpha^2 +
-    conj(alpha)^2) for cut 3 (signs fixed by direct evaluation), so each cut
-    is detected whenever the corresponding square is not real.
+    `flat` is the vector in the A, B, C order, `cut` the cut as (single
+    party, merged pair). The witness quadratic form evaluates to
+    -2|alpha|^2 + (alpha^2 + conj(alpha)^2) for cuts 1 and 2 and to
+    -2|alpha|^2 - (alpha^2 + conj(alpha)^2) for cut 3 (signs fixed by direct
+    evaluation), so each cut is detected whenever the corresponding square
+    is not real.
     """
 
-    cut_index: int
-    alpha: complex
-    local: np.ndarray
-    extended: np.ndarray
     flat: np.ndarray
     cut: tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -88,9 +84,7 @@ def biseparable_vector(i: int, alpha: complex) -> BiseparableVector:
     outer = np.array([[x * y for y in extended] for x in local]).reshape(2, 2, 2)
     perm = [p - 1 for p in _CUTS[i][0] + _CUTS[i][1]]
     flat = outer.transpose(np.argsort(perm)).reshape(8)
-    return BiseparableVector(
-        cut_index=i, alpha=a, local=local, extended=extended, flat=flat, cut=_CUTS[i]
-    )
+    return BiseparableVector(flat=flat, cut=_CUTS[i])
 
 
 @dataclass
@@ -182,7 +176,7 @@ def perturbed_detected_state(eps: float, params: FamilyParams = CANONICAL) -> St
         raise OutOfRangeError(f"eps must lie in (0, {PERTURBATION_LIMIT}), got {eps}")
     base = x_state(params).matrix / 8.0
     matrix = (1.0 - eps) * base + eps * np.eye(8, dtype=complex) / 8.0
-    return State(matrix=matrix, shape=THREE_QUBITS, normalized=True)
+    return State(matrix=matrix, shape=THREE_QUBITS)
 
 
 class Verdict(str, Enum):
@@ -217,10 +211,6 @@ def detect(
     absence). `tol` is the pairing threshold alone: the PPT table and the
     certificate keep their own tolerances, `psd` and `certificate`.
     """
-    if state.shape != witness.shape:
-        raise DimensionMismatchError(
-            f"state dims {state.shape.dims} do not match witness dims {witness.shape.dims}"
-        )
     value = pairing(state, witness)
     table = is_ppt(state)
     certified = decomposition is not None and verify_decomposition(state, decomposition)

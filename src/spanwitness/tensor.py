@@ -102,7 +102,6 @@ class State:
 
     matrix: np.ndarray
     shape: TensorShape
-    normalized: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -113,11 +112,8 @@ class State:
 
 
 def state_from(matrix, dims: Sequence[int]) -> State:
-    """Wrap a matrix as a State, flagged normalized when tr = 1 within tolerance."""
-    shape = TensorShape(tuple(dims))
-    m = np.asarray(matrix, dtype=complex)
-    tr = complex(np.trace(m)) if m.size else 0.0
-    return State(matrix=m, shape=shape, normalized=abs(tr - 1.0) < TOLERANCES["trace"])
+    """Wrap a matrix as a State on the parties of local dimensions `dims`."""
+    return State(matrix=matrix, shape=TensorShape(tuple(dims)))
 
 
 def product_state(pv: ProductVector) -> State:
@@ -202,9 +198,6 @@ class PptReport:
     is_ppt: bool
     min_eigenvalues: dict[tuple[int, ...], float] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return self.is_ppt
-
 
 def is_ppt(state: State, tol: float = TOLERANCES["psd"]) -> PptReport:
     """Check positivity of every partial transpose, all 2^n subsets.
@@ -230,10 +223,6 @@ class InteriorReport:
 
     full_rank: bool
     ranks: dict[tuple[int, ...], int] = field(default_factory=dict)
-    dimension: int = 0
-
-    def __bool__(self) -> bool:
-        return self.full_rank
 
 
 def ppt_interior_check(state: State) -> InteriorReport:
@@ -242,4 +231,4 @@ def ppt_interior_check(state: State) -> InteriorReport:
     subsets = all_subsets(state.shape.n_parties)
     stack = np.array([partial_transpose(state, sub) for sub in subsets])
     ranks = dict(zip(subsets, numerical_ranks(stack).tolist()))
-    return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks, dimension=d)
+    return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks)

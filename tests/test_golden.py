@@ -1,10 +1,10 @@
 """The CLI's report documents against pinned golden copies.
 
 Each case runs one `--json` command in-process and compares the document
-with `tests/data/golden/<case>.json`: command, params, tolerances, check
-names and their order, statuses, per-check tolerance and note, `all_pass`
-and the exit code exactly, and every float among the check values within
-1e-12.
+with `tests/data/golden/<case>.json`: the key order of the document and of
+each check, command, params, tolerances, check names and their order,
+statuses, per-check tolerance and note, `all_pass` and the exit code
+exactly, and every float among the check values within 1e-12.
 
 Regenerate the golden files after an intended change of the contract with
 
@@ -79,6 +79,8 @@ def test_document_matches_golden(case, capsys):
     code, doc = run_case(CASES[case], capsys)
     want = pinned["document"]
     assert code == pinned["exit_code"]
+    assert list(doc) == list(want)
+    assert all(list(got) == list(w) for got, w in zip(doc["checks"], want["checks"]))
     for key in ("tool", "tool_version", "command", "params", "seed", "restarts",
                 "tolerances", "all_pass"):
         assert _exact(doc[key]) == _exact(want[key]), key

@@ -131,12 +131,14 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # each spanning family is flattened once and ranked by stacked SVDs: one
     # for the canonical ten, two for the one spanning report of the document
     # (the 2^3 conjugations of the sample, and of its pv1 rows), which
-    # full_spanning and pv1_span_rank6 share; W's spectrum is computed once;
-    # calls are counted in every module that binds the name, as a tracer sees them
+    # full_spanning, pv1_span_rank6 and zero_set_families share, so the 36
+    # samples are realized once; W's spectrum is computed once; calls are
+    # counted in every module that binds the name, as a tracer sees them
     owners = {
         "partial_conjugate": spanwitness.tensor,
         "numerical_rank": spanwitness.linalg,
         "spanning_report": spanwitness.family,
+        "realize_zero_vector": spanwitness.family,
         "svd": np.linalg,
         "eigvalsh": np.linalg,
     }
@@ -154,7 +156,12 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(CANONICAL).all_pass
     assert calls == {
-        "partial_conjugate": 0, "numerical_rank": 0, "spanning_report": 1, "svd": 3, "eigvalsh": 1
+        "partial_conjugate": 0,
+        "numerical_rank": 0,
+        "spanning_report": 1,
+        "realize_zero_vector": 36,
+        "svd": 3,
+        "eigvalsh": 1,
     }
 
 
@@ -356,6 +363,21 @@ def test_cli_rejects_out_of_range_tol(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build"], ["spanning"], ["detect", "xstate"], ["verify", "--restarts", "1"]],
+    ids=["build", "spanning", "detect", "verify"],
+)
+@pytest.mark.parametrize("target", ["missing_parent", "a_directory"])
+def test_cli_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "doc.json" if target == "missing_parent" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 _GOOD_MATRIX = [[[0.0, 0.0]] * 4] * 4

@@ -113,7 +113,7 @@ def test_rho0():
     state, dec = rho0()
     expected = np.diag(np.array([1, 1, 1, 0, 0, 1, 1, 1]) / 6.0)
     assert np.max(np.abs(state.matrix - expected)) < 1e-15
-    assert state.normalized
+    assert abs(np.trace(state.matrix) - 1) < 1e-12
     assert verify_decomposition(state, dec)
     assert pairing(state, witness_matrix(CANONICAL)) == 0.0
     assert np.linalg.matrix_rank(state.matrix) == 6
