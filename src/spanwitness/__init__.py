@@ -73,7 +73,6 @@ from .family import (
     SpanningReport,
     ZeroFamily,
     ZeroSample,
-    basis_product_vector,
     bilinear_map,
     canonical_ten,
     default_zero_sample,

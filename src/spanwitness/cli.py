@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from .errors import SpanWitnessError
 from .family import SQRT2, FamilyParams, witness_matrix
@@ -29,7 +30,6 @@ from .report import (
     run_full_report,
     run_spanning,
     run_verify,
-    to_dict,
     to_json,
 )
 from .serialize import dump_json, save_json, witness_payload
@@ -105,9 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: ReportDocument, args, started: float) -> int:
     elapsed_ms = int((time.monotonic() - started) * 1000)
+    text = to_json(doc) if args.json or args.out else ""
     if args.out:
-        save_json(args.out, to_dict(doc))
-    sys.stdout.write(to_json(doc) if args.json else render_text(doc))
+        Path(args.out).write_text(text, encoding="utf-8")
+    sys.stdout.write(text if args.json else render_text(doc))
     print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
     return 0 if doc.all_pass else FAIL_EXIT
 

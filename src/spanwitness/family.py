@@ -216,17 +216,6 @@ class ZeroFamily(Enum):
     Z4 = "z4"
 
 
-PV1_FAMILIES = (
-    ZeroFamily.XI_01,
-    ZeroFamily.XI_10,
-    ZeroFamily.ETA_0,
-    ZeroFamily.ETA_1,
-    ZeroFamily.ZETA_PARAM_0,
-    ZeroFamily.ZETA_PARAM_1,
-)
-
-Z_FAMILIES = (ZeroFamily.Z1, ZeroFamily.Z2, ZeroFamily.Z3, ZeroFamily.Z4)
-
 # omega exponents (first factor, second factor, third factor) per Z family.
 _Z_EXPONENTS = {
     ZeroFamily.Z1: (7, 1, 3),
@@ -235,14 +224,8 @@ _Z_EXPONENTS = {
     ZeroFamily.Z4: (1, 7, 5),
 }
 
-# D = 0 phase pairs (arg alpha, arg beta) as omega exponents, and the kernel
-# vector (R b, s a omega^k) of the rank-one image at that pair.
-_Z_SOLUTIONS = {
-    ZeroFamily.Z1: ((1, 7), 3),
-    ZeroFamily.Z2: ((3, 5), 5),
-    ZeroFamily.Z3: ((5, 3), 3),
-    ZeroFamily.Z4: ((7, 1), 5),
-}
+Z_FAMILIES = tuple(_Z_EXPONENTS)
+PV1_FAMILIES = tuple(fam for fam in ZeroFamily if fam not in _Z_EXPONENTS)
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
@@ -290,12 +273,13 @@ def zeta_vector(family: ZeroFamily, a: float, b: float, params: FamilyParams) ->
 def zero_pair_and_kernel(
     family: ZeroFamily, a: float, b: float, params: FamilyParams
 ) -> tuple[complex, complex, np.ndarray]:
-    """The D = 0 rank-one pair (alpha, beta) matched to a Z family, and the
-    kernel vector of the image at that pair (proportional to its third factor)."""
-    (ka, kb), kc = _Z_SOLUTIONS[family]
-    alpha = a * eighth_root(ka)
-    beta = b * eighth_root(kb)
-    kernel = np.array([R * b, params.s * a * eighth_root(kc)], dtype=complex)
+    """The D = 0 rank-one pair (a w^-k1, b w^-k2) of a Z family, the conjugate
+    phases of its first two factors, and the kernel vector (R b, s a w^k3) of
+    the image at that pair (proportional to its third factor); any s, t > 0."""
+    k1, k2, k3 = _Z_EXPONENTS[family]
+    alpha = a * eighth_root(-k1)
+    beta = b * eighth_root(-k2)
+    kernel = np.array([R * b, params.s * a * eighth_root(k3)], dtype=complex)
     return alpha, beta, kernel
 
 
@@ -317,17 +301,13 @@ def realize_zero_vector(sample: ZeroSample, params: FamilyParams) -> ProductVect
     return ProductVector(list(slots[fam]))
 
 
-def basis_product_vector(label: str) -> ProductVector:
-    """Computational basis vector |b1 b2 b3> as a product vector."""
-    return ProductVector([_E0 if c == "0" else _E1 for c in label])
-
-
 def canonical_ten(params: FamilyParams) -> list[ProductVector]:
     """Ten zero-set vectors spanning the whole space under every partial
     conjugation: six basis vectors plus the four Z vectors at (a, b) = (1, 1)."""
     if not params.on_variety:
         raise OffVarietyError("the canonical ten are defined on s*t = 8 only")
-    ten = [basis_product_vector(lbl) for lbl in ("000", "001", "010", "101", "110", "111")]
+    basis = ("000", "001", "010", "101", "110", "111")
+    ten = [ProductVector([(_E0, _E1)[int(c)] for c in label]) for label in basis]
     ten += [zeta_vector(fam, 1.0, 1.0, params) for fam in Z_FAMILIES]
     return ten
 
@@ -356,7 +336,7 @@ def default_zero_sample(params: FamilyParams) -> list[ZeroSample]:
 class SpanningReport:
     """Partial-conjugation ranks of a zero-set sample.
 
-    `stack` is the sample flattened under every conjugation, as
+    `stack` is the `samples` flattened under every conjugation, as
     `conjugation_stack` gives it; its first entry is the sample itself.
     `full_spanning` holds when every one of the 2^n conjugated images spans
     the whole space. The first-six-family rows are ranked separately, under
@@ -364,13 +344,17 @@ class SpanningReport:
     vectors outside their support, which are orthogonal to their span.
     """
 
+    samples: list[ZeroSample]
     stack: np.ndarray
     subset_ranks: dict[tuple[int, ...], int]
     full_spanning: bool
     pv1_subset_ranks: dict[tuple[int, ...], int]
     pv1_complement: list[np.ndarray]
     dimension: int
-    sample_size: int
+
+    @property
+    def sample_size(self) -> int:
+        return len(self.samples)
 
     @property
     def pv1_rank(self) -> int:
@@ -403,11 +387,11 @@ def spanning_report(
     pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]
     dim = THREE_QUBITS.total_dim
     return SpanningReport(
+        samples=samples,
         stack=flats,
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
         pv1_subset_ranks=dict(zip(subsets, numerical_ranks(pv1, rank_tol).tolist())),
         pv1_complement=list(np.eye(dim)[~np.any(pv1[0], axis=0)]),
         dimension=dim,
-        sample_size=len(samples),
     )

@@ -17,13 +17,13 @@ from .errors import DimensionMismatchError, NotHermitianError, UsageError
 # Every numeric threshold of the package, one entry per role, commented with
 # what it bounds and in which unit: absolute on matrix entries, absolute on
 # eigenvalues (so also on <xi|W|xi> for unit xi and on pairings <rho, W>),
-# or relative to the largest singular value.
+# or relative to a stated scale.
 TOLERANCES = {
     # recorded in every report; a command's --tol overrides one (cli.TOL_OPTIONS)
     "pairing": 1e-10,  # eigenvalues: pairings, zero-set and bi-separable values
     "seesaw": 1e-7,  # eigenvalues: see-saw and cut minima
     "rank": 1e-8,  # relative: singular values that count toward a numerical rank
-    "eigenvalue": 1e-9,  # eigenvalues: the spectrum of W against its closed form
+    "eigenvalue": 1e-9,  # eigenvalues, relative to max(1, |W|): W's spectrum vs its closed form
     # fixed
     "hermiticity": 1e-9,  # entries: max |M - M^H| of a matrix taken as Hermitian
     "psd": 1e-10,  # eigenvalues: a smallest eigenvalue >= -psd is positive
@@ -63,13 +63,16 @@ def as_matrix(m) -> np.ndarray:
 
 def hermiticity_defect(m) -> float:
     """max |M[i,j] - conj(M[j,i])| over all entries."""
-    a = as_matrix(m)
+    return _defect(as_matrix(m))
+
+
+def _defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
 def require_hermitian(m) -> np.ndarray:
     a = as_matrix(m)
-    defect = hermiticity_defect(a)
+    defect = _defect(a)
     if defect > TOLERANCES["hermiticity"]:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |M - M^H| = {defect:.3e}"

@@ -31,6 +31,7 @@ from .family import (
     canonical_ten,
     default_zero_sample,
     determinant_d,
+    eighth_root,
     rank_one_images,
     spanning_report,
     witness_matrix,
@@ -50,7 +51,6 @@ from .states import (
     perturbed_detected_state,
     rho1,
     rho_lambda,
-    verify_decomposition,
     x_state,
 )
 from .tensor import THREE_QUBITS, conjugation_ranks, is_ppt
@@ -173,14 +173,15 @@ def check_witness_fixture(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """min eigenvalue -1; full spectrum from the three anti-diagonal pairs
-    plus the central block [[t, 1], [1, s]]."""
+    """min eigenvalue -1; full spectrum from the three anti-diagonal pairs plus
+    the central block [[t, 1], [1, s]], within tol * max(1, largest |eigenvalue|)."""
     evals = hermitian_eigenvalues(ctx.witness.matrix)
     s, t = float(ctx.params.s), float(ctx.params.t)
     disc = math.sqrt((s - t) ** 2 + 4.0)
     expected = sorted([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, (s + t - disc) / 2, (s + t + disc) / 2])
     dev = float(np.max(np.abs(evals - np.array(expected))))
-    ok = abs(evals[0] + 1.0) <= tol and dev <= tol and evals[0] < -TOLERANCES["psd"]
+    bound = tol * max(1.0, *map(abs, expected))
+    ok = abs(evals[0] + 1.0) <= bound and dev <= bound and evals[0] < -TOLERANCES["psd"]
     return ok, {
         "min_eigenvalue": float(evals[0]),
         "spectrum": [float(v) for v in evals],
@@ -231,13 +232,12 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
 def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
     document's spanning sample, unconjugated, its values from one contraction."""
-    samples = default_zero_sample(ctx.params)
     flats = ctx.spanning.stack[0]
     values = np.abs(np.einsum("ni,ij,nj->n", flats.conj(), ctx.witness.matrix, flats).real)
-    families = np.array([sample.family.value for sample in samples])
+    families = np.array([sample.family.value for sample in ctx.spanning.samples])
     per_family = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
     worst = float(values.max())
-    return worst <= tol, {"samples": len(samples), "max_abs_value": worst, "per_family": per_family}
+    return worst <= tol, {"samples": len(values), "max_abs_value": worst, "per_family": per_family}
 
 
 def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
@@ -278,13 +278,9 @@ def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_biseparable(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Each cut's detection vector reaches -2 at alpha = exp(i pi / 4)."""
-    alpha = complex(SQRT2 / 2, SQRT2 / 2)
-    values = {}
-    worst = 0.0
-    for i in (1, 2, 3):
-        val = value_on_product(ctx.witness, biseparable_vector(i, alpha).flat)
-        values[f"xi{i}"] = val
-        worst = max(worst, abs(val + 2.0))
+    vectors = {f"xi{i}": biseparable_vector(i, eighth_root(1)).flat for i in (1, 2, 3)}
+    values = {key: value_on_product(ctx.witness, v) for key, v in vectors.items()}
+    worst = max(abs(v + 2.0) for v in values.values())
     return worst <= tol, dict(values, max_abs_deviation=worst)
 
 
@@ -320,15 +316,15 @@ def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
     ok = True
     for lam in (0.1, 0.5, 0.9):
         state, dec = rho_lambda(lam, ctx.params)
-        verified = verify_decomposition(state, dec)
-        pair_val = pairing(state, ctx.witness)
-        min_eig = min(is_ppt(state).min_eigenvalues.values())
+        result = detect(state, ctx.witness, decomposition=dec)
+        pair_val = result.pairing_value
+        min_eig = min(result.ppt.min_eigenvalues.values())
         rows[str(lam)] = {
-            "decomposition_verified": verified,
+            "decomposition_verified": result.certified,
             "pairing": pair_val,
             "min_pt_eigenvalue": min_eig,
         }
-        ok = ok and verified and abs(pair_val) <= tol and min_eig > TOLERANCES["strict"]
+        ok = ok and result.certified and abs(pair_val) <= tol and min_eig > TOLERANCES["strict"]
     return ok, rows
 
 
@@ -362,13 +358,16 @@ def check_rho1_fixture(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_detected_interior(ctx: Context, tol: float) -> tuple[bool, dict]:
     """A strictly PPT neighbourhood around the normalized X state is still
-    detected: eps = 0.1 keeps the pairing below -0.15 while every partial
-    transpose has smallest eigenvalue eps / 8."""
-    eps = 0.1
-    state = perturbed_detected_state(eps, ctx.params)
-    pair_val = pairing(state, ctx.witness)
-    min_eig = min(is_ppt(state, 0.0).min_eigenvalues.values())
-    ok = pair_val < -0.15 and min_eig >= eps / 8.0 - tol
+    detected: at eps = min(0.1, half the detection margin) the pairing is its
+    closed form, negative, and every partial transpose has eigenvalues >= eps / 8."""
+    s, t = ctx.params.s, ctx.params.t
+    gap = 8.0 - s * t / SQRT2
+    eps = min(0.1, gap / (gap + s + t) / 2)
+    result = detect(perturbed_detected_state(eps, ctx.params), ctx.witness)
+    pair_val = result.pairing_value
+    expected = ((1.0 - eps) * (s * t / SQRT2 - 8.0) + eps * (s + t)) / 8.0
+    min_eig = min(result.ppt.min_eigenvalues.values())
+    ok = abs(pair_val - expected) <= tol and pair_val < 0 and min_eig >= eps / 8.0 - tol
     return ok, {"eps": eps, "pairing": pair_val, "min_pt_eigenvalue": min_eig}
 
 
@@ -519,29 +518,25 @@ def parse_state_spec(spec: str, params: FamilyParams):
     Accepted forms: `xstate`, `rho-lambda:<l>`, `perturbed:<e>`,
     `file:<path>`. Raises SpanWitnessError subclasses on malformed input.
     """
+    kind, colon, arg = spec.partition(":")
     if spec == "xstate":
-        return x_state(params), None, "xstate"
-    if spec.startswith("rho-lambda:"):
+        return x_state(params), None, spec
+    if colon and kind == "file":
         try:
-            lam = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise UsageError(f"malformed lambda in {spec!r}") from exc
-        state, dec = rho_lambda(lam, params)
-        return state, dec, spec
-    if spec.startswith("perturbed:"):
-        try:
-            eps = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise UsageError(f"malformed epsilon in {spec!r}") from exc
-        return perturbed_detected_state(eps, params), None, spec
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        try:
-            doc = load_json(path)
+            doc = load_json(arg)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read state file {path!r}: {exc}") from exc
+            raise UsageError(f"cannot read state file {arg!r}: {exc}") from exc
         return state_from_payload(doc), None, spec
-    raise UsageError(f"unknown state spec {spec!r}")
+    names = {"rho-lambda": "lambda", "perturbed": "epsilon"}
+    if not colon or kind not in names:
+        raise UsageError(f"unknown state spec {spec!r}")
+    try:
+        x = float(arg)
+    except ValueError as exc:
+        raise UsageError(f"malformed {names[kind]} in {spec!r}") from exc
+    if kind == "perturbed":
+        return perturbed_detected_state(x, params), None, spec
+    return *rho_lambda(x, params), spec
 
 
 def run_detect(

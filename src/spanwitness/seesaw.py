@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import TOLERANCES, require_hermitian
 from .maps import Witness
-from .tensor import ProductVector, TensorShape, party_script, subset_complement
+from .tensor import ProductVector, TensorShape, check_subset, party_script, subset_complement
 
 
 @dataclass
@@ -148,12 +148,10 @@ def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tupl
     """
     dims = witness.shape.dims
     n = len(dims)
-    group1 = tuple(sorted(set(int(p) for p in cut)))
-    if not group1 or any(p < 1 or p > n for p in group1):
-        raise InvalidCutError(f"cut {group1} is not a nonempty subset of 1..{n}")
+    group1 = check_subset(cut, n)
     group2 = subset_complement(group1, n)
-    if not group2:
-        raise InvalidCutError("cut must leave a nonempty complement")
+    if not group1 or not group2:
+        raise InvalidCutError(f"cut {group1} must leave both sides nonempty")
     perm = [p - 1 for p in group1 + group2]
     tensor = witness.matrix.reshape(dims + dims)
     axes = perm + [n + q for q in perm]

@@ -15,7 +15,7 @@ from .family import (
     R,
     Z_FAMILIES,
     FamilyParams,
-    basis_product_vector,
+    canonical_ten,
     zeta_vector,
 )
 from .linalg import TOLERANCES
@@ -122,8 +122,7 @@ def verify_decomposition(
 
 def rho0() -> tuple[State, SeparableDecomposition]:
     """Equal mixture of the six basis zero-set vectors: diag(1,1,1,0,0,1,1,1)/6."""
-    labels = ("000", "001", "010", "101", "110", "111")
-    vectors = [basis_product_vector(lbl) for lbl in labels]
+    vectors = canonical_ten(CANONICAL)[:6]
     dec = SeparableDecomposition(weights=[1.0 / 6.0] * 6, vectors=vectors)
     return state_from(assemble(dec), THREE_QUBITS.dims), dec
 
@@ -161,16 +160,19 @@ def rho_lambda(
     return state_from(matrix, THREE_QUBITS.dims), dec
 
 
-# Detection margin of the normalized X state: pairing stays negative for
-# mixing ratios below (8 - 8/sqrt 2) / (8 - 8/sqrt 2 + s + t) ~ 0.2929.
+# Upper bound on the mixing ratio eps. On the curve the pairing stays negative
+# only for eps below the detection margin (8 - 8/sqrt 2) / (8 - 8/sqrt 2 + s + t),
+# which depends on s + t: 0.2929 at s = t = 2 sqrt 2, but 0.2066 at (1, 8).
 PERTURBATION_LIMIT = 0.29
 
 
 def perturbed_detected_state(eps: float, params: FamilyParams = CANONICAL) -> State:
-    """(1 - eps) x/8 + eps I/8: strictly PPT yet still detected.
+    """(1 - eps) x/8 + eps I/8: strictly PPT, and detected while eps is below
+    the detection margin, which depends on s + t (see `PERTURBATION_LIMIT`).
 
-    Every partial transpose has smallest eigenvalue eps/8 at the canonical
-    parameters, witnessing an open neighbourhood of detected PPT states.
+    On the curve every partial transpose has smallest eigenvalue eps/8,
+    witnessing an open neighbourhood of detected PPT states. Past the margin,
+    e.g. eps = 0.25 at (1, 8), the state is not detected (INCONCLUSIVE).
     """
     if not 0.0 < eps < PERTURBATION_LIMIT:
         raise OutOfRangeError(f"eps must lie in (0, {PERTURBATION_LIMIT}), got {eps}")

@@ -53,7 +53,7 @@ def subset_complement(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if j not in s)
 
 
-def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
+def check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     s = tuple(sorted(set(int(j) for j in subset)))
     if any(j < 1 or j > n for j in s):
         raise InvalidCutError(f"party subset {s} out of range for {n} parties")
@@ -129,7 +129,7 @@ def partial_transpose(state: State, subset: Iterable[int]) -> np.ndarray:
     """
     dims = state.shape.dims
     n = len(dims)
-    sub = _check_subset(subset, n)
+    sub = check_subset(subset, n)
     t = state.matrix.reshape(dims + dims)
     axes = list(range(2 * n))
     for party in sub:
@@ -142,7 +142,7 @@ def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector
     """Conjugate the factors indexed by `subset` entrywise; on pure product
     states this realizes the partial transpose of the projector."""
     n = len(pv.factors)
-    sub = set(_check_subset(subset, n))
+    sub = set(check_subset(subset, n))
     return ProductVector(
         [f.conj() if (j + 1) in sub else f.copy() for j, f in enumerate(pv.factors)]
     )

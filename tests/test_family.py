@@ -211,6 +211,28 @@ def test_kernel_identity():
                 assert abs(cross - norms) < 1e-10 * max(1.0, norms)
 
 
+def test_family_membership_is_the_exponent_table():
+    assert Z_FAMILIES == (ZeroFamily.Z1, ZeroFamily.Z2, ZeroFamily.Z3, ZeroFamily.Z4)
+    assert PV1_FAMILIES == tuple(ZeroFamily)[:6]
+
+
+@pytest.mark.parametrize(
+    "params", [CANONICAL, FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(0.1, 0.2)]
+)
+def test_zero_pair_off_the_curve(params):
+    # the pair is the conjugate phases of a Z vector's first two factors; at
+    # it D = 0, so the image's determinant is (s t - 8) |ab|^2 for any s, t
+    table = bilinear_map(params)
+    for fam in Z_FAMILIES:
+        alpha, beta, _ = zero_pair_and_kernel(fam, 1.0, 1.0, params)
+        pv = zeta_vector(fam, 1.0, 1.0, CANONICAL)
+        assert (alpha, beta) == (pv.factors[0][1].conjugate(), pv.factors[1][1].conjugate())
+        assert determinant_d(alpha, beta) < 1e-12
+        image = evaluate(table, rank_one_projector(alpha), rank_one_projector(beta))
+        det = image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
+        assert abs(det - (params.s * params.t - 8.0)) < 1e-12
+
+
 def test_realize_zero_vector_families(canonical_witness):
     sample = ZeroSample(family=ZeroFamily.XI_10, params=(0, 1))
     assert np.array_equal(flatten(realize_zero_vector(sample, CANONICAL)), np.eye(8)[6])

@@ -21,7 +21,10 @@ from spanwitness.family import (
 from spanwitness.linalg import TOLERANCES
 from spanwitness.maps import value_on_product
 from spanwitness.report import (
+    Context,
     _lowest_eigenvalues,
+    check_detected_interior,
+    check_not_psd,
     run_detect,
     run_full_report,
     run_spanning,
@@ -132,12 +135,13 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # for the canonical ten, two for the one spanning report of the document
     # (the 2^3 conjugations of the sample, and of its pv1 rows), which
     # full_spanning, pv1_span_rank6 and zero_set_families share, so the 36
-    # samples are realized once; W's spectrum is computed once; calls are
-    # counted in every module that binds the name, as a tracer sees them
+    # samples are drawn and realized once; W's spectrum is computed once;
+    # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
         "partial_conjugate": spanwitness.tensor,
         "numerical_rank": spanwitness.linalg,
         "spanning_report": spanwitness.family,
+        "default_zero_sample": spanwitness.family,
         "realize_zero_vector": spanwitness.family,
         "svd": np.linalg,
         "eigvalsh": np.linalg,
@@ -159,6 +163,7 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "partial_conjugate": 0,
         "numerical_rank": 0,
         "spanning_report": 1,
+        "default_zero_sample": 1,
         "realize_zero_vector": 36,
         "svd": 3,
         "eigvalsh": 1,
@@ -500,3 +505,67 @@ def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
     images = rank_one_images(params, phase_modulus_grid())
     want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
     assert np.max(np.abs(_lowest_eigenvalues(images) - want)) <= 1e-13
+
+
+def test_cli_json_out_writes_stdout_from_one_serialization(tmp_path, capsys, monkeypatch):
+    # the file and stdout are one dump_json text; text output without --out
+    # serializes no document at all
+    calls = []
+    real = spanwitness.serialize.dump_json
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("spanwitness")]:
+        if getattr(module, "dump_json", None) is real:
+            monkeypatch.setattr(module, "dump_json", counting)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--restarts", "4", "--json", "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+    assert len(calls) == 1
+    assert main(["verify", "--restarts", "4"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("s, t", [(1e7, 3e7), (1e8, 1e8), (10**9.75, 3 * 10**9.75)])
+def test_witness_spectrum_is_graded_relative_to_its_scale(s, t):
+    # eigvalsh errs in proportion to |W|: each deviation is past the absolute
+    # tolerance, yet within it once scaled by the largest eigenvalue
+    ok, values = check_not_psd(Context(FamilyParams(s, t)), TOLERANCES["eigenvalue"])
+    assert ok
+    assert values["max_spectrum_deviation"] > TOLERANCES["eigenvalue"]
+
+
+@pytest.mark.parametrize("params", [FamilyParams(1e8, 1e8), CANONICAL])
+def test_witness_spectrum_still_fails_on_a_shifted_entry(params):
+    ctx = Context(params)
+    ctx.witness.matrix[4, 4] *= 1 + 1e-7
+    ok, _ = check_not_psd(ctx, TOLERANCES["eigenvalue"])
+    assert not ok
+
+
+@pytest.mark.parametrize(
+    "s, t", [(0.25, 32.0), (0.5, 16.0), (1.0, 8.0), (CANONICAL.s, CANONICAL.t), (16.0, 0.5)]
+)
+def test_detected_interior_passes_along_the_curve(s, t):
+    ok, values = check_detected_interior(Context(FamilyParams(s, t)), TOLERANCES["rounding"])
+    gap = 8.0 - 8.0 / math.sqrt(2.0)
+    assert ok
+    assert values["pairing"] < 0
+    assert values["eps"] == min(0.1, gap / (gap + s + t) / 2)
+    assert values["min_pt_eigenvalue"] >= values["eps"] / 8 - TOLERANCES["rounding"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--s", "1e7", "--t", "3e7"],
+        ["verify", "--s", "1e8", "--t", "1e8"],
+        ["report", "--s", "0.5", "--t", "16"],
+        ["report", "--s", "16", "--t", "0.5"],
+    ],
+)
+def test_cli_large_or_lopsided_parameters_pass(argv, capsys):
+    assert main(argv) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
