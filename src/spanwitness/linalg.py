@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, NotHermitianError, UsageError
 TOLERANCES = {
     # recorded in every report; a command's --tol overrides one (cli.TOL_OPTIONS)
     "pairing": 1e-10,  # eigenvalues: pairings, zero-set and bi-separable values
-    "seesaw": 1e-7,  # eigenvalues: see-saw and cut minima
+    "seesaw": 1e-7,  # eigenvalues: see-saw minimum and cut certificate values
     "rank": 1e-8,  # relative: singular values that count toward a numerical rank
     "eigenvalue": 1e-9,  # eigenvalues, relative to max(1, |W|): W's spectrum vs its closed form
     # fixed
@@ -30,7 +30,7 @@ TOLERANCES = {
     "certificate": 1e-10,  # entries: a separable decomposition against its state
     "imaginary": 1e-10,  # eigenvalues: Im <rho, W>, zero for Hermitian operands
     "determinant": 1e-10,  # eigenvalues squared: det of a 2x2 rank-one image against D
-    "strict": 1e-6,  # eigenvalues: above it an eigenvalue counts as strictly positive
+    "strict": 1e-12,  # relative to the largest eigenvalue: a smallest one above it is positive
     "grid_slack": 1e-6,  # eigenvalues: how far the see-saw minimum may exceed the grid's
     "sweep": 1e-12,  # eigenvalues: a see-saw restart stops once a sweep gains less
     "rounding": 1e-12,  # entries and eigenvalues: fixtures against their closed forms

@@ -38,12 +38,7 @@ from .family import (
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect
 from .maps import Witness, choi_matrix, pairing, value_on_product
-from .seesaw import (
-    cut_block_positivity,
-    phase_modulus_grid,
-    product_grid_minimum,
-    seesaw_block_positivity,
-)
+from .seesaw import phase_modulus_grid, product_grid_minimum, seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
 from .states import (
     biseparable_vector,
@@ -172,13 +167,19 @@ def check_witness_fixture(ctx: Context, tol: float) -> tuple[bool, dict]:
     return diff <= tol and onx, {"max_abs_diff_vs_assembled": diff, "x_shaped_support": onx}
 
 
-def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """min eigenvalue -1; full spectrum from the three anti-diagonal pairs plus
-    the central block [[t, 1], [1, s]], within tol * max(1, largest |eigenvalue|)."""
-    evals = hermitian_eigenvalues(ctx.witness.matrix)
-    s, t = float(ctx.params.s), float(ctx.params.t)
+def _closed_form_spectrum(params: FamilyParams) -> list[float]:
+    """W's ascending spectrum: -1 and 1 from each anti-diagonal pair, and the
+    central block [[t, 1], [1, s]]'s, whose smaller eigenvalue exceeds -1 for
+    s, t > 0, as (s + t + 2)^2 - (s - t)^2 - 4 = 4(st + s + t) > 0."""
+    s, t = float(params.s), float(params.t)
     disc = math.sqrt((s - t) ** 2 + 4.0)
-    expected = sorted([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, (s + t - disc) / 2, (s + t + disc) / 2])
+    return sorted([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, (s + t - disc) / 2, (s + t + disc) / 2])
+
+
+def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
+    """min eigenvalue -1; the spectrum is its closed form within tol * max(1, |eigenvalues|)."""
+    evals = hermitian_eigenvalues(ctx.witness.matrix)
+    expected = _closed_form_spectrum(ctx.params)
     dev = float(np.max(np.abs(evals - np.array(expected))))
     bound = tol * max(1.0, *map(abs, expected))
     ok = abs(evals[0] + 1.0) <= bound and dev <= bound and evals[0] < -TOLERANCES["psd"]
@@ -285,15 +286,19 @@ def check_biseparable(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_cut_negativity(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """Across each bipartite cut the unit-vector minimum reaches the
-    spectral floor -1, so no cut is block positive."""
-    minima = {}
-    ok = True
-    for idx, cut in enumerate(((1,), (2,), (3,)), start=1):
-        res = cut_block_positivity(ctx.witness, cut, restarts=ctx.restarts, seed=ctx.seed + idx)
-        minima[subset_key(cut) + "|rest"] = res.min_value
-        ok = ok and res.min_value <= -1.0 + tol
-    return ok, {"minima": minima}
+    """Across each cut, biseparable_vector(cut, alpha) at alpha = i, i, 1
+    reaches W's spectral floor -1, so no cut is block positive. Each is
+    Gaussian-integer with |v|^2 = 4 and no entry in the central block
+    (indices 3, 4), so <v|W|v> = -4 exactly, for every (s, t)."""
+    floor = _closed_form_spectrum(ctx.params)[0]
+    minima, vectors = {}, {}
+    for i, alpha in ((1, 1j), (2, 1j), (3, 1)):
+        v = biseparable_vector(i, alpha).flat
+        key = f"{i}|rest"
+        minima[key] = value_on_product(ctx.witness, v) / float(np.vdot(v, v).real)
+        vectors[key] = [[z.real + 0.0, z.imag + 0.0] for z in v.tolist()]  # no -0.0
+    ok = all(m <= floor + tol for m in minima.values())
+    return ok, {"floor": floor, "minima": minima, "vectors": vectors}
 
 
 def check_xstate_detection(ctx: Context, tol: float) -> tuple[bool, dict]:
@@ -311,7 +316,7 @@ def check_xstate_ppt(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
     """rho_lambda: certificate verifies (within its own tolerance), pairing
-    vanishes, every partial transpose strictly positive definite (full rank)."""
+    vanishes, every partial transpose strictly positive definite (`min_ratio`)."""
     rows = {}
     ok = True
     for lam in (0.1, 0.5, 0.9):
@@ -324,7 +329,8 @@ def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
             "pairing": pair_val,
             "min_pt_eigenvalue": min_eig,
         }
-        ok = ok and result.certified and abs(pair_val) <= tol and min_eig > TOLERANCES["strict"]
+        ok = ok and result.certified and abs(pair_val) <= tol
+        ok = ok and result.ppt.min_ratio > TOLERANCES["strict"]
     return ok, rows
 
 
@@ -433,12 +439,12 @@ REGISTRY = (
         "canonical_ten_spanning", _VR + ("canonical-ten",), "rank", "check_canonical_ten", st8=True
     ),
     Entry("biseparable_values", _VR, "pairing", "check_biseparable"),
-    Entry("cut_negativity", _VR, "seesaw", "check_cut_negativity", st8=True),
+    Entry("cut_negativity", _VR, "seesaw", "check_cut_negativity"),
     Entry("xstate_detection_value", _R, "pairing", "check_xstate_detection", st8=True),
     Entry("xstate_ppt", _R, "psd", "check_xstate_ppt", st8=True),
     Entry(
         "boundary_family", _R, "pairing", "check_boundary_family", st8=True,
-        note="partial transposes must be strictly positive (eigenvalues > 1e-6)",
+        note="partial transposes must be strictly positive (smallest / largest eigenvalues > 1e-12)",
     ),
     Entry("rho1_fixture", _R, "rounding", "check_rho1_fixture", note="canonical parameters"),
     Entry("detected_interior", _R, "rounding", "check_detected_interior", st8=True),

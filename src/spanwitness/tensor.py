@@ -193,10 +193,12 @@ def party_script(
 
 @dataclass
 class PptReport:
-    """Verdict plus the smallest partial-transpose eigenvalue per subset."""
+    """Verdict plus the smallest partial-transpose eigenvalue per subset, and
+    the least ratio of that eigenvalue to its matrix's spectral norm (0 for 0)."""
 
     is_ppt: bool
     min_eigenvalues: dict[tuple[int, ...], float] = field(default_factory=dict)
+    min_ratio: float = math.nan
 
 
 def is_ppt(state: State, tol: float = TOLERANCES["psd"]) -> PptReport:
@@ -208,10 +210,12 @@ def is_ppt(state: State, tol: float = TOLERANCES["psd"]) -> PptReport:
     rejects a non-Hermitian state.
     """
     table: dict[tuple[int, ...], float] = {}
+    ratio = math.inf
     for sub in all_subsets(state.shape.n_parties):
         evals = hermitian_eigenvalues(partial_transpose(state, sub))
-        table[sub] = float(evals[0])
-    return PptReport(is_ppt=all(v >= -tol for v in table.values()), min_eigenvalues=table)
+        table[sub] = lo = float(evals[0])
+        ratio = min(ratio, lo / (max(-lo, float(evals[-1])) or 1.0))
+    return PptReport(all(v >= -tol for v in table.values()), table, ratio)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Properties over random Hermitian 8x8 matrices and random party subsets.
+"""Properties over random Hermitian 8x8 matrices, random party subsets and
+random witness parameters.
 
 Derandomized and small, so every run draws the same few examples and the
 suite stays deterministic and fast.
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from spanwitness import (
     THREE_QUBITS,
     TOLERANCES,
+    FamilyParams,
     Witness,
     choi_matrix,
     hermitian_eigenvalues,
@@ -21,7 +23,10 @@ from spanwitness import (
     state_from,
     subset_complement,
     trace_pairing,
+    value_on_product,
+    witness_matrix,
 )
+from spanwitness.report import Context, _closed_form_spectrum, check_cut_negativity
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -36,6 +41,7 @@ def _hermitian(parts: np.ndarray) -> np.ndarray:
 
 hermitian8 = arrays(np.float64, (2, 8, 8), elements=_ENTRIES).map(_hermitian)
 subsets3 = st.sets(st.integers(1, 3)).map(lambda s: tuple(sorted(s)))
+log_uniform = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
 
 @PROPERTY
@@ -72,3 +78,24 @@ def test_pairing_of_hermitian_operands_is_real(rho, w):
     exact = trace_pairing(rho, w)
     assert type(value) is float and value == exact.real
     assert abs(exact.imag) <= TOLERANCES["imaginary"]
+
+
+@PROPERTY
+@given(log_uniform, log_uniform)
+def test_cut_certificates_reach_the_spectral_floor_exactly(s, t):
+    params = FamilyParams(s, t)
+    ok, values = check_cut_negativity(Context(params), TOLERANCES["seesaw"])
+    witness = witness_matrix(params)
+    for key, pairs in values["vectors"].items():
+        v = np.array([complex(re, im) for re, im in pairs])
+        # product across its cut: rank 1 with the cut party's axis first
+        cut = int(key[0]) - 1
+        across = np.moveaxis(v.reshape(2, 2, 2), cut, 0).reshape(2, 4)
+        assert np.linalg.matrix_rank(across) == 1
+        assert float(np.vdot(v, v).real) == 4.0
+        assert value_on_product(witness, v) == -4.0
+    # the central block's smaller eigenvalue stays above the floor -1
+    spectrum = _closed_form_spectrum(params)
+    assert spectrum[:3] == [-1.0, -1.0, -1.0] and spectrum[3] > -1.0
+    assert ok and values["floor"] == -1.0
+    assert list(values["minima"].values()) == [-1.0, -1.0, -1.0]

@@ -91,7 +91,6 @@ def test_run_verify_off_variety_skips():
         "zero_set_families",
         "full_spanning",
         "canonical_ten_spanning",
-        "cut_negativity",
     }
     for s, t, positive in ((1.0, 1.0, False), (1.0, 4.0, False), (4.0, 4.0, True)):
         doc = run_verify(FamilyParams(s, t), seed=7, restarts=16)
@@ -100,8 +99,11 @@ def test_run_verify_off_variety_skips():
         assert by_name["hermiticity"].status == "PASS"
         assert by_name["witness_not_psd"].status == "PASS"
         assert by_name["pv1_span_rank6"].status == "PASS"
-        # the three xi_i values are -2 for every (s, t)
+        # the three xi_i values are -2 for every (s, t), and each cut's
+        # certificate reaches the floor -1
         assert by_name["biseparable_values"].status == "PASS"
+        assert by_name["cut_negativity"].status == "PASS"
+        assert set(by_name["cut_negativity"].values["minima"].values()) == {-1.0}
         expected = "PASS" if positive else "FAIL"
         assert by_name["rank_one_positivity_grid"].status == expected
         assert by_name["seesaw_certificate"].status == expected
@@ -135,7 +137,8 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # for the canonical ten, two for the one spanning report of the document
     # (the 2^3 conjugations of the sample, and of its pv1 rows), which
     # full_spanning, pv1_span_rank6 and zero_set_families share, so the 36
-    # samples are drawn and realized once; W's spectrum is computed once;
+    # samples are drawn and realized once; W's spectrum is computed once; the
+    # see-saw runs once, for the global minimum, and never across a cut;
     # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
         "partial_conjugate": spanwitness.tensor,
@@ -145,6 +148,8 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "realize_zero_vector": spanwitness.family,
         "svd": np.linalg,
         "eigvalsh": np.linalg,
+        "seesaw_block_positivity": spanwitness.seesaw,
+        "cut_block_positivity": spanwitness.seesaw,
     }
     calls = dict.fromkeys(owners, 0)
     for name, owner in owners.items():
@@ -167,7 +172,26 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "realize_zero_vector": 36,
         "svd": 3,
         "eigvalsh": 1,
+        "seesaw_block_positivity": 1,
+        "cut_block_positivity": 0,
     }
+
+
+def test_cut_negativity_runs_no_cut_seesaw(monkeypatch):
+    # the cut certificates need no search: a cut see-saw that raises is never reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify ran a cut see-saw")
+
+    for name in ("cut_block_positivity", "regroup_for_cut"):
+        for key, module in list(sys.modules.items()):
+            if key.startswith("spanwitness") and hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    for params in (CANONICAL, FamilyParams(1.0, 1.0)):
+        by_name = {c.name: c for c in run_verify(params).checks}
+        assert by_name["cut_negativity"].status == "PASS"
+        assert by_name["cut_negativity"].values["minima"] == dict.fromkeys(
+            ("1|rest", "2|rest", "3|rest"), -1.0
+        )
 
 
 def _json_native(value) -> bool:
@@ -295,6 +319,18 @@ def test_run_spanning_modes():
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s, t", [("0.01", "800"), ("1e-3", "8e3")])
+def test_cli_report_passes_far_out_on_the_curve(s, t, capsys):
+    # rho_lambda's smallest partial-transpose eigenvalue scales like s^2 while
+    # the largest stays near 0.2-0.47: 1e-7 and 1e-9 of it here, under an
+    # absolute 1e-6 floor but above the relative one
+    assert main(["report", "--s", s, "--t", t, "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["boundary_family"]["status"] == "PASS"
+    rows = checks["boundary_family"]["values"].values()
+    assert min(row["min_pt_eigenvalue"] for row in rows) < 1e-6
 
 
 def test_cli_build_fixture(tmp_path, capsys):

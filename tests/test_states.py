@@ -9,6 +9,7 @@ from spanwitness import (
     ProductVector,
     SeparableDecomposition,
     ST8_GRID,
+    TOLERANCES,
     Verdict,
     assemble,
     biseparable_vector,
@@ -161,6 +162,19 @@ def test_rho_lambda_boundary_family():
         assert min(rep.min_eigenvalues.values()) > 1e-6
         assert ppt_interior_check(state).full_rank
         assert len(dec.vectors) == 10
+
+
+def test_strict_floor_rejects_a_rank_deficient_state():
+    # rho_0 is zero on |011> and |100>, so every partial transpose is singular:
+    # PPT, but not strictly, at the floor boundary_family applies to rho_lambda
+    rep = is_ppt(rho0()[0])
+    assert rep.is_ppt
+    assert rep.min_ratio <= TOLERANCES["strict"]
+    rho = rho_lambda(0.5)[0].matrix
+    assert is_ppt(state_from(rho, (2, 2, 2))).min_ratio > TOLERANCES["strict"]
+    # scaled by the spectral norm, a negative definite matrix stays below it
+    assert is_ppt(state_from(-rho, (2, 2, 2))).min_ratio == -1.0
+    assert is_ppt(state_from(np.zeros((8, 8)), (2, 2, 2))).min_ratio == 0.0
 
 
 @pytest.mark.parametrize("lam", [1e-5, 1 - 1e-5])
