@@ -8,9 +8,11 @@ The search restarts from several random product vectors; restarts draw from
 split seeds so the result is independent of execution order.
 
 The restarts run as one stack along a leading axis: each step is one
-batched contraction and one stacked `eigh` over the restarts still moving.
-A restart stops, and stays frozen, at the first sweep that improves its
-value by less than the tolerance, exactly as if it ran alone.
+batched contraction and one stacked `eigh` over the compacted kets of the
+restarts still moving and their bras, conjugated once per update. A restart
+stops, and stays frozen, at the first sweep that improves its value by less
+than the tolerance, exactly as if it ran alone; the kets return to the full
+stack when restarts freeze, and at the sweep cap.
 
 A negative minimum certifies failure of block positivity; a minimum at zero
 (within tolerance) is what a witness with a nonempty zero set must show.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from string import ascii_lowercase
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,36 +92,40 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     dims = witness.shape.dims
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)
-    # per party k: contract all factors but the k-th
-    scripts = [party_script(n, _bra_ket, _STACK, open_party=k) for k in range(n)]
+    value_script, *party_scripts = _scripts(n)
     # factors[k][r] is party k's factor in restart r
     factors = _random_unit_factors(dims, np.random.SeedSequence(seed).spawn(restarts))
-    values = _product_values(tensor, factors, n)
+    pairs = (x for f in factors for x in (f.conj(), f))
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
-    by_sweep[0] = values
+    by_sweep[0] = live = np.einsum(value_script, tensor, *pairs).real
     sweeps = np.zeros(restarts, dtype=int)
     moving = np.arange(restarts)
+    # the moving restarts' factors, compacted: contiguous kets and their bras
+    kets, bras = list(factors), [f.conj() for f in factors]
 
     for sweep in range(1, MAX_SWEEPS + 1):
-        before = values[moving]
+        before = live
         for k in range(n):
-            operands = [tensor]
-            for j in range(n):
-                if j == k:
-                    continue
-                operands.append(factors[j][moving].conj())
-                operands.append(factors[j][moving])
-            h = np.einsum(scripts[k], *operands)
+            others = (x for j in range(n) if j != k for x in (bras[j], kets[j]))
+            h = np.einsum(party_scripts[k], tensor, *others)
             h = (h + h.conj().swapaxes(-1, -2)) / 2
             evals, evecs = np.linalg.eigh(h)
-            factors[k][moving] = evecs[:, :, 0]
-            values[moving] = evals[:, 0]
-        by_sweep[sweep, moving] = values[moving]
+            kets[k] = evecs[:, :, 0].copy()
+            bras[k] = kets[k].conj()
+            live = evals[:, 0]
+        by_sweep[sweep, moving] = live
         sweeps[moving] = sweep
-        moving = moving[before - values[moving] >= TOLERANCES["sweep"]]
-        if moving.size == 0:
-            break
+        keep = before - live >= TOLERANCES["sweep"]
+        # back into the full stack when restarts freeze, and at the sweep cap
+        if sweep == MAX_SWEEPS or not keep.all():
+            for f, ket in zip(factors, kets):
+                f[moving] = ket
+            moving, live = moving[keep], live[keep]
+            kets, bras = [f[keep] for f in kets], [f[keep] for f in bras]
+            if moving.size == 0:
+                break
 
+    values = by_sweep[sweeps, np.arange(restarts)]
     best = int(np.argmin(values))
     argmin = ProductVector([_canonical_phase(f[best]) for f in factors])
     return SeeSawResult(
@@ -131,12 +136,11 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     )
 
 
-def _product_values(tensor: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """<xi|W|xi> per restart for factors stacked over restarts."""
-    operands = [tensor]
-    for f in factors:
-        operands += [f.conj(), f]
-    return np.einsum(party_script(n, _bra_ket, _STACK), *operands).real.copy()
+@cache
+def _scripts(n: int) -> tuple[str, ...]:
+    """einsum scripts over restart-stacked factors: <xi|W|xi> per restart,
+    then per party k the contraction of all factors but the k-th."""
+    return tuple(party_script(n, _bra_ket, _STACK, open_party=k) for k in (None, *range(n)))
 
 
 def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -186,18 +190,20 @@ def phase_modulus_grid() -> np.ndarray:
     return np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
 
 
+# Per qubit party: the 2x2 entries (00, 01, 10, 11) to the real coordinates
+# A00, A11, Re A01, -Im A01 of the Hermitian part, paired with _grid_coordinates.
+_HERMITIAN_COORDINATES = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0]])
+
+
 @cache
-def _grid_contraction(n: int) -> tuple[str, list, list[np.ndarray]]:
-    """einsum script, contraction path and operands of the n-qubit product
-    grid, built on first use. The candidates are both poles and the unit
-    vectors (1, z) / norm over the phase-modulus grid."""
+def _grid_coordinates() -> np.ndarray:
+    """(|x0|^2, |x1|^2, 2 Re x0* x1, 2 Im x0* x1) per grid candidate x, as
+    4 x candidates. The candidates are both poles and the unit vectors
+    (1, z) / norm over the phase-modulus grid."""
     unnormed = [np.array([1.0, z]) for z in phase_modulus_grid()]
     cand = np.array([*np.eye(2), *(v / np.linalg.norm(v) for v in unnormed)], dtype=complex)
-    operands = [cand.conj(), cand] * n
-    grid = ascii_lowercase[2 * n : 3 * n]
-    script = party_script(n, lambda j, row, col: (grid[j] + row, grid[j] + col), grid)
-    path = np.einsum_path(script, np.zeros((2,) * 2 * n), *operands, optimize=True)[0]
-    return script, path, operands
+    cross = 2 * cand[:, 0].conj() * cand[:, 1]
+    return np.array([abs(cand[:, 0]) ** 2, abs(cand[:, 1]) ** 2, cross.real, cross.imag])
 
 
 def product_grid_minimum(witness: Witness) -> float:
@@ -206,11 +212,20 @@ def product_grid_minimum(witness: Witness) -> float:
     minimum over all unit product vectors, so the see-saw must not exceed it.
 
     Only qubit factors are supported (each candidate set covers both poles
-    and `GRID_PHASES` points per circle at each modulus).
+    and `GRID_PHASES` points per circle at each modulus). W, written in each
+    party's real Hermitian coordinates as a real (4,) * n tensor, meets the
+    candidates' coordinates party by party in real matrix products: the
+    values are Re<xi|W|xi>, those of W's Hermitian part.
     """
     dims = witness.shape.dims
     if any(d != 2 for d in dims):
         raise DimensionMismatchError("grid search is implemented for qubit factors only")
-    script, path, operands = _grid_contraction(len(dims))
-    values = np.einsum(script, witness.matrix.reshape(dims + dims), *operands, optimize=path)
-    return float(values.real.min())
+    n = len(dims)
+    # each step contracts the leading party axis and appends the new axis last
+    coords = witness.matrix.reshape(dims + dims).transpose([a for k in range(n) for a in (k, n + k)])
+    for _ in range(n):
+        coords = coords.reshape(4, -1).T @ _HERMITIAN_COORDINATES.T
+    values = coords.real
+    for _ in range(n):
+        values = values.reshape(4, -1).T @ _grid_coordinates()
+    return float(values.min())

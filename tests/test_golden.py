@@ -8,7 +8,12 @@ exactly, and every float among the check values within 1e-12.
 
 Regenerate the golden files after an intended change of the contract with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...] [--check NAME ...]
+
+which rewrites the named cases (all when none is named). With `--check`,
+only the named checks of each case are replaced, with the exit code and
+`all_pass`; everything else in the file stays byte-for-byte as pinned, so
+floats that move at the 1e-14 level between machines do not churn.
 """
 
 import json
@@ -92,19 +97,57 @@ def test_document_matches_golden(case, capsys):
         assert_values_match(got_check["values"], want_check["values"], f"{name}.values")
 
 
-def regenerate():
+def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch):
+    case = "verify_1_8"
+    payload = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    checks = payload["document"]["checks"]
+    names = [c["name"] for c in checks]
+    replaced = names.index("seesaw_certificate")
+    checks[replaced]["values"]["min_value"] = 1.5  # stale
+    checks[names.index("determinant_identity_grid")]["values"]["max_abs_difference"] = 2.5
+    text = json.dumps(payload, indent=2) + "\n"
+    (tmp_path / f"{case}.json").write_text(text)
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    regenerate([case], ["seesaw_certificate"])
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{case}.json"]
+    got = json.loads((tmp_path / f"{case}.json").read_text())
+    assert got["document"]["checks"][replaced]["values"]["min_value"] != 1.5
+    # with the named check put back, the file is the pinned one byte for byte
+    got["document"]["checks"][replaced] = checks[replaced]
+    assert json.dumps(got, indent=2) + "\n" == text
+
+
+def regenerate(cases=None, checks=None):
     import contextlib
     import io
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for case, argv in sorted(CASES.items()):
+    for case in cases or sorted(CASES):
+        argv = CASES[case]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(list(argv))
         payload = {"argv": argv, "exit_code": code, "document": json.loads(out.getvalue())}
-        (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        path = GOLDEN_DIR / f"{case}.json"
+        if checks:
+            fresh, payload = payload, json.loads(path.read_text())
+            new = {c["name"]: c for c in fresh["document"]["checks"]}
+            if missing := set(checks) - set(new):
+                raise SystemExit(f"{case}: no check named {sorted(missing)}")
+            doc = payload["document"]
+            doc["checks"] = [new[c["name"]] if c["name"] in checks else c for c in doc["checks"]]
+            payload["exit_code"], doc["all_pass"] = code, fresh["document"]["all_pass"]
+        path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"{case}: exit {code}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    regenerate()
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Rewrite golden report documents.")
+    parser.add_argument("cases", nargs="*", metavar="CASE", help="a golden file's name, no suffix")
+    parser.add_argument("--check", action="append", metavar="NAME", help="replace only this check")
+    args = parser.parse_args()
+    if unknown := sorted(set(args.cases) - set(CASES)):
+        parser.error(f"unknown cases {unknown}; choose from {sorted(CASES)}")
+    regenerate(args.cases, args.check)

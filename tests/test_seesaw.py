@@ -8,6 +8,7 @@ from spanwitness import (
     FamilyParams,
     InvalidCutError,
     THREE_QUBITS,
+    TensorShape,
     Witness,
     cut_block_positivity,
     flatten,
@@ -17,7 +18,7 @@ from spanwitness import (
     value_on_product,
     witness_matrix,
 )
-from spanwitness import report
+from spanwitness import report, seesaw
 from spanwitness.seesaw import _canonical_phase
 
 SEED = 7
@@ -235,3 +236,75 @@ def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
         regrouped, _ = regroup_for_cut(canonical_witness, cut)
         res = cut_block_positivity(canonical_witness, cut, restarts=16, seed=SEED + idx)
         assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))
+
+
+def random_hermitian(seed, d):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "shape, restarts", [(THREE_QUBITS, 64), (TensorShape((2, 3)), 16)], ids=["2x2x2", "2x3"]
+)
+def test_compacted_seesaw_matches_reference_on_a_generic_witness(shape, restarts):
+    # no X shape: the restarts freeze at many different sweeps
+    w = Witness(matrix=random_hermitian(23, shape.total_dim), shape=shape)
+    res = seesaw_block_positivity(w, restarts=restarts, seed=SEED)
+    assert_matches_reference(res, reference_seesaw(w, restarts, SEED))
+
+
+def test_seesaw_stopped_at_the_sweep_cap_matches_reference(monkeypatch):
+    # restarts still moving at the cap keep their last factors, unconverged
+    monkeypatch.setattr(seesaw, "MAX_SWEEPS", 2)
+    w = witness_matrix(CANONICAL)
+    ref = reference_seesaw(w, 64, SEED, max_iters=2)
+    history = ref[2]
+    assert ref[3] is False and len(history) == 3 and history[1] - history[2] >= 1e-12
+    assert_matches_reference(seesaw_block_positivity(w, restarts=64, seed=SEED), ref)
+
+
+def spy(monkeypatch, owner, name):
+    """Record the positional arguments of every call to owner.name."""
+    calls, real = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, max_sweeps, loop_sweeps",
+    [
+        (lambda: Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS), 500, 1),
+        (lambda: witness_matrix(CANONICAL), 2, 2),
+        (lambda: witness_matrix(CANONICAL), 500, None),
+    ],
+)
+def test_seesaw_makes_one_stacked_step_per_party_and_sweep(monkeypatch, make, max_sweeps, loop_sweeps):
+    monkeypatch.setattr(seesaw, "MAX_SWEEPS", max_sweeps)
+    w = make()
+    einsums, eighs = spy(monkeypatch, np, "einsum"), spy(monkeypatch, np.linalg, "eigh")
+    reference_seesaw(w, 64, SEED, max_iters=max_sweeps)
+    steps = len(eighs)  # the reference's eigh count: one per restart, party and sweep
+    einsums.clear()
+    eighs.clear()
+    seesaw_block_positivity(w, restarts=64, seed=SEED)
+    sweeps = len(eighs) // 3
+    assert len(eighs) == 3 * sweeps and len(einsums) == 1 + 3 * sweeps
+    assert loop_sweeps in (None, sweeps)
+    # each sweep's three steps stack the restarts still moving, fewer or as many as before
+    moving = [len(h) for (h,) in eighs[::3]]
+    assert [len(h) for (h,) in eighs] == [m for m in moving for _ in range(3)]
+    assert moving[0] == 64 and moving[-1] > 0 and moving == sorted(moving, reverse=True)
+    assert sum(moving) * 3 == steps
+
+
+def test_grid_minimum_runs_no_einsum_or_path_search(monkeypatch):
+    w = witness_matrix(CANONICAL)
+    einsums, paths = spy(monkeypatch, np, "einsum"), spy(monkeypatch, np, "einsum_path")
+    product_grid_minimum(w)
+    assert einsums == [] and paths == []
