@@ -7,12 +7,18 @@ smallest eigenvalue of H_k, so the value is nonincreasing sweep by sweep.
 The search restarts from several random product vectors; restarts draw from
 split seeds so the result is independent of execution order.
 
-The restarts run as one stack along a leading axis: each step is one
-batched contraction and one stacked `eigh` over the compacted kets of the
-restarts still moving and their bras, conjugated once per update. A restart
-stops, and stays frozen, at the first sweep that improves its value by less
-than the tolerance, exactly as if it ran alone; the kets return to the full
-stack when restarts freeze, and at the sweep cap.
+The restarts run as one stack along a leading axis. W is written once per
+party k as a (d_k, d_k, R, R) block, R = D / d_k: party k's row and column
+first, the other parties' rows and columns flattened in party order. A step
+forms the Kronecker product v of the other parties' factors and gets H_k
+from two elementwise multiply-and-sums over a contiguous last axis, then
+one stacked `eigh`. Elementwise products and short reductions do the same
+arithmetic per restart whether one restart runs or many, so the stack
+matches a one-restart-at-a-time loop bit for bit. A restart stops, and
+stays frozen, at the first sweep that improves its value by less than the
+tolerance, exactly as if it ran alone; only the factors of the restarts
+still moving are stacked, and they return to the full stack when restarts
+freeze, and at the sweep cap.
 
 A negative minimum certifies failure of block positivity; a minimum at zero
 (within tolerance) is what a witness with a nonempty zero set must show.
@@ -30,7 +36,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import TOLERANCES, require_hermitian
 from .maps import Witness
-from .tensor import ProductVector, TensorShape, check_subset, party_script, subset_complement
+from .tensor import ProductVector, TensorShape, check_subset, kron_rows, subset_complement
 
 
 @dataclass
@@ -41,16 +47,8 @@ class SeeSawResult:
     history: list[float] = field(default_factory=list)
 
 
-# Leading restart axis of the stacked factors in the einsum scripts.
-_STACK = "Z"
-
 # Sweeps after which a restart stops even if it still improves.
 MAX_SWEEPS = 500
-
-
-def _bra_ket(j: int, row: str, col: str) -> tuple[str, str]:
-    """Subscripts of party j's bra and ket factors, stacked over restarts."""
-    return _STACK + row, _STACK + col
 
 
 def _random_unit_factors(dims: Sequence[int], children: Sequence) -> list[np.ndarray]:
@@ -92,26 +90,33 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     dims = witness.shape.dims
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)
-    value_script, *party_scripts = _scripts(n)
+    # blocks[k][a, b, r, c]: W at party k's row a and column b, the other
+    # parties' rows r and columns c flattened in party order
+    blocks = []
+    for k, d in enumerate(dims):
+        rest = [j for j in range(n) if j != k]
+        axes = [k, n + k, *rest, *(n + j for j in rest)]
+        blocks.append(tensor.transpose(axes).reshape(d, d, len(witness.matrix) // d, -1))
     # factors[k][r] is party k's factor in restart r
     factors = _random_unit_factors(dims, np.random.SeedSequence(seed).spawn(restarts))
-    pairs = (x for f in factors for x in (f.conj(), f))
+    flat = kron_rows(factors)
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
-    by_sweep[0] = live = np.einsum(value_script, tensor, *pairs).real
+    by_sweep[0] = live = (flat.conj() * (witness.matrix * flat[:, None, :]).sum(-1)).sum(-1).real
     sweeps = np.zeros(restarts, dtype=int)
     moving = np.arange(restarts)
-    # the moving restarts' factors, compacted: contiguous kets and their bras
-    kets, bras = list(factors), [f.conj() for f in factors]
+    # the moving restarts' factors, compacted
+    kets = list(factors)
 
     for sweep in range(1, MAX_SWEEPS + 1):
         before = live
         for k in range(n):
-            others = (x for j in range(n) if j != k for x in (bras[j], kets[j]))
-            h = np.einsum(party_scripts[k], tensor, *others)
+            # H_k[a, b] = sum_rc conj(v_r) W_k[a, b, r, c] v_c, columns first
+            v = kron_rows([f for j, f in enumerate(kets) if j != k])
+            u = (blocks[k] * v[:, None, None, None, :]).sum(-1)
+            h = (u * v.conj()[:, None, None, :]).sum(-1)
             h = (h + h.conj().swapaxes(-1, -2)) / 2
             evals, evecs = np.linalg.eigh(h)
-            kets[k] = evecs[:, :, 0].copy()
-            bras[k] = kets[k].conj()
+            kets[k] = evecs[:, :, 0]
             live = evals[:, 0]
         by_sweep[sweep, moving] = live
         sweeps[moving] = sweep
@@ -121,7 +126,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
             for f, ket in zip(factors, kets):
                 f[moving] = ket
             moving, live = moving[keep], live[keep]
-            kets, bras = [f[keep] for f in kets], [f[keep] for f in bras]
+            kets = [f[keep] for f in kets]
             if moving.size == 0:
                 break
 
@@ -134,13 +139,6 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
         converged=moving.size == 0,
         history=by_sweep[: sweeps[best] + 1, best].tolist(),
     )
-
-
-@cache
-def _scripts(n: int) -> tuple[str, ...]:
-    """einsum scripts over restart-stacked factors: <xi|W|xi> per restart,
-    then per party k the contraction of all factors but the k-th."""
-    return tuple(party_script(n, _bra_ket, _STACK, open_party=k) for k in (None, *range(n)))
 
 
 def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tuple[tuple[int, ...], tuple[int, ...]]]:

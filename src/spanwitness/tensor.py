@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from string import ascii_lowercase
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -167,28 +166,6 @@ def conjugation_ranks(
     2^n from one stacked SVD (`numerical_ranks`)."""
     ranks = numerical_ranks(conjugation_stack(pvs, shape), tol)
     return dict(zip(all_subsets(shape.n_parties), ranks.tolist()))
-
-
-def party_script(
-    n: int,
-    terms: Callable[[int, str, str], Sequence[str]],
-    out: str = "",
-    open_party: int | None = None,
-) -> str:
-    """einsum script contracting an n-party matrix, reshaped to dims + dims
-    and first in the script, with operands per party.
-
-    The matrix carries all row labels, then all column labels.
-    `terms(j, row, col)` gives the subscripts of party j's operands. The
-    open party is not contracted: its row and column follow `out` in the
-    output.
-    """
-    letters = ascii_lowercase[: 2 * n]
-    rows, cols = letters[:n], letters[n:]
-    subs = [sub for j in range(n) if j != open_party for sub in terms(j, rows[j], cols[j])]
-    if open_party is not None:
-        out += rows[open_party] + cols[open_party]
-    return ",".join([letters] + subs) + "->" + out
 
 
 @dataclass

@@ -13,7 +13,9 @@ Regenerate the golden files after an intended change of the contract with
 which rewrites the named cases (all when none is named). With `--check`,
 only the named checks of each case are replaced, with the exit code and
 `all_pass`; everything else in the file stays byte-for-byte as pinned, so
-floats that move at the 1e-14 level between machines do not churn.
+floats that move at the 1e-14 level between machines do not churn. Each
+field whose pinned value changes is printed as one line,
+`<case>.<path>: <old> -> <new>`, with checks named by their `name`.
 """
 
 import json
@@ -97,7 +99,7 @@ def test_document_matches_golden(case, capsys):
         assert_values_match(got_check["values"], want_check["values"], f"{name}.values")
 
 
-def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch):
+def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch, capsys):
     case = "verify_1_8"
     payload = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
     checks = payload["document"]["checks"]
@@ -108,13 +110,30 @@ def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch):
     text = json.dumps(payload, indent=2) + "\n"
     (tmp_path / f"{case}.json").write_text(text)
     monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    capsys.readouterr()
     regenerate([case], ["seesaw_certificate"])
     assert list(tmp_path.iterdir()) == [tmp_path / f"{case}.json"]
     got = json.loads((tmp_path / f"{case}.json").read_text())
-    assert got["document"]["checks"][replaced]["values"]["min_value"] != 1.5
+    fresh = got["document"]["checks"][replaced]["values"]["min_value"]
+    assert fresh != 1.5
+    # one line per replaced field: the stale value, never the untouched 2.5
+    assert capsys.readouterr().out.splitlines() == [
+        f"{case}.document.checks[seesaw_certificate].values.min_value: 1.5 -> {fresh!r}"
+    ]
     # with the named check put back, the file is the pinned one byte for byte
     got["document"]["checks"][replaced] = checks[replaced]
     assert json.dumps(got, indent=2) + "\n" == text
+
+
+def changed_fields(old, new, where):
+    """(path, old, new) for each leaf where two JSON values differ; a list
+    or dict whose length or keys differ counts as one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        return [c for key in old for c in changed_fields(old[key], new[key], f"{where}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        labels = [o.get("name", i) if isinstance(o, dict) else i for i, o in enumerate(old)]
+        return [c for i, o, n in zip(labels, old, new) for c in changed_fields(o, n, f"{where}[{i}]")]
+    return [] if _exact(old) == _exact(new) else [(where, old, new)]
 
 
 def regenerate(cases=None, checks=None):
@@ -129,6 +148,7 @@ def regenerate(cases=None, checks=None):
             code = main(list(argv))
         payload = {"argv": argv, "exit_code": code, "document": json.loads(out.getvalue())}
         path = GOLDEN_DIR / f"{case}.json"
+        pinned = json.loads(path.read_text()) if path.exists() else payload
         if checks:
             fresh, payload = payload, json.loads(path.read_text())
             new = {c["name"]: c for c in fresh["document"]["checks"]}
@@ -138,6 +158,8 @@ def regenerate(cases=None, checks=None):
             doc["checks"] = [new[c["name"]] if c["name"] in checks else c for c in doc["checks"]]
             payload["exit_code"], doc["all_pass"] = code, fresh["document"]["all_pass"]
         path.write_text(json.dumps(payload, indent=2) + "\n")
+        for where, was, now in changed_fields(pinned, payload, case):
+            print(f"{where}: {_exact(was)} -> {_exact(now)}")
         print(f"{case}: exit {code}", file=sys.stderr)
 
 

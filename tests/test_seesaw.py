@@ -1,3 +1,4 @@
+from functools import reduce
 from string import ascii_lowercase
 
 import numpy as np
@@ -161,9 +162,14 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
     index of the winning restart."""
     dims = witness.shape.dims
     n = len(dims)
-    rows, cols = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
+    size = len(witness.matrix)
     tensor = witness.matrix.reshape(dims + dims)
-    full = ",".join([rows + cols] + [c for j in range(n) for c in (rows[j], cols[j])]) + "->"
+    others = [[j for j in range(n) if j != k] for k in range(n)]
+    # party k's row and column first, the other parties' flattened in order
+    blocks = [
+        tensor.transpose([k, n + k, *o, *(n + j for j in o)]).reshape(d, d, size // d, -1)
+        for k, (d, o) in enumerate(zip(dims, others))
+    ]
     best_value, best_index, best_factors, best_history = np.inf, -1, None, []
     all_converged = True
     for ridx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
@@ -172,18 +178,14 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
         for d in dims:
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             factors.append(v / np.linalg.norm(v))
-        pairs = [x for f in factors for x in (f.conj(), f)]
-        value = float(np.einsum(full, tensor, *pairs).real)
+        flat = reduce(np.kron, factors)
+        value = float((flat.conj() * (witness.matrix * flat).sum(-1)).sum(-1).real)
         history = [value]
         converged = False
         for _ in range(max_iters):
             for k in range(n):
-                subs, operands = [rows + cols], [tensor]
-                for j in range(n):
-                    if j != k:
-                        subs += [rows[j], cols[j]]
-                        operands += [factors[j].conj(), factors[j]]
-                h = np.einsum(",".join(subs) + "->" + rows[k] + cols[k], *operands)
+                v = reduce(np.kron, [factors[j] for j in others[k]])
+                h = ((blocks[k] * v).sum(-1) * v.conj()).sum(-1)
                 evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
                 factors[k] = evecs[:, 0]
                 value = float(evals[0])
@@ -294,13 +296,44 @@ def test_seesaw_makes_one_stacked_step_per_party_and_sweep(monkeypatch, make, ma
     eighs.clear()
     seesaw_block_positivity(w, restarts=64, seed=SEED)
     sweeps = len(eighs) // 3
-    assert len(eighs) == 3 * sweeps and len(einsums) == 1 + 3 * sweeps
+    assert len(eighs) == 3 * sweeps and einsums == []
     assert loop_sweeps in (None, sweeps)
     # each sweep's three steps stack the restarts still moving, fewer or as many as before
     moving = [len(h) for (h,) in eighs[::3]]
     assert [len(h) for (h,) in eighs] == [m for m in moving for _ in range(3)]
     assert moving[0] == 64 and moving[-1] > 0 and moving == sorted(moving, reverse=True)
     assert sum(moving) * 3 == steps
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (2, 4)])
+def test_party_forms_and_start_value_match_the_einsum_contraction(monkeypatch, dims):
+    # the reference loop shares the see-saw's multiply-and-sum; this ties both
+    # to the definition: H_k = <other factors| W |other factors>, <xi|W|xi>
+    shape = TensorShape(dims)
+    w = Witness(matrix=random_hermitian(sum(dims), shape.total_dim), shape=shape)
+    tol = 1e-14 * max(1.0, np.linalg.norm(w.matrix, 2))
+    n = len(dims)
+    rows, cols = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
+    tensor = w.matrix.reshape(dims + dims)
+    eighs = spy(monkeypatch, np.linalg, "eigh")
+    for seed in range(4):
+        eighs.clear()
+        res = seesaw_block_positivity(w, restarts=1, seed=seed)
+        # restart 0's start factors, drawn as the see-saw draws them
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        factors = [v / np.linalg.norm(v) for v in draws]
+        xi = reduce(np.kron, factors)
+        assert abs(res.history[0] - np.vdot(xi, w.matrix @ xi).real) <= tol
+        # the first sweep's steps, party by party, each after the previous update
+        assert len(eighs) >= n
+        for k, (h,) in enumerate(eighs[:n]):
+            subs = [sub for j in range(n) if j != k for sub in (rows[j], cols[j])]
+            script = ",".join([rows + cols, *subs]) + "->" + rows[k] + cols[k]
+            operands = [x for j in range(n) if j != k for x in (factors[j].conj(), factors[j])]
+            want = np.einsum(script, tensor, *operands)
+            assert np.abs(h[0] - want).max() <= tol
+            factors[k] = np.linalg.eigh(h)[1][0, :, 0]
 
 
 def test_grid_minimum_runs_no_einsum_or_path_search(monkeypatch):
