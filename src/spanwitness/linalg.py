@@ -94,6 +94,13 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(m))
 
 
+def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+
+
 class PsdCheck(NamedTuple):
     ok: bool
     min_eigenvalue: float

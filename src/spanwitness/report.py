@@ -36,7 +36,7 @@ from .family import (
     spanning_report,
     witness_matrix,
 )
-from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect
+from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues
 from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import phase_modulus_grid, product_grid_minimum, seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
@@ -190,18 +190,11 @@ def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
     }
 
 
-def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
-    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
-
-
 def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Positivity of the bilinear map on a deterministic rank-one grid, from
     the stacked images of `rank_one_images`."""
     images = ctx.images
-    worst = float(_lowest_eigenvalues(images).min())
+    worst = float(lowest_eigenvalues(images).min())
     return worst >= -tol, {"pairs": images.shape[0] * images.shape[1], "min_eigenvalue": worst}
 
 

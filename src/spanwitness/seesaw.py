@@ -4,21 +4,23 @@ Holding every factor but one fixed, the objective is a quadratic form
 xi_k^H H_k xi_k in the remaining factor, where H_k is the contraction of W
 against the other factors. Each step replaces xi_k by the eigenvector of the
 smallest eigenvalue of H_k, so the value is nonincreasing sweep by sweep.
-The search restarts from several random product vectors; restarts draw from
-split seeds so the result is independent of execution order.
+The search restarts from several random product vectors: row r of one seeded
+draw is restart r's start, so that start depends on (seed, r) alone, not on
+the execution order or on how many restarts run.
 
 The restarts run as one stack along a leading axis. W is written once per
 party k as a (d_k, d_k, R, R) block, R = D / d_k: party k's row and column
 first, the other parties' rows and columns flattened in party order. A step
 forms the Kronecker product v of the other parties' factors and gets H_k
 from two elementwise multiply-and-sums over a contiguous last axis, then
-one stacked `eigh`. Elementwise products and short reductions do the same
-arithmetic per restart whether one restart runs or many, so the stack
-matches a one-restart-at-a-time loop bit for bit. A restart stops, and
-stays frozen, at the first sweep that improves its value by less than the
-tolerance, exactly as if it ran alone; only the factors of the restarts
-still moving are stacked, and they return to the full stack when restarts
-freeze, and at the sweep cap.
+its lowest eigenpair: in closed form for a qubit, one stacked `eigh` for a
+larger party. Elementwise arithmetic and short reductions do the same work
+per restart whether one restart runs or many, so the stack matches a
+one-restart-at-a-time loop bit for bit. A restart stops, and stays frozen,
+at the first sweep that improves its value by less than the tolerance,
+exactly as if it ran alone; only the factors of the restarts still moving
+are stacked, and they return to the full stack when restarts freeze, and at
+the sweep cap.
 
 A negative minimum certifies failure of block positivity; a minimum at zero
 (within tolerance) is what a witness with a nonempty zero set must show.
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, require_hermitian
+from .linalg import TOLERANCES, lowest_eigenvalues, require_hermitian
 from .maps import Witness
 from .tensor import ProductVector, TensorShape, check_subset, kron_rows, subset_complement
 
@@ -51,11 +53,11 @@ class SeeSawResult:
 MAX_SWEEPS = 500
 
 
-def _random_unit_factors(dims: Sequence[int], children: Sequence) -> list[np.ndarray]:
+def _random_unit_factors(dims: Sequence[int], seed: int, restarts: int) -> list[np.ndarray]:
     """Unit start factors per party, stacked over restarts. Restart r takes
-    one draw of 2 sum(dims) normals from its seed `children[r]`: party by
-    party, d real parts, then d imaginary parts."""
-    draws = np.array([np.random.default_rng(c).standard_normal(2 * sum(dims)) for c in children])
+    row r of one (restarts, 2 sum(dims)) draw of normals from
+    default_rng(seed): party by party, d real parts, then d imaginary parts."""
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2 * sum(dims)))
     factors = []
     for part, d in zip(np.split(draws, np.cumsum([2 * d for d in dims])[:-1], axis=1), dims):
         v = part[:, :d] + 1j * part[:, d:]
@@ -63,6 +65,22 @@ def _random_unit_factors(dims: Sequence[int], children: Sequence) -> list[np.nda
         re, im = v.real[:, None], v.imag[:, None]
         factors.append(v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0])
     return factors
+
+
+def _lowest_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kets and values of the smallest eigenvalue of the Hermitian part of
+    each (d, d) matrix of a stack. For a qubit the ket is
+    (-sin(theta/2) e^{i phi}, cos(theta/2)), theta = atan2(|b|, (a - d)/2),
+    e^{i phi} = b / |b| (1 where b = 0), with a, d, b the Hermitian part's
+    diagonal and upper entries; a larger party takes one stacked `eigh`."""
+    if h.shape[-1] != 2:
+        evals, evecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
+        return evecs[:, :, 0], evals[:, 0]
+    b = (h[:, 0, 1] + h[:, 1, 0].conj()) / 2
+    mag = np.abs(b)
+    half = np.arctan2(mag, (h[:, 0, 0].real - h[:, 1, 1].real) / 2) / 2
+    phase = np.divide(b, mag, out=np.ones_like(b), where=mag > 0)
+    return np.stack([-np.sin(half) * phase, np.cos(half)], axis=-1), lowest_eigenvalues(h)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -76,11 +94,11 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0) -> SeeSawResult:
     """Best product-vector minimum over `restarts` random starts.
 
-    Deterministic for a fixed (seed, restarts) pair: restart r draws its
-    start from the r-th child of SeedSequence(seed), and ties between
-    restarts break toward the lower restart index. `history` is the best
-    restart's value per sweep; `converged` holds when every restart stopped
-    within `MAX_SWEEPS` sweeps.
+    Deterministic for a fixed (seed, restarts) pair: restart r starts from
+    row r of one draw from default_rng(seed), the same row for any restart
+    count, and ties between restarts break toward the lower restart index.
+    `history` is the best restart's value per sweep; `converged` holds when
+    every restart stopped within `MAX_SWEEPS` sweeps.
     """
     require_hermitian(witness.matrix)
     if restarts < 1:
@@ -98,7 +116,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
         axes = [k, n + k, *rest, *(n + j for j in rest)]
         blocks.append(tensor.transpose(axes).reshape(d, d, len(witness.matrix) // d, -1))
     # factors[k][r] is party k's factor in restart r
-    factors = _random_unit_factors(dims, np.random.SeedSequence(seed).spawn(restarts))
+    factors = _random_unit_factors(dims, seed, restarts)
     flat = kron_rows(factors)
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     by_sweep[0] = live = (flat.conj() * (witness.matrix * flat[:, None, :]).sum(-1)).sum(-1).real
@@ -113,11 +131,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
             # H_k[a, b] = sum_rc conj(v_r) W_k[a, b, r, c] v_c, columns first
             v = kron_rows([f for j, f in enumerate(kets) if j != k])
             u = (blocks[k] * v[:, None, None, None, :]).sum(-1)
-            h = (u * v.conj()[:, None, None, :]).sum(-1)
-            h = (h + h.conj().swapaxes(-1, -2)) / 2
-            evals, evecs = np.linalg.eigh(h)
-            kets[k] = evecs[:, :, 0]
-            live = evals[:, 0]
+            kets[k], live = _lowest_eigenpairs((u * v.conj()[:, None, None, :]).sum(-1))
         by_sweep[sweep, moving] = live
         sweeps[moving] = sweep
         keep = before - live >= TOLERANCES["sweep"]

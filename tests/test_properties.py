@@ -31,7 +31,7 @@ from spanwitness import (
     witness_matrix,
 )
 from spanwitness.report import Context, _closed_form_spectrum, check_cut_negativity
-from spanwitness.seesaw import GRID_MODULI, GRID_PHASES
+from spanwitness.seesaw import GRID_MODULI, GRID_PHASES, _lowest_eigenpairs
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -131,3 +131,43 @@ def test_grid_minimum_matches_the_flattened_product_oracle(h):
 def test_grid_minimum_rejects_non_qubit_factors():
     with pytest.raises(DimensionMismatchError):
         product_grid_minimum(Witness(matrix=np.eye(6, dtype=complex), shape=TensorShape((2, 3))))
+
+
+stacks2 = arrays(np.float64, (2, 4, 2, 2), elements=_ENTRIES).map(lambda p: p[0] + 1j * p[1])
+EPS = np.finfo(float).eps
+
+
+def assert_lowest_eigenpairs_match_eigh(h: np.ndarray) -> None:
+    kets, values = _lowest_eigenpairs(h)
+    herm = (h + h.conj().swapaxes(-1, -2)) / 2
+    want = np.linalg.eigh(herm)[0][:, 0]
+    for m, ket, value, lo in zip(herm, kets, values, want):
+        scale = np.linalg.norm(m, 2)
+        assert abs(value - lo) <= 4 * EPS * scale
+        assert abs(np.linalg.norm(ket) - 1.0) <= 1e-15
+        assert np.linalg.norm(m @ ket - value * ket) <= 8 * EPS * scale
+
+
+@PROPERTY
+@given(st.one_of(stacks2, stacks2.map(lambda a: (a + a.conj().swapaxes(-1, -2)) / 2)))
+def test_qubit_lowest_eigenpairs_match_eigh(h):
+    assert_lowest_eigenpairs_match_eigh(h)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        np.zeros((2, 2)),
+        3.0 * np.eye(2),
+        -0.5 * np.eye(2),
+        np.diag([-1.0, 2.0]),
+        np.diag([2.0, -1.0]),
+        np.array([[1.0, 1e-300j], [-1e-300j, 1.0]]),
+        np.array([[1.0, 1e-300], [1e-300, 3.0]]),
+        1e150 * np.array([[0.7, 1.3 - 0.4j], [1.3 + 0.4j, -0.9]]),
+        1e150 * np.array([[1.0, 0.5j], [0.2, 1.0]]),
+    ],
+    ids=["zero", "3I", "-I/2", "a<d", "a>d", "tiny-b", "tiny-b-split", "1e150", "1e150-non-hermitian"],
+)
+def test_qubit_lowest_eigenpairs_edge_cases(h):
+    assert_lowest_eigenpairs_match_eigh(np.asarray(h, dtype=complex)[None])

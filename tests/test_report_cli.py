@@ -18,11 +18,10 @@ from spanwitness.family import (
     realize_zero_vector,
     witness_matrix,
 )
-from spanwitness.linalg import TOLERANCES
+from spanwitness.linalg import TOLERANCES, lowest_eigenvalues
 from spanwitness.maps import value_on_product
 from spanwitness.report import (
     Context,
-    _lowest_eigenvalues,
     check_detected_interior,
     check_not_psd,
     run_detect,
@@ -540,7 +539,7 @@ def test_cli_report_command(capsys):
 def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
     images = rank_one_images(params, phase_modulus_grid())
     want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
-    assert np.max(np.abs(_lowest_eigenvalues(images) - want)) <= 1e-13
+    assert np.max(np.abs(lowest_eigenvalues(images) - want)) <= 1e-13
 
 
 def test_cli_json_out_writes_stdout_from_one_serialization(tmp_path, capsys, monkeypatch):

@@ -172,11 +172,11 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
     ]
     best_value, best_index, best_factors, best_history = np.inf, -1, None, []
     all_converged = True
-    for ridx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        rng = np.random.default_rng(child)
+    starts = np.random.default_rng(seed).standard_normal((restarts, 2 * sum(dims)))
+    for ridx, row in enumerate(starts):
         factors = []
-        for d in dims:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for d, at in zip(dims, np.cumsum([0, *(2 * d for d in dims)])):
+            v = row[at : at + d] + 1j * row[at + d : at + 2 * d]
             factors.append(v / np.linalg.norm(v))
         flat = reduce(np.kron, factors)
         value = float((flat.conj() * (witness.matrix * flat).sum(-1)).sum(-1).real)
@@ -186,9 +186,9 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
             for k in range(n):
                 v = reduce(np.kron, [factors[j] for j in others[k]])
                 h = ((blocks[k] * v).sum(-1) * v.conj()).sum(-1)
-                evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
-                factors[k] = evecs[:, 0]
-                value = float(evals[0])
+                kets, values = seesaw._lowest_eigenpairs(h[None])
+                factors[k] = kets[0]
+                value = float(values[0])
             history.append(value)
             if history[-2] - value < improvement_tol:
                 converged = True
@@ -238,6 +238,23 @@ def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
         regrouped, _ = regroup_for_cut(canonical_witness, cut)
         res = cut_block_positivity(canonical_witness, cut, restarts=16, seed=SEED + idx)
         assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))
+
+
+def test_starts_for_fewer_restarts_are_the_first_rows(monkeypatch):
+    # restart r's start depends on (seed, r) alone, drawn without spawned seeds
+    spawned = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    dims = (2, 2, 2)
+    few, many = seesaw._random_unit_factors(dims, SEED, 8), seesaw._random_unit_factors(dims, SEED, 64)
+    assert all(np.array_equal(f, m[:8]) for f, m in zip(few, many))
+    seesaw_block_positivity(witness_matrix(CANONICAL), restarts=64, seed=SEED)
+    assert spawned == []
 
 
 def random_hermitian(seed, d):
@@ -290,19 +307,26 @@ def test_seesaw_makes_one_stacked_step_per_party_and_sweep(monkeypatch, make, ma
     monkeypatch.setattr(seesaw, "MAX_SWEEPS", max_sweeps)
     w = make()
     einsums, eighs = spy(monkeypatch, np, "einsum"), spy(monkeypatch, np.linalg, "eigh")
+    pairs = spy(monkeypatch, seesaw, "_lowest_eigenpairs")
     reference_seesaw(w, 64, SEED, max_iters=max_sweeps)
-    steps = len(eighs)  # the reference's eigh count: one per restart, party and sweep
+    steps = len(pairs)  # the reference's step count: one per restart, party and sweep
     einsums.clear()
-    eighs.clear()
+    pairs.clear()
     seesaw_block_positivity(w, restarts=64, seed=SEED)
-    sweeps = len(eighs) // 3
-    assert len(eighs) == 3 * sweeps and einsums == []
+    sweeps = len(pairs) // 3
+    # qubit steps are closed form: no eigh anywhere for three qubits
+    assert len(pairs) == 3 * sweeps and einsums == [] and eighs == []
     assert loop_sweeps in (None, sweeps)
     # each sweep's three steps stack the restarts still moving, fewer or as many as before
-    moving = [len(h) for (h,) in eighs[::3]]
-    assert [len(h) for (h,) in eighs] == [m for m in moving for _ in range(3)]
+    moving = [len(h) for (h,) in pairs[::3]]
+    assert [len(h) for (h,) in pairs] == [m for m in moving for _ in range(3)]
     assert moving[0] == 64 and moving[-1] > 0 and moving == sorted(moving, reverse=True)
     assert sum(moving) * 3 == steps
+    # a (2, 3) witness still calls eigh, for its d = 3 party's steps only
+    pairs.clear()
+    seesaw_block_positivity(Witness(matrix=random_hermitian(23, 6), shape=TensorShape((2, 3))), 16, SEED)
+    assert pairs and [h.shape[1:] for (h,) in pairs] == [(2, 2), (3, 3)] * (len(pairs) // 2)
+    assert [h.shape for (h,) in eighs] == [h.shape for (h,) in pairs[1::2]]
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (2, 4)])
@@ -315,19 +339,19 @@ def test_party_forms_and_start_value_match_the_einsum_contraction(monkeypatch, d
     n = len(dims)
     rows, cols = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
     tensor = w.matrix.reshape(dims + dims)
-    eighs = spy(monkeypatch, np.linalg, "eigh")
+    steps = spy(monkeypatch, seesaw, "_lowest_eigenpairs")
     for seed in range(4):
-        eighs.clear()
+        steps.clear()
         res = seesaw_block_positivity(w, restarts=1, seed=seed)
-        # restart 0's start factors, drawn as the see-saw draws them
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        # restart 0's start factors: row 0 of the see-saw's draw from default_rng(seed)
+        rng = np.random.default_rng(seed)
         draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
         factors = [v / np.linalg.norm(v) for v in draws]
         xi = reduce(np.kron, factors)
         assert abs(res.history[0] - np.vdot(xi, w.matrix @ xi).real) <= tol
         # the first sweep's steps, party by party, each after the previous update
-        assert len(eighs) >= n
-        for k, (h,) in enumerate(eighs[:n]):
+        assert len(steps) >= n
+        for k, (h,) in enumerate(steps[:n]):
             subs = [sub for j in range(n) if j != k for sub in (rows[j], cols[j])]
             script = ",".join([rows + cols, *subs]) + "->" + rows[k] + cols[k]
             operands = [x for j in range(n) if j != k for x in (factors[j].conj(), factors[j])]
