@@ -9,6 +9,8 @@ boundary separable states with full-rank partial transposes it pins down.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatchError,
     InvalidCutError,
@@ -23,17 +25,13 @@ from .errors import (
 )
 from .linalg import (
     TOLERANCES,
-    PsdCheck,
     hermitian_eigenvalues,
     hermiticity_defect,
-    is_psd,
     kron,
     numerical_rank,
-    trace_pairing,
 )
 from .tensor import (
     THREE_QUBITS,
-    InteriorReport,
     PptReport,
     ProductVector,
     State,
@@ -43,9 +41,6 @@ from .tensor import (
     is_ppt,
     partial_conjugate,
     partial_transpose,
-    ppt_interior_check,
-    product_state,
-    product_vector,
     state_from,
     subset_complement,
 )
@@ -54,7 +49,6 @@ from .maps import (
     Witness,
     choi_matrix,
     evaluate,
-    is_completely_positive,
     map_from_choi,
     pairing,
     value_on_product,
@@ -102,4 +96,4 @@ from .states import (
     x_state,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

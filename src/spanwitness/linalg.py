@@ -8,7 +8,7 @@ singular values above a tolerance relative to the largest one.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,17 +101,6 @@ def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
     return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
 
 
-class PsdCheck(NamedTuple):
-    ok: bool
-    min_eigenvalue: float
-
-
-def is_psd(m) -> PsdCheck:
-    """Positive semidefiniteness up to the psd tolerance, with the smallest eigenvalue."""
-    lo = float(hermitian_eigenvalues(m)[0])
-    return PsdCheck(lo >= -TOLERANCES["psd"], lo)
-
-
 def numerical_rank(vectors: Sequence, tol: float = TOLERANCES["rank"]) -> int:
     """Rank of a family of vectors (`numerical_ranks`); an empty family has rank 0."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
@@ -127,17 +116,3 @@ def numerical_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> np.nd
         raise DimensionMismatchError("rank tolerance must be positive")
     sv = np.linalg.svd(stack, compute_uv=False)
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
-
-
-def trace_pairing(a, b) -> complex:
-    """Bilinear pairing <A, B> = tr(A^T B) = sum_ij A[i,j] * B[i,j].
-
-    Note the transpose: the sum is entrywise and unconjugated.
-    """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(
-            f"pairing needs equal shapes, got {am.shape} and {bm.shape}"
-        )
-    return complex(np.sum(am * bm))

@@ -21,8 +21,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
-from .linalg import TOLERANCES, as_matrix, hermiticity_defect, is_psd
-from .linalg import require_hermitian, trace_pairing
+from .linalg import TOLERANCES, as_matrix, hermiticity_defect, require_hermitian
 from .tensor import ProductVector, State, TensorShape, flatten
 
 
@@ -108,11 +107,6 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
     return np.einsum(",".join(inputs + [letters]) + "->" + letters[-2:], *xs, table.blocks)
 
 
-def is_completely_positive(table: MultilinearMapTable) -> bool:
-    """True iff the assembled W_phi is positive semidefinite."""
-    return is_psd(choi_matrix(table).matrix).ok
-
-
 def pairing(state: State, witness: Witness) -> float:
     """<rho, W> = tr(W rho^T), the entrywise sum of products.
 
@@ -123,7 +117,8 @@ def pairing(state: State, witness: Witness) -> float:
         raise DimensionMismatchError(
             f"state dims {state.shape.dims} do not match witness dims {witness.shape.dims}"
         )
-    val = trace_pairing(state.matrix, witness.matrix)
+    # as_matrix: the finiteness check on a state read from outside the program
+    val = complex(np.sum(as_matrix(state.matrix) * as_matrix(witness.matrix)))
     if abs(val.imag) > TOLERANCES["imaginary"]:
         raise NonRealPairingError(f"pairing has imaginary part {val.imag:.3e}")
     return float(val.real)

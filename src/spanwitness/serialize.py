@@ -27,10 +27,17 @@ def matrix_payload(m: np.ndarray) -> list:
     return [[complex_pair(a[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])]
 
 
+def _entry(re, im) -> complex:
+    """One matrix entry; complex() rejects every JSON value but numbers and bools."""
+    if type(re) is bool or type(im) is bool:
+        raise TypeError(f"entry [{re!r}, {im!r}] is not two numbers")
+    return complex(re, im)
+
+
 def parse_matrix(rows) -> np.ndarray:
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, KeyError, ValueError) as exc:
+        return np.array([[_entry(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
 
 
@@ -67,11 +74,6 @@ def parse_payload(doc: dict) -> tuple[np.ndarray, TensorShape, dict]:
             f"matrix shape {matrix.shape} does not match dims {shape.dims}"
         )
     return matrix, shape, meta
-
-
-def witness_from_payload(doc: dict) -> Witness:
-    matrix, shape, meta = parse_payload(doc)
-    return Witness(matrix=matrix, shape=shape, meta=meta)
 
 
 def state_from_payload(doc: dict) -> State:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks, require_hermitian
+from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,6 @@ class ProductVector:
         if len(self.factors) < 2:
             raise DimensionMismatchError("a product vector needs at least two factors")
 
-    @property
-    def shape(self) -> TensorShape:
-        return TensorShape(tuple(f.shape[0] for f in self.factors))
-
-
-def product_vector(*factors) -> ProductVector:
-    return ProductVector(list(factors))
-
 
 def kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product along the last axis, left to right under the
@@ -113,12 +105,6 @@ class State:
 def state_from(matrix, dims: Sequence[int]) -> State:
     """Wrap a matrix as a State on the parties of local dimensions `dims`."""
     return State(matrix=matrix, shape=TensorShape(tuple(dims)))
-
-
-def product_state(pv: ProductVector) -> State:
-    """Projector onto the flattened product vector (unnormalized if pv is)."""
-    v = flatten(pv)
-    return state_from(np.outer(v, v.conj()), pv.shape.dims)
 
 
 def partial_transpose(state: State, subset: Iterable[int]) -> np.ndarray:
@@ -193,23 +179,3 @@ def is_ppt(state: State, tol: float = TOLERANCES["psd"]) -> PptReport:
         table[sub] = lo = float(evals[0])
         ratio = min(ratio, lo / (max(-lo, float(evals[-1])) or 1.0))
     return PptReport(all(v >= -tol for v in table.values()), table, ratio)
-
-
-@dataclass
-class InteriorReport:
-    """Partial-transpose ranks; full_rank means every rank equals the total dimension.
-
-    Together with a PPT verdict this certifies an interior point of the PPT cone.
-    """
-
-    full_rank: bool
-    ranks: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-
-def ppt_interior_check(state: State) -> InteriorReport:
-    require_hermitian(state.matrix)
-    d = state.shape.total_dim
-    subsets = all_subsets(state.shape.n_parties)
-    stack = np.array([partial_transpose(state, sub) for sub in subsets])
-    ranks = dict(zip(subsets, numerical_ranks(stack).tolist()))
-    return InteriorReport(full_rank=all(r == d for r in ranks.values()), ranks=ranks)

@@ -11,12 +11,9 @@ from spanwitness import (
     canonical_ten,
     flatten,
     hermitian_eigenvalues,
-    is_psd,
     kron,
     numerical_rank,
     realize_zero_vector,
-    trace_pairing,
-    x_state,
 )
 from spanwitness.family import PV1_FAMILIES
 
@@ -142,47 +139,3 @@ def test_numerical_rank_empty_and_mismatch():
     assert numerical_rank([]) == 0
     with pytest.raises(DimensionMismatchError):
         numerical_rank([np.ones(2), np.ones(3)])
-
-
-def test_is_psd_identity():
-    ok, lo = is_psd(np.eye(8))
-    assert ok and abs(lo - 1.0) < 1e-12
-
-
-def test_is_psd_witness_fails_at_minus_one(canonical_witness):
-    ok, lo = is_psd(canonical_witness.matrix)
-    assert not ok
-    assert abs(lo + 1.0) < 1e-10
-
-
-def test_is_psd_x_state():
-    ok, lo = is_psd(x_state(CANONICAL).matrix)
-    assert ok and lo >= -1e-10
-
-
-def test_trace_pairing_identity():
-    assert trace_pairing(np.eye(5), np.eye(5)) == 5.0
-
-
-def test_trace_pairing_elementary():
-    e01 = np.zeros((2, 2))
-    e01[0, 1] = 1.0
-    assert trace_pairing(e01, e01) == 1.0
-
-
-def test_trace_pairing_detection_value(canonical_witness):
-    val = trace_pairing(x_state(CANONICAL).matrix, canonical_witness.matrix)
-    assert abs(val - (8.0 / SQRT2 - 8.0)) < 1e-10
-
-
-def test_trace_pairing_matches_matrix_product():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert abs(trace_pairing(a, b) - np.trace(a.T @ b)) < 1e-12
-
-
-def test_trace_pairing_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        trace_pairing(np.eye(2), np.eye(3))

@@ -16,11 +16,10 @@ from spanwitness import (
     biseparable_vector,
     choi_matrix,
     evaluate,
-    is_completely_positive,
+    flatten,
+    hermitian_eigenvalues,
     map_from_choi,
     pairing,
-    product_state,
-    product_vector,
     state_from,
     value_on_product,
     x_state,
@@ -138,8 +137,8 @@ def test_pairing_values(canonical_witness):
     ident = state_from(np.eye(8), (2, 2, 2))
     s = t = 2 * SQRT2
     assert abs(pairing(ident, canonical_witness) - (s + t)) < 1e-12
-    e000 = product_state(product_vector([1, 0], [1, 0], [1, 0]))
-    assert pairing(e000, canonical_witness) == 0.0
+    v = flatten(ProductVector([[1, 0], [1, 0], [1, 0]]))
+    assert pairing(state_from(np.outer(v, v.conj()), (2, 2, 2)), canonical_witness) == 0.0
 
 
 def test_pairing_matches_quadratic_form_on_conjugate(canonical_witness):
@@ -148,11 +147,25 @@ def test_pairing_matches_quadratic_form_on_conjugate(canonical_witness):
         pv = ProductVector(
             [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
         )
-        conj_proj = product_state(ProductVector([f.conj() for f in pv.factors]))
+        v = flatten(ProductVector([f.conj() for f in pv.factors]))
+        conj_proj = state_from(np.outer(v, v.conj()), (2, 2, 2))
         assert (
             abs(pairing(conj_proj, canonical_witness) - value_on_product(canonical_witness, pv))
             < 1e-10
         )
+
+
+def test_pairing_matches_matrix_product():
+    # entrywise and unconjugated: tr(rho^T W), not tr(rho W)
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 1], a[1, 0] = 1j, -1j
+    assert pairing(state_from(a, (2, 2)), Witness(matrix=a, shape=TensorShape((2, 2)))) == -2.0
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        g, h = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
+        rho, w = g + g.conj().T, h + h.conj().T
+        value = pairing(state_from(rho, (2, 2, 2)), Witness(matrix=w, shape=THREE_QUBITS))
+        assert abs(value - np.trace(rho.T @ w)) < 1e-12
 
 
 def test_pairing_dimension_mismatch(canonical_witness):
@@ -171,7 +184,7 @@ def test_pairing_rejects_complex_result():
 
 
 def test_value_on_product_zero_set(canonical_witness):
-    assert value_on_product(canonical_witness, product_vector([1, 0], [1, 0], [1, 0])) == 0.0
+    assert value_on_product(canonical_witness, ProductVector([[1, 0], [1, 0], [1, 0]])) == 0.0
     z1 = zeta_vector(ZeroFamily.Z1, 1.0, 1.0, CANONICAL)
     assert abs(value_on_product(canonical_witness, z1)) < 1e-12
 
@@ -182,13 +195,19 @@ def test_value_on_product_biseparable(canonical_witness):
     assert abs(val + 2.0) < 1e-12
 
 
+
 def test_is_completely_positive():
+    # a map is completely positive iff its assembled matrix is positive
+    # semidefinite, the test demo 01 prints
+    def completely_positive(table):
+        return hermitian_eigenvalues(choi_matrix(table).matrix)[0] >= 0
+
     # phi(x, y) = tr(x) tr(y) I has Choi matrix I, clearly positive
     blocks = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
     for i in range(2):
         for k in range(2):
             blocks[i, i, k, k] += np.eye(2)
-    assert is_completely_positive(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
-    assert not is_completely_positive(bilinear_map(CANONICAL))
+    assert completely_positive(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
+    assert not completely_positive(bilinear_map(CANONICAL))
     zero = MultilinearMapTable(shape=THREE_QUBITS, blocks=np.zeros((2, 2, 2, 2, 2, 2)))
-    assert is_completely_positive(zero)
+    assert completely_positive(zero)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from spanwitness.family import (
     witness_matrix,
 )
 from spanwitness.linalg import TOLERANCES, lowest_eigenvalues
-from spanwitness.maps import value_on_product
+from spanwitness.maps import pairing, value_on_product
 from spanwitness.report import (
     Context,
     check_detected_interior,
@@ -32,6 +33,7 @@ from spanwitness.report import (
 )
 from spanwitness.seesaw import phase_modulus_grid
 from spanwitness.serialize import state_from_payload
+from spanwitness.tensor import state_from
 
 VERIFY_CHECKS = {
     "hermiticity",
@@ -425,6 +427,11 @@ _GOOD_MATRIX = [[[0.0, 0.0]] * 4] * 4
 _GOOD_STATE = [[[float(i == j) / 8, 0.0] for j in range(8)] for i in range(8)]
 
 
+def _with_first_entry(entry):
+    """`_GOOD_STATE` with entry (0, 0) replaced."""
+    return [[entry, *_GOOD_STATE[0][1:]], *_GOOD_STATE[1:]]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -436,10 +443,14 @@ _GOOD_STATE = [[[float(i == j) / 8, 0.0] for j in range(8)] for i in range(8)]
         {"dims": "222", "matrix": _GOOD_STATE},
         {"dims": [2.9, 2.2], "matrix": _GOOD_STATE},
         {"dims": [True, 2, 2], "matrix": _GOOD_STATE},
+        {"dims": [2, 2, 2], "matrix": _with_first_entry([0.125, 0.0, 99])},
+        {"dims": [2, 2, 2], "matrix": _with_first_entry([True, False])},
+        {"dims": [2, 2, 2], "matrix": _with_first_entry([10**400, 0])},
     ],
     ids=[
         "dims_not_ints", "dims_not_a_list", "entry_is_an_object", "meta_not_an_object",
         "ragged_rows", "dims_a_string", "dims_floats", "dims_a_bool",
+        "entry_of_three_numbers", "entry_of_booleans", "entry_overflows_a_float",
     ],
 )
 def test_cli_detect_malformed_state_file(payload, tmp_path, capsys):
@@ -451,6 +462,35 @@ def test_cli_detect_malformed_state_file(payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_non_finite_state_is_rejected(tmp_path, capsys):
+    # the payload parses (JSON allows NaN and Infinity); the pairing rejects it
+    witness = witness_matrix(CANONICAL)
+    for bad in (math.nan, math.inf):
+        m = np.eye(8, dtype=complex) / 8
+        m[0, 0] = bad
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            pairing(state_from(m, (2, 2, 2)), witness)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": _with_first_entry([math.nan, 0.0])}))
+    assert main(["detect", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_star_import_binds_only_the_public_names():
+    names = set(spanwitness.__all__)
+    assert not [n for n in names if isinstance(getattr(spanwitness, n), types.ModuleType)]
+    deleted = {
+        "ppt_interior_check", "InteriorReport", "product_vector", "product_state",
+        "is_psd", "PsdCheck", "trace_pairing", "is_completely_positive",
+    }
+    assert not names & deleted
+    namespace = {"tensor": None}
+    exec("from spanwitness import *", namespace)
+    assert namespace["tensor"] is None and "pairing" in namespace
 
 
 def test_cli_detect_file_spec(tmp_path, capsys):

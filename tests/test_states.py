@@ -18,8 +18,6 @@ from spanwitness import (
     is_ppt,
     pairing,
     perturbed_detected_state,
-    ppt_interior_check,
-    product_vector,
     rho0,
     rho1,
     rho_lambda,
@@ -160,7 +158,7 @@ def test_rho_lambda_boundary_family():
         rep = is_ppt(state, 1e-12)
         assert rep.is_ppt
         assert min(rep.min_eigenvalues.values()) > 1e-6
-        assert ppt_interior_check(state).full_rank
+        assert rep.min_ratio > TOLERANCES["strict"]
         assert len(dec.vectors) == 10
 
 
@@ -179,17 +177,16 @@ def test_strict_floor_rejects_a_rank_deficient_state():
 
 @pytest.mark.parametrize("lam", [1e-5, 1 - 1e-5])
 def test_rho_lambda_full_rank_near_endpoints(lam):
-    # smallest partial-transpose singular values are 2e-6 and 6e-7 of the
-    # largest: small, yet far above the 1e-8 relative rank tolerance
+    # smallest partial-transpose eigenvalues are 2.2e-6 and 5.7e-7 of the
+    # largest: small, yet far above the strict floor
     w = witness_matrix(CANONICAL)
     state, dec = rho_lambda(lam)
     assert verify_decomposition(state, dec)
     assert abs(pairing(state, w)) < 1e-10
     rep = is_ppt(state, 1e-12)
     assert rep.is_ppt and min(rep.min_eigenvalues.values()) > 0
-    interior = ppt_interior_check(state)
-    assert interior.full_rank
-    assert set(interior.ranks.values()) == {8}
+    assert rep.min_ratio > TOLERANCES["strict"]
+    assert abs(rep.min_ratio - {1e-5: 2.2e-6, 1 - 1e-5: 5.7e-7}[lam]) < 1e-7
 
 
 def test_rho_lambda_zero_pairing_on_st8_grid():
@@ -270,7 +267,7 @@ def test_verify_decomposition_rejects_wrong_target():
 
 def test_decomposition_weight_validation():
     with pytest.raises(OutOfRangeError):
-        SeparableDecomposition(weights=[0.0], vectors=[product_vector([1, 0], [1, 0], [1, 0])])
+        SeparableDecomposition(weights=[0.0], vectors=[ProductVector([[1, 0], [1, 0], [1, 0]])])
 
 
 def test_empty_decomposition_is_rejected():

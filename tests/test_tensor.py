@@ -5,6 +5,7 @@ import pytest
 
 from spanwitness import (
     CANONICAL,
+    TOLERANCES,
     NotHermitianError,
     ProductVector,
     TensorShape,
@@ -14,9 +15,6 @@ from spanwitness import (
     is_ppt,
     partial_conjugate,
     partial_transpose,
-    ppt_interior_check,
-    product_state,
-    product_vector,
     rho_lambda,
     state_from,
     subset_complement,
@@ -35,7 +33,7 @@ def test_all_subsets_order():
 
 
 def test_flatten_basis():
-    pv = product_vector([1, 0], [1, 0], [1, 0])
+    pv = ProductVector([[1, 0], [1, 0], [1, 0]])
     v = flatten(pv)
     assert np.array_equal(v, np.eye(8)[0])
 
@@ -44,7 +42,7 @@ def test_flatten_two_party_grouping():
     # (1, conj(a)) (x) (0, 1, a, 0) lands on coordinates
     # (0, 1, a, 0, 0, conj(a), |a|^2, 0)
     a = 0.3 + 0.8j
-    pv = product_vector([1, np.conj(a)], [0, 1, a, 0])
+    pv = ProductVector([[1, np.conj(a)], [0, 1, a, 0]])
     expected = np.array([0, 1, a, 0, 0, np.conj(a), abs(a) ** 2, 0], dtype=complex)
     assert np.allclose(flatten(pv), expected, atol=1e-14)
 
@@ -129,10 +127,10 @@ def test_partial_transpose_preserves_trace_and_spectrum_pairing():
 
 
 def test_partial_conjugate_real_and_full():
-    pv = product_vector([1, 2], [3, 4], [5, 6])
+    pv = ProductVector([[1, 2], [3, 4], [5, 6]])
     for sub in SUBSETS3:
         assert np.array_equal(flatten(partial_conjugate(pv, sub)), flatten(pv))
-    pvc = product_vector([1, 1j], [1, -1j], [1j, 0])
+    pvc = ProductVector([[1, 1j], [1, -1j], [1j, 0]])
     full = partial_conjugate(pvc, (1, 2, 3))
     assert np.array_equal(flatten(full), flatten(pvc).conj())
 
@@ -163,7 +161,8 @@ def test_pure_product_partial_transpose_matches_partial_conjugate():
         pv = ProductVector(
             [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
         )
-        rho = product_state(pv)
+        v = flatten(pv)
+        rho = state_from(np.outer(v, v.conj()), (2, 2, 2))
         for sub in SUBSETS3:
             gamma = flatten(partial_conjugate(pv, sub))
             expected = np.outer(gamma, gamma.conj())
@@ -171,8 +170,9 @@ def test_pure_product_partial_transpose_matches_partial_conjugate():
 
 
 def test_is_ppt_product_projector():
-    pv = product_vector([1, 1j], [2, 1], [0, 1])
-    rep = is_ppt(product_state(pv), tol=1e-12)
+    pv = ProductVector([[1, 1j], [2, 1], [0, 1]])
+    v = flatten(pv)
+    rep = is_ppt(state_from(np.outer(v, v.conj()), (2, 2, 2)), tol=1e-12)
     assert rep.is_ppt
     assert all(v >= -1e-12 for v in rep.min_eigenvalues.values())
     assert len(rep.min_eigenvalues) == 8
@@ -198,19 +198,21 @@ def test_is_ppt_rejects_non_hermitian():
 
 
 def test_interior_check_maximally_mixed():
-    rep = ppt_interior_check(state_from(np.eye(8) / 8, (2, 2, 2)))
-    assert rep.full_rank
-    assert all(r == 8 for r in rep.ranks.values())
+    # a PPT state is interior to the PPT cone iff every partial transpose is
+    # positive definite: its least eigenvalue ratio exceeds the strict floor
+    assert is_ppt(state_from(np.eye(8) / 8, (2, 2, 2))).min_ratio == 1.0
 
 
 def test_interior_check_pure_product():
-    rep = ppt_interior_check(product_state(product_vector([1, 0], [1, 0], [1, 0])))
-    assert not rep.full_rank
-    assert rep.ranks[()] == 1
+    v = flatten(ProductVector([[1, 0], [1, 0], [1, 0]]))
+    rep = is_ppt(state_from(np.outer(v, v.conj()), (2, 2, 2)))
+    assert rep.is_ppt
+    assert rep.min_ratio == 0.0 <= TOLERANCES["strict"]
 
 
 def test_interior_check_boundary_family_midpoint():
     state, _ = rho_lambda(0.5)
-    rep = ppt_interior_check(state)
-    assert rep.full_rank
-    assert list(rep.ranks.values()) == [8] * 8
+    rep = is_ppt(state)
+    assert rep.is_ppt
+    assert rep.min_ratio > TOLERANCES["strict"]
+    assert abs(rep.min_ratio - 0.026) < 1e-3
