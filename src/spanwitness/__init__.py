@@ -27,7 +27,6 @@ from .linalg import (
     TOLERANCES,
     hermitian_eigenvalues,
     hermiticity_defect,
-    kron,
     numerical_rank,
 )
 from .tensor import (

@@ -7,9 +7,9 @@
     spanwitness report   --json
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error, or an --out path that cannot be written. Irrational parameters are
-written as tokens (`2r2` for 2 sqrt 2, `r2` for sqrt 2) so fixtures avoid
-decimal round-trip loss.
+error, an --out path that cannot be written, or a NaN or infinity in a
+JSON document. Irrational parameters are written as tokens (`2r2` for 2
+sqrt 2, `r2` for sqrt 2) so fixtures avoid decimal round-trip loss.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .report import (
     run_verify,
     to_json,
 )
-from .serialize import dump_json, save_json, witness_payload
+from .serialize import dump_json, save_json, state_payload
 
 PARAM_TOKENS = {"2r2": 2.0 * SQRT2, "r2": SQRT2}
 
@@ -123,7 +123,8 @@ def main(argv=None) -> int:
     try:
         params = FamilyParams(parse_param(args.s), parse_param(args.t))
         if args.command == "build":
-            payload = witness_payload(witness_matrix(params))
+            witness = witness_matrix(params)
+            payload = state_payload(witness, witness.meta)
             if args.out:
                 save_json(args.out, payload)
             else:

@@ -81,24 +81,24 @@ def require_hermitian(m) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, big-endian block convention.
-
-    Entry ((i*dB + k), (j*dB + l)) of the result is A[i, j] * B[k, l].
-    """
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix; NotHermitianError otherwise."""
     return np.linalg.eigvalsh(require_hermitian(m))
 
 
-def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
+def qubit_hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each 2x2 matrix of a stack, with [[a, b], [b*, d]] its Hermitian
+    part: b, |b|, (a - d)/2 and the smallest eigenvalue
+    (a + d)/2 - hypot((a - d)/2, |b|)."""
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
     b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
-    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+    mag, half = np.abs(b), (a - d) / 2
+    return b, mag, half, (a + d) / 2 - np.hypot(half, mag)
+
+
+def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
+    return qubit_hermitian_parts(m)[-1]
 
 
 def numerical_rank(vectors: Sequence, tol: float = TOLERANCES["rank"]) -> int:

@@ -16,7 +16,6 @@ through the identity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from string import ascii_lowercase
 
 import numpy as np
 
@@ -102,9 +101,8 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
             )
         xs.append(m)
     # the block table's axes are (row, column) party by party, output last
-    letters = ascii_lowercase[: 2 * n]
-    inputs = [letters[2 * j : 2 * j + 2] for j in range(n - 1)]
-    return np.einsum(",".join(inputs + [letters]) + "->" + letters[-2:], *xs, table.blocks)
+    operands = [a for j, x in enumerate(xs) for a in (x, [2 * j, 2 * j + 1])]
+    return np.einsum(*operands, table.blocks, list(range(2 * n)), [2 * n - 2, 2 * n - 1])
 
 
 def pairing(state: State, witness: Witness) -> float:
@@ -124,12 +122,14 @@ def pairing(state: State, witness: Witness) -> float:
     return float(val.real)
 
 
-def value_on_product(witness: Witness, pv) -> float:
-    """<xi|W|xi> for a product vector (or any flat vector of matching dimension)."""
-    v = np.asarray(pv, dtype=complex).reshape(-1) if not isinstance(pv, ProductVector) else flatten(pv)
-    if v.shape[0] != witness.shape.total_dim:
+def value_on_product(witness: Witness, pv) -> float | np.ndarray:
+    """<xi|W|xi> as a float for a product or flat vector, as an array for a stack
+    (..., D) of flat vectors: a row's multiply-and-sum does not depend on the stack."""
+    v = flatten(pv) if isinstance(pv, ProductVector) else np.asarray(pv, dtype=complex)
+    if v.shape[-1:] != (witness.shape.total_dim,):
         raise DimensionMismatchError(
-            f"vector dimension {v.shape[0]} does not match witness dimension "
+            f"vector shape {v.shape} does not end in the witness dimension "
             f"{witness.shape.total_dim}"
         )
-    return float(complex(np.vdot(v, witness.matrix @ v)).real)
+    values = (v.conj() * (witness.matrix * v[..., None, :]).sum(-1)).sum(-1).real
+    return float(values) if v.ndim == 1 else values

@@ -107,9 +107,9 @@ def render_text(doc: ReportDocument) -> str:
 @dataclass
 class Context:
     """What the checks of one document share: its inputs, the checks run so
-    far, and the witness, the rank-one grid and its images, and the
-    spanning report of the default zero-set sample, each built once, on
-    first use."""
+    far, and the witness, the rank-one images of the phase-modulus grid,
+    and the spanning report of the default zero-set sample, each built
+    once, on first use."""
 
     params: FamilyParams
     seed: int = 7
@@ -122,12 +122,8 @@ class Context:
         return witness_matrix(self.params)
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        return phase_modulus_grid()
-
-    @cached_property
     def images(self) -> np.ndarray:
-        return rank_one_images(self.params, self.grid)
+        return rank_one_images(self.params, phase_modulus_grid())
 
     @cached_property
     def spanning(self) -> SpanningReport:
@@ -200,7 +196,7 @@ def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_determinant_identity(ctx: Context, tol: float) -> tuple[bool, dict]:
     """det of the rank-one image equals the closed-form D on s*t = 8."""
-    images, points = ctx.images, ctx.grid
+    images, points = ctx.images, phase_modulus_grid()
     det = images[..., 0, 0] * images[..., 1, 1] - images[..., 0, 1] * images[..., 1, 0]
     worst = float(np.max(np.abs(det - determinant_d(points[:, None], points[None, :]))))
     return worst <= tol, {"pairs": images.shape[0] * images.shape[1], "max_abs_difference": worst}
@@ -225,9 +221,8 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
-    document's spanning sample, unconjugated, its values from one contraction."""
-    flats = ctx.spanning.stack[0]
-    values = np.abs(np.einsum("ni,ij,nj->n", flats.conj(), ctx.witness.matrix, flats).real)
+    document's spanning sample, unconjugated, its values from one stacked call."""
+    values = np.abs(value_on_product(ctx.witness, ctx.spanning.stack[0]))
     families = np.array([sample.family.value for sample in ctx.spanning.samples])
     per_family = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
     worst = float(values.max())
@@ -272,8 +267,8 @@ def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_biseparable(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Each cut's detection vector reaches -2 at alpha = exp(i pi / 4)."""
-    vectors = {f"xi{i}": biseparable_vector(i, eighth_root(1)).flat for i in (1, 2, 3)}
-    values = {key: value_on_product(ctx.witness, v) for key, v in vectors.items()}
+    flats = np.array([biseparable_vector(i, eighth_root(1)).flat for i in (1, 2, 3)])
+    values = dict(zip(("xi1", "xi2", "xi3"), value_on_product(ctx.witness, flats).tolist()))
     worst = max(abs(v + 2.0) for v in values.values())
     return worst <= tol, dict(values, max_abs_deviation=worst)
 
@@ -284,12 +279,11 @@ def check_cut_negativity(ctx: Context, tol: float) -> tuple[bool, dict]:
     Gaussian-integer with |v|^2 = 4 and no entry in the central block
     (indices 3, 4), so <v|W|v> = -4 exactly, for every (s, t)."""
     floor = _closed_form_spectrum(ctx.params)[0]
-    minima, vectors = {}, {}
-    for i, alpha in ((1, 1j), (2, 1j), (3, 1)):
-        v = biseparable_vector(i, alpha).flat
-        key = f"{i}|rest"
-        minima[key] = value_on_product(ctx.witness, v) / float(np.vdot(v, v).real)
-        vectors[key] = [[z.real + 0.0, z.imag + 0.0] for z in v.tolist()]  # no -0.0
+    keys = ("1|rest", "2|rest", "3|rest")
+    flats = np.array([biseparable_vector(i, alpha).flat for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
+    squared_norms = (flats.conj() * flats).real.sum(-1)
+    minima = dict(zip(keys, (value_on_product(ctx.witness, flats) / squared_norms).tolist()))
+    vectors = {k: [[z.real + 0.0, z.imag + 0.0] for z in v.tolist()] for k, v in zip(keys, flats)}  # no -0.0
     ok = all(m <= floor + tol for m in minima.values())
     return ok, {"floor": floor, "minima": minima, "vectors": vectors}
 
@@ -523,7 +517,7 @@ def parse_state_spec(spec: str, params: FamilyParams):
     if colon and kind == "file":
         try:
             doc = load_json(arg)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read state file {arg!r}: {exc}") from exc
         return state_from_payload(doc), None, spec
     names = {"rho-lambda": "lambda", "perturbed": "epsilon"}

@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, lowest_eigenvalues, require_hermitian
-from .maps import Witness
+from .linalg import TOLERANCES, qubit_hermitian_parts, require_hermitian
+from .maps import Witness, value_on_product
 from .tensor import ProductVector, TensorShape, check_subset, kron_rows, subset_complement
 
 
@@ -76,11 +76,10 @@ def _lowest_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h.shape[-1] != 2:
         evals, evecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
         return evecs[:, :, 0], evals[:, 0]
-    b = (h[:, 0, 1] + h[:, 1, 0].conj()) / 2
-    mag = np.abs(b)
-    half = np.arctan2(mag, (h[:, 0, 0].real - h[:, 1, 1].real) / 2) / 2
+    b, mag, half_gap, lowest = qubit_hermitian_parts(h)
+    half = np.arctan2(mag, half_gap) / 2
     phase = np.divide(b, mag, out=np.ones_like(b), where=mag > 0)
-    return np.stack([-np.sin(half) * phase, np.cos(half)], axis=-1), lowest_eigenvalues(h)
+    return np.stack([-np.sin(half) * phase, np.cos(half)], axis=-1), lowest
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     factors = _random_unit_factors(dims, seed, restarts)
     flat = kron_rows(factors)
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
-    by_sweep[0] = live = (flat.conj() * (witness.matrix * flat[:, None, :]).sum(-1)).sum(-1).real
+    by_sweep[0] = live = value_on_product(witness, flat)
     sweeps = np.zeros(restarts, dtype=int)
     moving = np.arange(restarts)
     # the moving restarts' factors, compacted
@@ -196,10 +195,14 @@ GRID_PHASES = 24
 GRID_MODULI = (0.5, 1.0, 2.0)
 
 
+@cache
 def phase_modulus_grid() -> np.ndarray:
-    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus."""
+    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus: one
+    read-only array, built on the first call and shared by every caller."""
     angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
-    return np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
+    grid = np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
+    grid.flags.writeable = False
+    return grid
 
 
 # Per qubit party: the 2x2 entries (00, 01, 10, 11) to the real coordinates

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .maps import Witness
 from .tensor import State, TensorShape, state_from
 
 
@@ -49,10 +48,6 @@ def payload(matrix: np.ndarray, dims, meta: dict | None = None) -> dict:
     }
 
 
-def witness_payload(w: Witness) -> dict:
-    return payload(w.matrix, w.shape.dims, w.meta)
-
-
 def state_payload(s: State, meta: dict | None = None) -> dict:
     return payload(s.matrix, s.shape.dims, meta)
 
@@ -82,7 +77,11 @@ def state_from_payload(doc: dict) -> State:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The document as JSON text; a NaN or infinity raises DimensionMismatchError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DimensionMismatchError(f"cannot write a non-finite number as JSON: {exc}") from exc
 
 
 def save_json(path, doc: dict) -> None:

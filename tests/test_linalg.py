@@ -11,7 +11,6 @@ from spanwitness import (
     canonical_ten,
     flatten,
     hermitian_eigenvalues,
-    kron,
     numerical_rank,
     realize_zero_vector,
 )
@@ -29,38 +28,6 @@ def block_pair_spectrum(s, t):
     disc = math.sqrt((s - t) ** 2 + 4.0)
     out += [(s + t - disc) / 2.0, (s + t + disc) / 2.0]
     return sorted(out)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_elementary_diagonal():
-    p0 = np.array([[1, 0], [0, 0]])
-    t = 0.7
-    got = kron(p0, np.diag([0.0, t]))
-    assert np.array_equal(got, np.diag([0.0, t, 0.0, 0.0]))
-
-
-def test_kron_elementary_unit():
-    e01 = np.zeros((2, 2))
-    e01[0, 1] = 1.0
-    got = kron(e01, e01)
-    expected = np.zeros((4, 4))
-    expected[0, 3] = 1.0
-    assert np.array_equal(got, expected)
-
-
-def test_kron_associative_and_rank_multiplicative():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-        ra = np.linalg.matrix_rank(a)
-        rb = np.linalg.matrix_rank(b)
-        assert np.linalg.matrix_rank(kron(a, b)) == ra * rb
 
 
 def test_eigenvalues_diagonal():

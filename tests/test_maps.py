@@ -196,6 +196,19 @@ def test_value_on_product_biseparable(canonical_witness):
 
 
 
+def test_value_on_product_returns_a_float_per_vector_and_an_array_per_stack(canonical_witness):
+    pv = ProductVector([[1, 0], [0, 1], [1, 1j]])
+    flat = flatten(pv)
+    assert type(value_on_product(canonical_witness, pv)) is float
+    assert type(value_on_product(canonical_witness, flat)) is float
+    stack = value_on_product(canonical_witness, np.stack([flat, 2 * flat]).reshape(2, 1, 8))
+    assert isinstance(stack, np.ndarray) and stack.shape == (2, 1)
+    assert stack[1, 0] == 4 * stack[0, 0] == 4 * value_on_product(canonical_witness, pv)
+    for bad in (flat[:4], flat.reshape(2, 4), flat.reshape(8, 1), np.zeros((2, 9)), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            value_on_product(canonical_witness, bad)
+
+
 def test_is_completely_positive():
     # a map is completely positive iff its assembled matrix is positive
     # semidefinite, the test demo 01 prints

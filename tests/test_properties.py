@@ -29,6 +29,7 @@ from spanwitness import (
     value_on_product,
     witness_matrix,
 )
+from spanwitness.linalg import lowest_eigenvalues
 from spanwitness.report import Context, _closed_form_spectrum, check_cut_negativity
 from spanwitness.seesaw import GRID_MODULI, GRID_PHASES, _lowest_eigenpairs
 
@@ -138,6 +139,8 @@ EPS = np.finfo(float).eps
 
 def assert_lowest_eigenpairs_match_eigh(h: np.ndarray) -> None:
     kets, values = _lowest_eigenpairs(h)
+    # the see-saw's step and the rank-one grid read one eigenvalue formula
+    assert np.array_equal(values, lowest_eigenvalues(h))
     herm = (h + h.conj().swapaxes(-1, -2)) / 2
     want = np.linalg.eigh(herm)[0][:, 0]
     for m, ket, value, lo in zip(herm, kets, values, want):
@@ -170,3 +173,18 @@ def test_qubit_lowest_eigenpairs_match_eigh(h):
 )
 def test_qubit_lowest_eigenpairs_edge_cases(h):
     assert_lowest_eigenpairs_match_eigh(np.asarray(h, dtype=complex)[None])
+
+
+vector_stacks = arrays(np.float64, (2, 2, 3, 8), elements=_ENTRIES).map(lambda p: p[0] + 1j * p[1])
+
+
+@PROPERTY
+@given(hermitian8, vector_stacks)
+def test_stacked_value_on_product_matches_vdot_row_by_row(h, vs):
+    witness = Witness(matrix=h, shape=THREE_QUBITS)
+    got = value_on_product(witness, vs)
+    assert got.shape == (2, 3)
+    bound = 8 * EPS * np.linalg.norm(h, 2)
+    for value, v in zip(got.reshape(-1), vs.reshape(-1, 8)):
+        assert abs(value - np.vdot(v, h @ v).real) <= bound * np.vdot(v, v).real
+        assert value == value_on_product(witness, v)

@@ -480,6 +480,47 @@ def test_non_finite_state_is_rejected(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_detect_state_file_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # json.dumps cannot write this nesting, so the text is written raw
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2, 2, 2], "matrix": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["detect", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--json"],
+        ["verify", "--out", "doc.json"],
+        ["report"],
+        ["report", "--json"],
+        ["spanning", "--json"],
+        ["detect", "xstate", "--json"],
+    ],
+    ids=["verify_json", "verify_out", "report", "report_json", "spanning_json", "detect_json"],
+)
+def test_cli_refuses_to_write_a_non_finite_document(argv, tmp_path, monkeypatch, capsys):
+    # st overflows to inf at s = t = 1e308, and values turn inf or NaN,
+    # which JSON cannot hold; `report` serializes in its determinism check
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--s", "1e308", "--t", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "doc.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_text_verify_with_non_finite_values_still_fails(capsys):
+    assert main(["verify", "--s", "1e308", "--t", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert "NaN" in captured.out and "error" not in captured.err
+
+
 def test_star_import_binds_only_the_public_names():
     names = set(spanwitness.__all__)
     assert not [n for n in names if isinstance(getattr(spanwitness, n), types.ModuleType)]

@@ -156,6 +156,13 @@ def test_grid_minimum_isotropic():
     assert abs(product_grid_minimum(w) - 1.0) < 1e-12
 
 
+def test_phase_modulus_grid_is_built_once_and_read_only():
+    grid = seesaw.phase_modulus_grid()
+    assert grid is seesaw.phase_modulus_grid()
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+
+
 def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-12):
     """The see-saw one restart at a time, as a plain loop: the reference the
     stacked implementation must reproduce. Returns the result fields and the

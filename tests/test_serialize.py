@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from spanwitness.serialize import (
     save_json,
     state_from_payload,
     state_payload,
-    witness_payload,
 )
 from spanwitness.tensor import state_from
 
@@ -21,7 +22,7 @@ def test_complex_pair():
 
 def test_witness_round_trip(tmp_path, canonical_witness):
     path = tmp_path / "w.json"
-    save_json(path, witness_payload(canonical_witness))
+    save_json(path, state_payload(canonical_witness, canonical_witness.meta))
     matrix, shape, meta = parse_payload(load_json(path))
     assert np.array_equal(matrix, canonical_witness.matrix)
     assert shape == canonical_witness.shape
@@ -48,6 +49,13 @@ def test_payload_shape_validation():
 
 
 def test_json_text_is_stable(canonical_witness):
-    a = dump_json(witness_payload(canonical_witness))
-    b = dump_json(witness_payload(witness_matrix(CANONICAL)))
+    a = dump_json(state_payload(canonical_witness, canonical_witness.meta))
+    fresh = witness_matrix(CANONICAL)
+    b = dump_json(state_payload(fresh, fresh.meta))
     assert a == b
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dump_json_refuses_non_finite_numbers(bad):
+    with pytest.raises(DimensionMismatchError, match="non-finite"):
+        dump_json({"values": {"min": bad}})
