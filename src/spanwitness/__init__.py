@@ -55,7 +55,6 @@ from .maps import (
 from .seesaw import (
     SeeSawResult,
     cut_block_positivity,
-    product_grid_minimum,
     regroup_for_cut,
     seesaw_block_positivity,
 )

@@ -7,9 +7,10 @@
     spanwitness report   --json
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error, an --out path that cannot be written, or a NaN or infinity in a
-JSON document. Irrational parameters are written as tokens (`2r2` for 2
-sqrt 2, `r2` for sqrt 2) so fixtures avoid decimal round-trip loss.
+error, an --out path that cannot be written, a run too large for memory,
+or a NaN or infinity in a JSON document. Irrational parameters are written
+as tokens (`2r2` for 2 sqrt 2, `r2` for sqrt 2) so fixtures avoid decimal
+round-trip loss.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         else:
             doc = run_full_report(params, seed=args.seed, restarts=args.restarts, seesaw_tol=args.tol)
         return _emit(doc, args, started)
-    except (SpanWitnessError, OSError) as exc:
+    except (SpanWitnessError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -181,6 +182,21 @@ def determinant_d(alpha, beta):
     im_ab = a.real * b.imag + a.imag * b.real
     re_cross = a.real * b.real + a.imag * b.imag
     return _square(2.0 * im_ab) + _square(2.0 * re_cross)
+
+
+# The report's rank-one grid: GRID_PHASES phases at each of the GRID_MODULI.
+GRID_PHASES = 24
+GRID_MODULI = (0.5, 1.0, 2.0)
+
+
+@cache
+def phase_modulus_grid() -> np.ndarray:
+    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus: one
+    read-only array, built on the first call and shared by every caller."""
+    angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
+    grid = np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
+    grid.flags.writeable = False
+    return grid
 
 
 def rank_one_images(params: FamilyParams, alphas) -> np.ndarray:

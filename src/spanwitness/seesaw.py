@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,6 +101,9 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     require_hermitian(witness.matrix)
     if restarts < 1:
         raise DimensionMismatchError("see-saw needs at least one restart")
+    # the per-sweep float table below must be describable in bytes at all
+    if (MAX_SWEEPS + 1) * restarts * 8 > np.iinfo(np.intp).max:
+        raise DimensionMismatchError(f"see-saw cannot hold {restarts} restarts")
     if seed < 0:
         raise DimensionMismatchError(f"see-saw seed must be non-negative, got {seed}")
     dims = witness.shape.dims
@@ -188,59 +190,3 @@ def cut_block_positivity(
     """Two-party see-saw across one bipartite cut of the parties."""
     regrouped, _ = regroup_for_cut(witness, cut)
     return seesaw_block_positivity(regrouped, restarts=restarts, seed=seed)
-
-
-# Grid of product_grid_minimum, also the report's rank-one grid.
-GRID_PHASES = 24
-GRID_MODULI = (0.5, 1.0, 2.0)
-
-
-@cache
-def phase_modulus_grid() -> np.ndarray:
-    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus: one
-    read-only array, built on the first call and shared by every caller."""
-    angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
-    grid = np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
-    grid.flags.writeable = False
-    return grid
-
-
-# Per qubit party: the 2x2 entries (00, 01, 10, 11) to the real coordinates
-# A00, A11, Re A01, -Im A01 of the Hermitian part, paired with _grid_coordinates.
-_HERMITIAN_COORDINATES = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0]])
-
-
-@cache
-def _grid_coordinates() -> np.ndarray:
-    """(|x0|^2, |x1|^2, 2 Re x0* x1, 2 Im x0* x1) per grid candidate x, as
-    4 x candidates. The candidates are both poles and the unit vectors
-    (1, z) / norm over the phase-modulus grid."""
-    unnormed = [np.array([1.0, z]) for z in phase_modulus_grid()]
-    cand = np.array([*np.eye(2), *(v / np.linalg.norm(v) for v in unnormed)], dtype=complex)
-    cross = 2 * cand[:, 0].conj() * cand[:, 1]
-    return np.array([abs(cand[:, 0]) ** 2, abs(cand[:, 1]) ** 2, cross.real, cross.imag])
-
-
-def product_grid_minimum(witness: Witness) -> float:
-    """Exhaustive minimum of <xi|W|xi> over a deterministic grid of unit
-    product vectors. A finite grid's minimum is an upper bound on the true
-    minimum over all unit product vectors, so the see-saw must not exceed it.
-
-    Only qubit factors are supported (each candidate set covers both poles
-    and `GRID_PHASES` points per circle at each modulus). W, written in each
-    party's real Hermitian coordinates as a real (4,) * n tensor, meets the
-    candidates' coordinates party by party in real matrix products: the
-    values are Re<xi|W|xi>, those of W's Hermitian part.
-    """
-    dims = witness.shape.dims
-    if any(d != 2 for d in dims):
-        raise DimensionMismatchError("grid search is implemented for qubit factors only")
-    n = len(dims)
-    # each step contracts the leading party axis and appends the new axis last
-    coords = witness.matrix.reshape(dims + dims).transpose([a for k in range(n) for a in (k, n + k)])
-    for _ in range(n):
-        coords = coords.reshape(4, -1).T @ _HERMITIAN_COORDINATES.T
-    values = coords.real
-    for _ in range(n):
-        values = values.reshape(4, -1).T @ _grid_coordinates()
-    return float(values.min())

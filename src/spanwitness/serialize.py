@@ -40,16 +40,12 @@ def parse_matrix(rows) -> np.ndarray:
         raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
 
 
-def payload(matrix: np.ndarray, dims, meta: dict | None = None) -> dict:
+def state_payload(s: State, meta: dict | None = None) -> dict:
     return {
-        "dims": [int(d) for d in dims],
-        "matrix": matrix_payload(matrix),
+        "dims": [int(d) for d in s.shape.dims],
+        "matrix": matrix_payload(s.matrix),
         "meta": dict(meta or {}),
     }
-
-
-def state_payload(s: State, meta: dict | None = None) -> dict:
-    return payload(s.matrix, s.shape.dims, meta)
 
 
 def parse_payload(doc: dict) -> tuple[np.ndarray, TensorShape, dict]:

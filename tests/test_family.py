@@ -31,8 +31,7 @@ from spanwitness import (
     zero_pair_and_kernel,
     zeta_vector,
 )
-from spanwitness.family import PV1_FAMILIES, SQRT2, Z_FAMILIES
-from spanwitness.seesaw import phase_modulus_grid
+from spanwitness.family import PV1_FAMILIES, SQRT2, Z_FAMILIES, phase_modulus_grid
 from spanwitness.tensor import THREE_QUBITS, all_subsets, conjugation_ranks
 
 

@@ -14,16 +14,13 @@ from hypothesis.extra.numpy import arrays
 from spanwitness import (
     THREE_QUBITS,
     TOLERANCES,
-    DimensionMismatchError,
     FamilyParams,
-    TensorShape,
     Witness,
     choi_matrix,
     hermitian_eigenvalues,
     map_from_choi,
     pairing,
     partial_transpose,
-    product_grid_minimum,
     state_from,
     subset_complement,
     value_on_product,
@@ -31,7 +28,8 @@ from spanwitness import (
 )
 from spanwitness.linalg import lowest_eigenvalues
 from spanwitness.report import Context, _closed_form_spectrum, check_cut_negativity
-from spanwitness.seesaw import GRID_MODULI, GRID_PHASES, _lowest_eigenpairs
+from spanwitness.family import GRID_MODULI, GRID_PHASES
+from spanwitness.seesaw import _lowest_eigenpairs
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -45,7 +43,6 @@ def _hermitian(parts: np.ndarray) -> np.ndarray:
 
 
 hermitian8 = arrays(np.float64, (2, 8, 8), elements=_ENTRIES).map(_hermitian)
-hermitian4 = arrays(np.float64, (2, 4, 4), elements=_ENTRIES).map(_hermitian)
 subsets3 = st.sets(st.integers(1, 3)).map(lambda s: tuple(sorted(s)))
 log_uniform = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
@@ -107,30 +104,21 @@ def test_cut_certificates_reach_the_spectral_floor_exactly(s, t):
     assert list(values["minima"].values()) == [-1.0, -1.0, -1.0]
 
 
-def grid_oracle(w: np.ndarray, n: int) -> float:
-    """Minimum of <xi|W|xi> over every flattened product of n grid
-    candidates: both poles and (1, z) / |(1, z)| per z = m e^{2 pi i k / GRID_PHASES}."""
+def grid_candidates() -> np.ndarray:
+    """Both poles and (1, z) / |(1, z)| per z = m e^{2 pi i k / GRID_PHASES}."""
     points = [m * np.exp(2j * np.pi * k / GRID_PHASES) for m in GRID_MODULI for k in range(GRID_PHASES)]
-    cand = np.array([[1, 0], [0, 1], *([1, z] / np.hypot(1, abs(z)) for z in points)])
+    return np.array([[1, 0], [0, 1], *([1, z] / np.hypot(1, abs(z)) for z in points)])
+
+
+def grid_oracle(w: np.ndarray, n: int) -> float:
+    """Minimum of <xi|W|xi> over every flattened product of n grid candidates."""
+    cand = grid_candidates()
     rest = np.ones((1, 1))
     for _ in range(n - 1):
         rest = (rest[:, None, :, None] * cand[None, :, None, :]).reshape(len(rest) * len(cand), -1)
     # one first-party candidate at a time keeps the flattened block small
     flats = ((c[:, None] * rest[:, None, :]).reshape(len(rest), -1) for c in cand)
     return min(float(((xi.conj() @ w) * xi).sum(axis=1).real.min()) for xi in flats)
-
-
-@PROPERTY
-@given(st.one_of(hermitian8, hermitian4))
-def test_grid_minimum_matches_the_flattened_product_oracle(h):
-    n = {8: 3, 4: 2}[len(h)]
-    got = product_grid_minimum(Witness(matrix=h, shape=TensorShape((2,) * n)))
-    assert abs(got - grid_oracle(h, n)) <= 1e-12 * max(1.0, np.linalg.norm(h, 2))
-
-
-def test_grid_minimum_rejects_non_qubit_factors():
-    with pytest.raises(DimensionMismatchError):
-        product_grid_minimum(Witness(matrix=np.eye(6, dtype=complex), shape=TensorShape((2, 3))))
 
 
 stacks2 = arrays(np.float64, (2, 4, 2, 2), elements=_ENTRIES).map(lambda p: p[0] + 1j * p[1])

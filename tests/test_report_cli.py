@@ -15,6 +15,7 @@ from spanwitness.family import (
     ST8_GRID,
     FamilyParams,
     default_zero_sample,
+    phase_modulus_grid,
     rank_one_images,
     realize_zero_vector,
     witness_matrix,
@@ -31,7 +32,6 @@ from spanwitness.report import (
     run_verify,
     to_json,
 )
-from spanwitness.seesaw import phase_modulus_grid
 from spanwitness.serialize import state_from_payload
 from spanwitness.tensor import state_from
 
@@ -370,6 +370,27 @@ def test_cli_usage_error_exit_code(capsys):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("restarts", ["100000000000000000", "100000000000000000000"])
+def test_cli_restarts_too_large_to_hold_exit_2(command, restarts, capsys):
+    # refused before any allocation
+    assert main([command, "--restarts", restarts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(spanwitness.cli, "run_verify", exhausted)
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot allocate\n"
+
+
 def test_cli_verify_quick(capsys):
     code = main(["verify", "--seed", "7", "--restarts", "6"])
     captured = capsys.readouterr()
@@ -527,6 +548,7 @@ def test_star_import_binds_only_the_public_names():
     deleted = {
         "ppt_interior_check", "InteriorReport", "product_vector", "product_state",
         "is_psd", "PsdCheck", "trace_pairing", "is_completely_positive",
+        "product_grid_minimum",
     }
     assert not names & deleted
     namespace = {"tensor": None}

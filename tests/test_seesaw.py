@@ -6,6 +6,8 @@ import pytest
 
 from spanwitness import (
     CANONICAL,
+    ST8_GRID,
+    DimensionMismatchError,
     FamilyParams,
     InvalidCutError,
     THREE_QUBITS,
@@ -13,14 +15,14 @@ from spanwitness import (
     Witness,
     cut_block_positivity,
     flatten,
-    product_grid_minimum,
     regroup_for_cut,
     seesaw_block_positivity,
     value_on_product,
     witness_matrix,
 )
-from spanwitness import report, seesaw
+from spanwitness import family, report, seesaw
 from spanwitness.seesaw import _canonical_phase
+from test_properties import grid_candidates, grid_oracle
 
 SEED = 7
 
@@ -93,16 +95,45 @@ def test_seesaw_not_above_grid_minimum(make):
     # a finite grid's minimum bounds the true minimum from above
     w = make()
     res = seesaw_block_positivity(w, restarts=16, seed=SEED)
-    grid = product_grid_minimum(w)
-    assert res.min_value <= grid + 1e-6
+    assert res.min_value <= grid_oracle(w.matrix, 3) + 1e-6
 
 
 def test_seesaw_certificate_passes_below_grid_minimum(monkeypatch):
-    # a see-saw minimum under the grid's is the see-saw doing its job
-    monkeypatch.setattr(report, "product_grid_minimum", lambda w, **kwargs: 0.5)
+    # a see-saw minimum under the grid's is the see-saw doing its job; the
+    # poles alone hold the grid minimum at 0 when every image is positive
+    n = len(family.phase_modulus_grid())
+    monkeypatch.setattr(report.Context, "image_minima", np.full((n, n), 0.5))
     ok, values = report.check_seesaw(report.Context(CANONICAL, seed=SEED, restarts=16), 1e-7)
-    assert values["grid_minimum"] == 0.5
+    assert values["grid_minimum"] == 0.0
     assert ok
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*ST8_GRID, FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(4.0, 4.0)],
+)
+def test_seesaw_grid_minimum_is_the_least_value_over_grid_pairs(params):
+    # from W alone: for x, y in the grid and both poles, the smallest
+    # eigenvalue of W contracted against x (x) y, party 3 left free
+    cand = grid_candidates()
+    w = witness_matrix(params).matrix.reshape((2,) * 6)
+    h = np.einsum("xi,yj,ijaklb,xk,yl->xyab", cand.conj(), cand.conj(), w, cand, cand, optimize=True)
+    want = float(np.linalg.eigvalsh(h)[..., 0].min())
+    _, values = report.check_seesaw(report.Context(params, seed=SEED, restarts=1), 1e-7)
+    assert abs(values["grid_minimum"] - want) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_seesaw_grid_minimum_keeps_nan():
+    # s t overflows: the images are NaN, and the poles' 0 must not hide it
+    ctx = report.Context(FamilyParams(1e308, 1e308), seed=SEED, restarts=1)
+    assert np.isnan(report.check_seesaw(ctx, 1e-7)[1]["grid_minimum"])
+
+
+@pytest.mark.parametrize("restarts", [10**17, 10**20])
+def test_seesaw_refuses_restarts_it_cannot_hold(restarts):
+    with pytest.raises(DimensionMismatchError):
+        seesaw_block_positivity(witness_matrix(CANONICAL), restarts=restarts, seed=SEED)
 
 
 def test_cut_isotropic():
@@ -151,14 +182,9 @@ def test_invalid_cuts(canonical_witness):
         cut_block_positivity(canonical_witness, (0,), restarts=1, seed=SEED)
 
 
-def test_grid_minimum_isotropic():
-    w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
-    assert abs(product_grid_minimum(w) - 1.0) < 1e-12
-
-
 def test_phase_modulus_grid_is_built_once_and_read_only():
-    grid = seesaw.phase_modulus_grid()
-    assert grid is seesaw.phase_modulus_grid()
+    grid = family.phase_modulus_grid()
+    assert grid is family.phase_modulus_grid()
     with pytest.raises(ValueError):
         grid[0] = 0.0
 
@@ -365,10 +391,3 @@ def test_party_forms_and_start_value_match_the_einsum_contraction(monkeypatch, d
             want = np.einsum(script, tensor, *operands)
             assert np.abs(h[0] - want).max() <= tol
             factors[k] = np.linalg.eigh(h)[1][0, :, 0]
-
-
-def test_grid_minimum_runs_no_einsum_or_path_search(monkeypatch):
-    w = witness_matrix(CANONICAL)
-    einsums, paths = spy(monkeypatch, np, "einsum"), spy(monkeypatch, np, "einsum_path")
-    product_grid_minimum(w)
-    assert einsums == [] and paths == []
