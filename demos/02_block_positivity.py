@@ -57,5 +57,5 @@ print("against fully product vectors, never against bi-separable ones.")
 omega = np.exp(1j * np.pi / 4)
 print("\nexplicit detecting vectors at alpha = exp(i pi/4):")
 for i in (1, 2, 3):
-    v = biseparable_vector(i, omega)
-    print(f"  cut {v.cut[0]}|{v.cut[1]}: <xi|W|xi> = {value_on_product(w, v.flat):+.6f}")
+    rest = tuple(j for j in (1, 2, 3) if j != i)
+    print(f"  cut {(i,)}|{rest}: <xi|W|xi> = {value_on_product(w, biseparable_vector(i, omega)):+.6f}")

@@ -43,7 +43,7 @@ report = detect(state, w)
 print("verdict:", report.verdict.value)
 
 print("\npure bi-separable states are detected too, but they are NPT:")
-flat = biseparable_vector(1, np.exp(1j * np.pi / 4)).flat.conj()
+flat = biseparable_vector(1, np.exp(1j * np.pi / 4)).conj()
 proj = state_from(np.outer(flat, flat.conj()), (2, 2, 2))
 rep = detect(proj, w)
 print(f"  pairing {rep.pairing_value:+.4f}, PPT: {rep.ppt.is_ppt}, verdict {rep.verdict.value}")

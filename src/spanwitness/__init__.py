@@ -70,7 +70,6 @@ from .family import (
     default_zero_sample,
     determinant_d,
     eighth_root,
-    rank_one_images,
     rank_one_projector,
     realize_zero_vector,
     spanning_report,
@@ -79,7 +78,6 @@ from .family import (
     zeta_vector,
 )
 from .states import (
-    BiseparableVector,
     DetectionReport,
     SeparableDecomposition,
     Verdict,

@@ -40,7 +40,7 @@ PARAM_TOKENS = {"2r2": 2.0 * SQRT2, "r2": SQRT2}
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-# The document tolerance each command's --tol overrides, and its help.
+# The document commands: the tolerance each one's --tol overrides, and its help.
 TOL_OPTIONS = (
     ("verify", "seesaw", "see-saw verdict tolerance"),
     ("detect", "pairing", "pairing tolerance"),
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", default="2r2", help="family parameter s (float, 'r2' or '2r2')")
         p.add_argument("--t", default="2r2", help="family parameter t")
         p.add_argument("--out", default=None, help="write the JSON document to this path")
-        p.add_argument("--json", action="store_true", help="print JSON instead of text")
         if with_search:
             p.add_argument("--seed", type=int, default=7, help="see-saw seed")
             p.add_argument("--restarts", type=int, default=64, help="see-saw restarts")
@@ -101,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_report)
     for command, key, text in TOL_OPTIONS:
         sub.choices[command].add_argument("--tol", type=float, default=TOLERANCES[key], help=text)
+        sub.choices[command].add_argument("--json", action="store_true", help="print JSON instead of text")
     return parser
 
 

@@ -199,19 +199,6 @@ def phase_modulus_grid() -> np.ndarray:
     return grid
 
 
-def rank_one_images(params: FamilyParams, alphas) -> np.ndarray:
-    """Images of the family's map on every rank-one pair drawn from `alphas`.
-
-    Entry [i, j] is the 2x2 image of (P_alphas[i], P_alphas[j]) with P the
-    `rank_one_projector`; one contraction of the stacked projectors against
-    the block table, shape (len(alphas), len(alphas), 2, 2), along a fixed
-    path: the table against the first inputs, then against the second.
-    """
-    p = rank_one_projector(np.asarray(alphas).reshape(-1))
-    path = ["einsum_path", (0, 2), (0, 1)]
-    return np.einsum("xij,ykl,ijklmn->xymn", p, p, bilinear_map(params).blocks, optimize=path)
-
-
 class ZeroFamily(Enum):
     """The ten product-vector families with vanishing witness value.
 

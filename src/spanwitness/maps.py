@@ -87,22 +87,27 @@ def map_from_choi(witness: Witness) -> MultilinearMapTable:
 
 
 def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
-    """Multilinear extension of the block table to arbitrary matrix inputs."""
+    """Multilinear extension of the block table to matrix inputs: input j is
+    one d_j x d_j matrix or a stack (..., d_j, d_j), the stacks broadcast
+    together, and so do the images, (..., d_n, d_n)."""
     dims = table.shape.dims
     n = len(dims)
     if len(inputs) != n - 1:
         raise DimensionMismatchError(f"map takes {n - 1} inputs, got {len(inputs)}")
-    xs = []
+    operands = []
     for j, x in enumerate(inputs):
-        m = as_matrix(x)
-        if m.shape != (dims[j], dims[j]):
+        a = np.asarray(x, dtype=complex)
+        if a.shape[-2:] != (dims[j], dims[j]) or not np.isfinite(a).all():
             raise DimensionMismatchError(
-                f"input {j + 1} has shape {m.shape}, expected ({dims[j]}, {dims[j]})"
+                f"input {j + 1} must be finite of shape (..., {dims[j]}, {dims[j]}), got {a.shape}"
             )
-        xs.append(m)
-    # the block table's axes are (row, column) party by party, output last
-    operands = [a for j, x in enumerate(xs) for a in (x, [2 * j, 2 * j + 1])]
-    return np.einsum(*operands, table.blocks, list(range(2 * n)), [2 * n - 2, 2 * n - 1])
+        # the block table's axes are (row, column) party by party, output last
+        operands += [a, [..., 2 * j, 2 * j + 1]]
+    # a fixed path, no search: the table against input 1, the result against input 2, ...
+    path = ["einsum_path", *((0, k) for k in range(n - 1, 0, -1))]
+    return np.einsum(
+        *operands, table.blocks, list(range(2 * n)), [..., 2 * n - 2, 2 * n - 1], optimize=path
+    )
 
 
 def pairing(state: State, witness: Witness) -> float:

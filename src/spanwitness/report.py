@@ -33,12 +33,12 @@ from .family import (
     determinant_d,
     eighth_root,
     phase_modulus_grid,
-    rank_one_images,
+    rank_one_projector,
     spanning_report,
     witness_matrix,
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues
-from .maps import Witness, choi_matrix, pairing, value_on_product
+from .maps import Witness, choi_matrix, evaluate, pairing, value_on_product
 from .seesaw import seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
 from .states import (
@@ -76,8 +76,9 @@ class ReportDocument:
         return all(c.status != "FAIL" for c in self.checks)
 
 
-def subset_key(subset: tuple[int, ...]) -> str:
-    return "".join(str(p) for p in subset) if subset else "none"
+def by_subset(table: dict) -> dict:
+    """A table keyed by party subsets, keyed by their digits instead ("none" for ())."""
+    return {"".join(map(str, k)) or "none": v for k, v in table.items()}
 
 
 def to_dict(doc: ReportDocument) -> dict:
@@ -124,7 +125,8 @@ class Context:
 
     @cached_property
     def images(self) -> np.ndarray:
-        return rank_one_images(self.params, phase_modulus_grid())
+        p = rank_one_projector(phase_modulus_grid())
+        return evaluate(bilinear_map(self.params), p[:, None], p[None, :])
 
     @cached_property
     def image_minima(self) -> np.ndarray:
@@ -193,7 +195,7 @@ def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Positivity of the bilinear map on a deterministic rank-one grid, from
-    the stacked images of `rank_one_images`."""
+    the stacked images of `Context.images`."""
     worst = float(ctx.image_minima.min())
     return worst >= -tol, {"pairs": ctx.image_minima.size, "min_eigenvalue": worst}
 
@@ -238,9 +240,8 @@ def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
     rep = ctx.spanning
-    ranks = {subset_key(k): v for k, v in rep.subset_ranks.items()}
     return rep.full_spanning, {
-        "ranks": ranks,
+        "ranks": by_subset(rep.subset_ranks),
         "dimension": rep.dimension,
         "sample_size": rep.sample_size,
     }
@@ -261,20 +262,19 @@ def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families keep rank 6 under every partial conjugation."""
-    ranks = {subset_key(k): v for k, v in ctx.spanning.pv1_subset_ranks.items()}
+    ranks = by_subset(ctx.spanning.pv1_subset_ranks)
     return all(r == 6 for r in ranks.values()), {"ranks": ranks}
 
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations."""
-    ranks = conjugation_ranks(canonical_ten(ctx.params), THREE_QUBITS, tol)
-    ranks = {subset_key(k): v for k, v in ranks.items()}
+    ranks = by_subset(conjugation_ranks(canonical_ten(ctx.params), THREE_QUBITS, tol))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 
 
 def check_biseparable(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Each cut's detection vector reaches -2 at alpha = exp(i pi / 4)."""
-    flats = np.array([biseparable_vector(i, eighth_root(1)).flat for i in (1, 2, 3)])
+    flats = np.array([biseparable_vector(i, eighth_root(1)) for i in (1, 2, 3)])
     values = dict(zip(("xi1", "xi2", "xi3"), value_on_product(ctx.witness, flats).tolist()))
     worst = max(abs(v + 2.0) for v in values.values())
     return worst <= tol, dict(values, max_abs_deviation=worst)
@@ -287,7 +287,7 @@ def check_cut_negativity(ctx: Context, tol: float) -> tuple[bool, dict]:
     (indices 3, 4), so <v|W|v> = -4 exactly, for every (s, t)."""
     floor = _closed_form_spectrum(ctx.params)[0]
     keys = ("1|rest", "2|rest", "3|rest")
-    flats = np.array([biseparable_vector(i, alpha).flat for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
+    flats = np.array([biseparable_vector(i, alpha) for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
     squared_norms = (flats.conj() * flats).real.sum(-1)
     minima = dict(zip(keys, (value_on_product(ctx.witness, flats) / squared_norms).tolist()))
     vectors = {k: [[z.real + 0.0, z.imag + 0.0] for z in v.tolist()] for k, v in zip(keys, flats)}  # no -0.0
@@ -304,8 +304,7 @@ def check_xstate_detection(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_xstate_ppt(ctx: Context, tol: float) -> tuple[bool, dict]:
     rep = is_ppt(x_state(ctx.params), tol)
-    mins = {subset_key(k): v for k, v in rep.min_eigenvalues.items()}
-    return rep.is_ppt, {"min_eigenvalues": mins}
+    return rep.is_ppt, {"min_eigenvalues": by_subset(rep.min_eigenvalues)}
 
 
 def check_boundary_family(ctx: Context, tol: float) -> tuple[bool, dict]:
@@ -549,8 +548,7 @@ def run_detect(
     ctx = Context(params, restarts=0, tolerances=document_tolerances(pairing=tol))
     state, dec, label = parse_state_spec(spec, params)
     result = detect(state, ctx.witness, tol=tol, decomposition=dec)
-    mins = {subset_key(k): v for k, v in result.ppt.min_eigenvalues.items()}
-    table = {"is_ppt": result.ppt.is_ppt, "min_eigenvalues": mins}
+    table = {"is_ppt": result.ppt.is_ppt, "min_eigenvalues": by_subset(result.ppt.min_eigenvalues)}
     checks = [
         Check("pairing", "PASS", {"state": label, "value": result.pairing_value}, tol),
         Check("ppt_table", "PASS", table, TOLERANCES["psd"]),

@@ -116,10 +116,11 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
         rest = [j for j in range(n) if j != k]
         axes = [k, n + k, *rest, *(n + j for j in rest)]
         blocks.append(tensor.transpose(axes).reshape(d, d, len(witness.matrix) // d, -1))
+    # allocated before the draw, so a count too large to hold fails at once
+    by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     # factors[k][r] is party k's factor in restart r
     factors = _random_unit_factors(dims, seed, restarts)
     flat = kron_rows(factors)
-    by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     by_sweep[0] = live = value_on_product(witness, flat)
     sweeps = np.zeros(restarts, dtype=int)
     moving = np.arange(restarts)
@@ -156,12 +157,12 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     )
 
 
-def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tuple[tuple[int, ...], tuple[int, ...]]]:
+def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> Witness:
     """Merge the parties into the two groups of a bipartite cut.
 
-    `cut` lists the parties (1-based) of the first group; the second group is
-    the complement. Tensor legs are permuted so the cut becomes contiguous,
-    then each group is flattened into a single party.
+    `cut` lists the parties (1-based) of the first group, the complement is
+    the second; `meta["cut"]` records both. Tensor legs are permuted so the
+    cut becomes contiguous, then each group is flattened into a single party.
     """
     dims = witness.shape.dims
     n = len(dims)
@@ -176,17 +177,15 @@ def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> tuple[Witness, tupl
     merged = tensor.transpose(axes).reshape(d, d)
     d_left = math.prod(dims[p - 1] for p in group1)
     d_right = d // d_left
-    regrouped = Witness(
+    return Witness(
         matrix=merged,
         shape=TensorShape((d_left, d_right)),
         meta=dict(witness.meta, cut=(group1, group2)),
     )
-    return regrouped, (group1, group2)
 
 
 def cut_block_positivity(
     witness: Witness, cut: Iterable[int], restarts: int = 64, seed: int = 0
 ) -> SeeSawResult:
     """Two-party see-saw across one bipartite cut of the parties."""
-    regrouped, _ = regroup_for_cut(witness, cut)
-    return seesaw_block_positivity(regrouped, restarts=restarts, seed=seed)
+    return seesaw_block_positivity(regroup_for_cut(witness, cut), restarts=restarts, seed=seed)

@@ -13,17 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .tensor import State, TensorShape, state_from
-
-
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+from .tensor import State, TensorShape
 
 
 def matrix_payload(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
-    return [[complex_pair(a[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _entry(re, im) -> complex:
@@ -31,13 +26,6 @@ def _entry(re, im) -> complex:
     if type(re) is bool or type(im) is bool:
         raise TypeError(f"entry [{re!r}, {im!r}] is not two numbers")
     return complex(re, im)
-
-
-def parse_matrix(rows) -> np.ndarray:
-    try:
-        return np.array([[_entry(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
 
 
 def state_payload(s: State, meta: dict | None = None) -> dict:
@@ -48,28 +36,24 @@ def state_payload(s: State, meta: dict | None = None) -> dict:
     }
 
 
-def parse_payload(doc: dict) -> tuple[np.ndarray, TensorShape, dict]:
+def state_from_payload(doc: dict) -> State:
+    """The state a payload describes; DimensionMismatchError on any malformed part."""
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise DimensionMismatchError("payload must carry 'dims' and 'matrix'")
     dims = doc["dims"]
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise DimensionMismatchError(f"'dims' must be a list of integers, got {dims!r}")
+    # a mapping, though the state does not keep it
     try:
-        meta = dict(doc.get("meta", {}))
+        dict(doc.get("meta", {}))
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"malformed 'meta' in payload: {exc}") from exc
     shape = TensorShape(tuple(dims))
-    matrix = parse_matrix(doc["matrix"])
-    if matrix.shape != (shape.total_dim, shape.total_dim):
-        raise DimensionMismatchError(
-            f"matrix shape {matrix.shape} does not match dims {shape.dims}"
-        )
-    return matrix, shape, meta
-
-
-def state_from_payload(doc: dict) -> State:
-    matrix, shape, _ = parse_payload(doc)
-    return state_from(matrix, shape.dims)
+    try:
+        matrix = np.array([[_entry(re, im) for re, im in row] for row in doc["matrix"]], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
+    return State(matrix=matrix, shape=shape)
 
 
 def dump_json(doc: dict) -> str:

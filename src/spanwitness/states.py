@@ -52,24 +52,13 @@ def x_state(params: FamilyParams) -> State:
 _CUTS = {1: ((1,), (2, 3)), 2: ((2,), (1, 3)), 3: ((3,), (1, 2))}
 
 
-@dataclass
-class BiseparableVector:
-    """A vector that is product across one bipartite cut only.
-
-    `flat` is the vector in the A, B, C order, `cut` the cut as (single
-    party, merged pair). The witness quadratic form evaluates to
-    -2|alpha|^2 + (alpha^2 + conj(alpha)^2) for cuts 1 and 2 and to
-    -2|alpha|^2 - (alpha^2 + conj(alpha)^2) for cut 3 (signs fixed by direct
-    evaluation), so each cut is detected whenever the corresponding square
-    is not real.
+def biseparable_vector(i: int, alpha: complex) -> np.ndarray:
+    """Detection vector across cut i = 1 (A|BC), 2 (B|AC) or 3 (C|AB), in the
+    A, B, C order, product across `_CUTS[i]` (single party, merged pair) only.
+    The witness quadratic form is -2|alpha|^2 + (alpha^2 + conj(alpha)^2) on
+    cuts 1 and 2 and -2|alpha|^2 - (alpha^2 + conj(alpha)^2) on cut 3 (signs
+    by direct evaluation): each cut is detected where the square is not real.
     """
-
-    flat: np.ndarray
-    cut: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def biseparable_vector(i: int, alpha: complex) -> BiseparableVector:
-    """Detection vector across cut i = 1 (A|BC), 2 (B|AC) or 3 (C|AB)."""
     if i not in _CUTS:
         raise OutOfRangeError(f"cut index must be 1, 2 or 3, got {i}")
     a = complex(alpha)
@@ -83,8 +72,7 @@ def biseparable_vector(i: int, alpha: complex) -> BiseparableVector:
     # with a nonzero imaginary part
     outer = np.array([[x * y for y in extended] for x in local]).reshape(2, 2, 2)
     perm = [p - 1 for p in _CUTS[i][0] + _CUTS[i][1]]
-    flat = outer.transpose(np.argsort(perm)).reshape(8)
-    return BiseparableVector(flat=flat, cut=_CUTS[i])
+    return outer.transpose(np.argsort(perm)).reshape(8)
 
 
 @dataclass

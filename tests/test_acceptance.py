@@ -221,7 +221,7 @@ def test_criterion_08_biseparable_detection():
     tol = 1e-10
     seesaw_tol = 1e-7
     w = witness_matrix(CANONICAL)
-    values = [value_on_product(w, biseparable_vector(i, OMEGA).flat) for i in (1, 2, 3)]
+    values = [value_on_product(w, biseparable_vector(i, OMEGA)) for i in (1, 2, 3)]
     values_ok = all(abs(v + 2.0) <= tol for v in values)
     minima = []
     for idx, cut in enumerate(((1,), (2,), (3,)), start=1):

@@ -22,7 +22,6 @@ from spanwitness import (
     flatten,
     numerical_rank,
     partial_conjugate,
-    rank_one_images,
     rank_one_projector,
     realize_zero_vector,
     spanning_report,
@@ -86,8 +85,8 @@ def test_map_rank_one_pair_matches_oracle():
 
 
 @pytest.mark.parametrize("params", [CANONICAL, FamilyParams(2.0, 4.0), FamilyParams(1.0, 1.0)])
-def test_rank_one_images_match_evaluate(params):
-    # every image of the report's grid, against one `evaluate` per pair
+def test_stacked_evaluate_matches_one_call_per_pair(params):
+    # every image of the report's grid from one stacked call, against one call per pair
     points = phase_modulus_grid()
     table = bilinear_map(params)
     want = np.array(
@@ -96,7 +95,8 @@ def test_rank_one_images_match_evaluate(params):
             for a in points
         ]
     )
-    got = rank_one_images(params, points)
+    p = rank_one_projector(points)
+    got = evaluate(table, p[:, None], p[None, :])
     assert got.shape == (72, 72, 2, 2)
     assert np.max(np.abs(got - want)) <= 1e-12
 

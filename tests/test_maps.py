@@ -99,6 +99,20 @@ def test_evaluate_pinned_slot():
     assert np.allclose(got, [[0, 0], [0, t * y[1, 1]]], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        (np.zeros((72, 2, 3)), np.eye(2)),
+        (np.eye(2), np.array([np.eye(2), [[0.0, np.nan], [0.0, 1.0]]])),
+        (np.eye(2),),
+    ],
+    ids=["stack_of_2x3", "nan_inside_a_stack", "one_input_for_two"],
+)
+def test_evaluate_rejects_malformed_inputs(inputs):
+    with pytest.raises(DimensionMismatchError):
+        evaluate(bilinear_map(CANONICAL), *inputs)
+
+
 def test_evaluate_zero_input_is_zero():
     table = bilinear_map(CANONICAL)
     assert np.array_equal(evaluate(table, np.zeros((2, 2)), np.eye(2)), np.zeros((2, 2)))
@@ -191,7 +205,7 @@ def test_value_on_product_zero_set(canonical_witness):
 
 def test_value_on_product_biseparable(canonical_witness):
     omega = complex(SQRT2 / 2, SQRT2 / 2)
-    val = value_on_product(canonical_witness, biseparable_vector(1, omega).flat)
+    val = value_on_product(canonical_witness, biseparable_vector(1, omega))
     assert abs(val + 2.0) < 1e-12
 
 

@@ -16,7 +16,6 @@ from spanwitness.family import (
     FamilyParams,
     default_zero_sample,
     phase_modulus_grid,
-    rank_one_images,
     realize_zero_vector,
     witness_matrix,
 )
@@ -356,6 +355,8 @@ def test_cli_build_other_curve_point(tmp_path):
 def test_cli_build_rejects_nonpositive(capsys):
     assert main(["build", "--s", "0", "--t", "1"]) == 2
     assert main(["build", "--s", "x", "--t", "1"]) == 2
+    # build writes JSON only; it takes no --json
+    assert main(["build", "--json"]) == 2
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -548,7 +549,7 @@ def test_star_import_binds_only_the_public_names():
     deleted = {
         "ppt_interior_check", "InteriorReport", "product_vector", "product_state",
         "is_psd", "PsdCheck", "trace_pairing", "is_completely_positive",
-        "product_grid_minimum",
+        "product_grid_minimum", "rank_one_images", "BiseparableVector",
     }
     assert not names & deleted
     namespace = {"tensor": None}
@@ -640,7 +641,7 @@ def test_cli_report_command(capsys):
     [FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(4.0, 4.0), CANONICAL],
 )
 def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
-    images = rank_one_images(params, phase_modulus_grid())
+    images = Context(params).images
     want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
     assert np.max(np.abs(lowest_eigenvalues(images) - want)) <= 1e-13
 

@@ -136,6 +136,14 @@ def test_seesaw_refuses_restarts_it_cannot_hold(restarts):
         seesaw_block_positivity(witness_matrix(CANONICAL), restarts=restarts, seed=SEED)
 
 
+def test_seesaw_allocates_its_table_before_it_draws(monkeypatch):
+    # 10**13 restarts fit in an intp but not in memory: fail before any draw
+    draws = spy(monkeypatch, seesaw, "_random_unit_factors")
+    with pytest.raises(MemoryError):
+        seesaw_block_positivity(witness_matrix(CANONICAL), restarts=10**13, seed=SEED)
+    assert draws == []
+
+
 def test_cut_isotropic():
     w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
     for cut in ((1,), (2,), (3,)):
@@ -155,8 +163,8 @@ def test_cuts_reach_spectral_floor(canonical_witness):
 def test_regroup_preserves_quadratic_form(canonical_witness):
     # embed a (2) x (13) product vector back into party order and compare
     rng = np.random.default_rng(33)
-    regrouped, (g1, g2) = regroup_for_cut(canonical_witness, (2,))
-    assert g1 == (2,) and g2 == (1, 3)
+    regrouped = regroup_for_cut(canonical_witness, (2,))
+    assert regrouped.meta["cut"] == ((2,), (1, 3))
     for _ in range(10):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w13 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -268,7 +276,7 @@ def test_stacked_seesaw_tie_breaks_to_first_restart():
 
 def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
     for idx, cut in enumerate(((1,), (2,), (3,)), start=1):
-        regrouped, _ = regroup_for_cut(canonical_witness, cut)
+        regrouped = regroup_for_cut(canonical_witness, cut)
         res = cut_block_positivity(canonical_witness, cut, restarts=16, seed=SEED + idx)
         assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))
 

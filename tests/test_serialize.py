@@ -5,10 +5,9 @@ import pytest
 
 from spanwitness import CANONICAL, DimensionMismatchError, witness_matrix
 from spanwitness.serialize import (
-    complex_pair,
     dump_json,
     load_json,
-    parse_payload,
+    matrix_payload,
     save_json,
     state_from_payload,
     state_payload,
@@ -16,17 +15,23 @@ from spanwitness.serialize import (
 from spanwitness.tensor import state_from
 
 
-def test_complex_pair():
-    assert complex_pair(1.5 - 2j) == [1.5, -2.0]
+def test_matrix_payload_writes_each_entry_as_re_im():
+    # plain floats, rows first, and the sign of a zero kept
+    payload = matrix_payload(np.array([[1.5 - 2j, complex(-0.0, 0.0)], [complex(0.0, -0.0), 3j]]))
+    assert payload == [[[1.5, -2.0], [-0.0, 0.0]], [[0.0, -0.0], [0.0, 3.0]]]
+    assert [math.copysign(1.0, x) for row in payload for re_im in row for x in re_im] == [
+        1, -1, -1, 1, 1, -1, 1, 1
+    ]
+    assert all(type(x) is float for row in payload for re_im in row for x in re_im)
 
 
 def test_witness_round_trip(tmp_path, canonical_witness):
     path = tmp_path / "w.json"
     save_json(path, state_payload(canonical_witness, canonical_witness.meta))
-    matrix, shape, meta = parse_payload(load_json(path))
-    assert np.array_equal(matrix, canonical_witness.matrix)
-    assert shape == canonical_witness.shape
-    assert meta["s"] == canonical_witness.meta["s"]
+    loaded = state_from_payload(load_json(path))
+    assert np.array_equal(loaded.matrix, canonical_witness.matrix)
+    assert loaded.shape == canonical_witness.shape
+    assert load_json(path)["meta"]["s"] == canonical_witness.meta["s"]
 
 
 def test_state_round_trip(tmp_path):
@@ -41,11 +46,11 @@ def test_state_round_trip(tmp_path):
 
 def test_payload_shape_validation():
     with pytest.raises(DimensionMismatchError):
-        parse_payload({"dims": [2, 2], "matrix": [[[0.0, 0.0]]]})
+        state_from_payload({"dims": [2, 2], "matrix": [[[0.0, 0.0]]]})
     with pytest.raises(DimensionMismatchError):
-        parse_payload({"matrix": []})
+        state_from_payload({"matrix": []})
     with pytest.raises(DimensionMismatchError):
-        parse_payload({"dims": [2, 2], "matrix": [["oops"] * 4] * 4})
+        state_from_payload({"dims": [2, 2], "matrix": [["oops"] * 4] * 4})
 
 
 def test_json_text_is_stable(canonical_witness):
