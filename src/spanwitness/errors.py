@@ -18,7 +18,8 @@ class NonHermitianMapError(SpanWitnessError):
 
 
 class NonRealPairingError(SpanWitnessError):
-    """A state/witness pairing came out with a non-negligible imaginary part."""
+    """A state/witness pairing is not a finite real number: it has a
+    non-negligible imaginary part, or it overflows."""
 
 
 class InvalidCutError(SpanWitnessError):

@@ -189,14 +189,31 @@ GRID_PHASES = 24
 GRID_MODULI = (0.5, 1.0, 2.0)
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Freeze a table that depends on no parameter, shared by every caller in the process."""
+    table.flags.writeable = False
+    return table
+
+
 @cache
 def phase_modulus_grid() -> np.ndarray:
-    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus: one
-    read-only array, built on the first call and shared by every caller."""
+    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus."""
     angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
-    grid = np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
-    grid.flags.writeable = False
-    return grid
+    return _read_only(np.array([m * np.exp(x) for m in GRID_MODULI for x in angles]))
+
+
+@cache
+def grid_determinants() -> np.ndarray:
+    """D(a, b) at every pair of grid points, a down the rows, b across."""
+    points = phase_modulus_grid()
+    return _read_only(determinant_d(points[:, None], points[None, :]))
+
+
+@cache
+def grid_norm_scale() -> np.ndarray:
+    """(1 + |a|^2)(1 + |b|^2), the squared norm of (1, a) (x) (1, b), on the same pairs."""
+    scale = 1 + np.abs(phase_modulus_grid()) ** 2
+    return _read_only(np.outer(scale, scale))
 
 
 class ZeroFamily(Enum):
@@ -251,6 +268,14 @@ class ZeroSample:
                 raise InvalidParamsError("Z-family parameters must be positive reals")
 
 
+def _z_factors(family: ZeroFamily, a: float, b: float, params: FamilyParams) -> tuple:
+    """A Z family's three factors at (a, b), as pairs of scalars: the one
+    formula behind `zeta_vector` and the Z rows of the default sample."""
+    k1, k2, k3 = _Z_EXPONENTS[family]
+    u = params.u
+    return (1.0, a * eighth_root(k1)), (1.0, b * eighth_root(k2)), (b, u * a * eighth_root(k3))
+
+
 def zeta_vector(family: ZeroFamily, a: float, b: float, params: FamilyParams) -> ProductVector:
     """The phase-locked product vector of a Z family at parameters (a, b).
 
@@ -261,16 +286,7 @@ def zeta_vector(family: ZeroFamily, a: float, b: float, params: FamilyParams) ->
         raise InvalidParamsError(f"{family} is not a phase-locked family")
     if not params.on_variety:
         raise OffVarietyError(f"family {family.value} needs s*t = 8, got {params.s * params.t}")
-    k1, k2, k3 = _Z_EXPONENTS[family]
-    a = float(a)
-    b = float(b)
-    return ProductVector(
-        [
-            np.array([1.0, a * eighth_root(k1)]),
-            np.array([1.0, b * eighth_root(k2)]),
-            np.array([b, params.u * a * eighth_root(k3)]),
-        ]
-    )
+    return ProductVector(list(_z_factors(family, float(a), float(b), params)))
 
 
 def zero_pair_and_kernel(
@@ -320,19 +336,54 @@ def canonical_ten(params: FamilyParams) -> list[ProductVector]:
 _PV1_FREE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, 1j))
 _Z_AB_PARAMS = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))
 
+# `canonical_ten` as rows of the default sample on s t = 8: basis vectors at free
+# parameters (1, 0) (rows 0-5) and (0, 1) (rows 6-11), Z vectors at (a, b) = (1, 1).
+CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
+
+
+@cache
+def _default_samples(on_variety: bool) -> tuple[ZeroSample, ...]:
+    samples = tuple(ZeroSample(fam, free) for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES)
+    if on_variety:
+        samples += tuple(ZeroSample(fam, ab) for fam in Z_FAMILIES for ab in _Z_AB_PARAMS)
+    return samples
+
 
 def default_zero_sample(params: FamilyParams) -> list[ZeroSample]:
-    """Deterministic sampling of the zero set used by the spanning checks."""
-    samples = [
-        ZeroSample(family=fam, params=free)
-        for free in _PV1_FREE_PARAMS
-        for fam in PV1_FAMILIES
-    ]
-    if params.on_variety:
-        samples += [
-            ZeroSample(family=fam, params=ab) for fam in Z_FAMILIES for ab in _Z_AB_PARAMS
-        ]
-    return samples
+    """Deterministic sampling of the zero set used by the spanning checks:
+    the six free-factor families at each free parameter in turn, then, on
+    s t = 8, each Z family at its three (a, b)."""
+    return list(_default_samples(params.on_variety))
+
+
+def _by_party(rows) -> np.ndarray:
+    """Three-qubit product vectors' factors, given vector by vector, as one
+    (3, N, 2) array, party by party, as `conjugation_stack` takes them."""
+    return np.array(rows, dtype=complex).reshape(-1, 3, 2).transpose(1, 0, 2)
+
+
+@cache
+def _free_rows() -> np.ndarray:
+    """The default sample's free-factor rows, by party; no (s, t) enters them."""
+    pvs = [realize_zero_vector(x, CANONICAL) for x in _default_samples(False)]
+    return _read_only(_by_party([pv.factors for pv in pvs]))
+
+
+def default_sample_factors(params: FamilyParams) -> np.ndarray:
+    """`default_zero_sample` on s t = 8, realized by party as one (3, 36, 2)
+    array: the free-factor rows, then the Z rows, built in one pass."""
+    if not params.on_variety:
+        raise OffVarietyError("the default spanning sample needs s*t = 8")
+    z = _by_party([_z_factors(fam, a, b, params) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS])
+    return np.concatenate([_free_rows(), z], axis=1)
+
+
+def default_family_maxima(values: np.ndarray) -> dict[str, float]:
+    """The largest of `values`, one per row of the default sample on s t = 8, family by family."""
+    split = len(_PV1_FREE_PARAMS) * len(PV1_FAMILIES)
+    free = values[:split].reshape(-1, len(PV1_FAMILIES)).max(0)
+    z = values[split:].reshape(len(Z_FAMILIES), -1).max(1)
+    return dict(zip([fam.value for fam in ZeroFamily], free.tolist() + z.tolist()))
 
 
 @dataclass
@@ -371,20 +422,21 @@ def spanning_report(
 ) -> SpanningReport:
     """Rank of the partially conjugated zero-set sample, for every subset.
 
-    The sample is flattened once; one SVD ranks its 2^n conjugations, one
-    more the first-six-family rows of each. `pv1_complement` is the basis
-    vectors on which all those rows are exactly zero: the orthogonal
-    complement of their span exactly when `pv1_rank + len(pv1_complement)
-    == dimension`.
+    The sample is flattened once, from its factors by party (the default
+    sample's from `default_sample_factors`); one SVD ranks its 2^n
+    conjugations, one more the first-six-family rows of each.
+    `pv1_complement` is the basis vectors on which all those rows are
+    exactly zero: the orthogonal complement of their span exactly when
+    `pv1_rank + len(pv1_complement) == dimension`.
 
     With the default sample on s t = 8 every rank is full; restricted to the
     first six families every rank is 6 and the complement is |011>, |100>.
     """
     if samples is None:
-        if not params.on_variety:
-            raise OffVarietyError("the default spanning sample needs s*t = 8")
-        samples = default_zero_sample(params)
-    flats = conjugation_stack([realize_zero_vector(s, params) for s in samples], THREE_QUBITS)
+        factors, samples = default_sample_factors(params), default_zero_sample(params)
+    else:
+        factors = _by_party([realize_zero_vector(s, params).factors for s in samples])
+    flats = conjugation_stack(factors)
     subsets = all_subsets(3)
     ranks = dict(zip(subsets, numerical_ranks(flats, rank_tol).tolist()))
     pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]

@@ -15,6 +15,7 @@ through the identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,8 @@ def map_from_choi(witness: Witness) -> MultilinearMapTable:
 def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
     """Multilinear extension of the block table to matrix inputs: input j is
     one d_j x d_j matrix or a stack (..., d_j, d_j), the stacks broadcast
-    together, and so do the images, (..., d_n, d_n)."""
+    together (DimensionMismatchError otherwise), and so do the images,
+    (..., d_n, d_n)."""
     dims = table.shape.dims
     n = len(dims)
     if len(inputs) != n - 1:
@@ -105,23 +107,32 @@ def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
         operands += [a, [..., 2 * j, 2 * j + 1]]
     # a fixed path, no search: the table against input 1, the result against input 2, ...
     path = ["einsum_path", *((0, k) for k in range(n - 1, 0, -1))]
-    return np.einsum(
-        *operands, table.blocks, list(range(2 * n)), [..., 2 * n - 2, 2 * n - 1], optimize=path
-    )
+    try:
+        return np.einsum(
+            *operands, table.blocks, list(range(2 * n)), [..., 2 * n - 2, 2 * n - 1], optimize=path
+        )
+    except ValueError as exc:  # the trailing shapes are checked: the stacks do not broadcast
+        stacks = [a.shape[:-2] for a in operands[::2]]
+        raise DimensionMismatchError(f"input stacks of shapes {stacks} do not broadcast") from exc
 
 
 def pairing(state: State, witness: Witness) -> float:
     """<rho, W> = tr(W rho^T), the entrywise sum of products.
 
     For Hermitian operands this is real; a residual imaginary part above
-    its tolerance raises NonRealPairingError. Negative values mean detection.
+    its tolerance, or a sum that overflows, raises NonRealPairingError.
+    Negative values mean detection.
     """
     if state.shape != witness.shape:
         raise DimensionMismatchError(
             f"state dims {state.shape.dims} do not match witness dims {witness.shape.dims}"
         )
     # as_matrix: the finiteness check on a state read from outside the program
-    val = complex(np.sum(as_matrix(state.matrix) * as_matrix(witness.matrix)))
+    rho, w = as_matrix(state.matrix), as_matrix(witness.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        val = complex(np.sum(rho * w))
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise NonRealPairingError(f"pairing overflows the float range: {val}")
     if abs(val.imag) > TOLERANCES["imaginary"]:
         raise NonRealPairingError(f"pairing has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -24,20 +24,22 @@ from . import __version__
 from .errors import UsageError
 from .family import (
     CANONICAL,
+    CANONICAL_TEN_ROWS,
     SQRT2,
     FamilyParams,
     SpanningReport,
     bilinear_map,
-    canonical_ten,
+    default_family_maxima,
     default_zero_sample,
-    determinant_d,
     eighth_root,
+    grid_determinants,
+    grid_norm_scale,
     phase_modulus_grid,
     rank_one_projector,
     spanning_report,
     witness_matrix,
 )
-from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues
+from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues, numerical_ranks
 from .maps import Witness, choi_matrix, evaluate, pairing, value_on_product
 from .seesaw import seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
@@ -49,7 +51,7 @@ from .states import (
     rho_lambda,
     x_state,
 )
-from .tensor import THREE_QUBITS, conjugation_ranks, is_ppt
+from .tensor import all_subsets, is_ppt
 
 
 @dataclass
@@ -134,8 +136,9 @@ class Context:
 
     @cached_property
     def spanning(self) -> SpanningReport:
-        """Spanning report of the default zero-set sample at the rank tolerance."""
-        samples = default_zero_sample(self.params)
+        """Spanning report of the default zero-set sample at the rank tolerance:
+        off s t = 8, of its free-factor rows alone."""
+        samples = None if self.params.on_variety else default_zero_sample(self.params)
         return spanning_report(self.params, samples=samples, rank_tol=self.tolerances["rank"])
 
     def document(self, command: str, checks: list[Check]) -> ReportDocument:
@@ -202,9 +205,9 @@ def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_determinant_identity(ctx: Context, tol: float) -> tuple[bool, dict]:
     """det of the rank-one image equals the closed-form D on s*t = 8."""
-    images, points = ctx.images, phase_modulus_grid()
+    images = ctx.images
     det = images[..., 0, 0] * images[..., 1, 1] - images[..., 0, 1] * images[..., 1, 0]
-    worst = float(np.max(np.abs(det - determinant_d(points[:, None], points[None, :]))))
+    worst = float(np.max(np.abs(det - grid_determinants())))
     return worst <= tol, {"pairs": images.shape[0] * images.shape[1], "max_abs_difference": worst}
 
 
@@ -215,10 +218,9 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
     A finite set's minimum bounds the true one from above, so a see-saw that
     works can only match or undercut it."""
     result = seesaw_block_positivity(ctx.witness, restarts=ctx.restarts, seed=ctx.seed)
-    scale = 1 + np.abs(phase_modulus_grid()) ** 2
     # a pole in party 1 or 2 has a diagonal image with a zero entry, diag(s y11, 0)
     # at x = |1>, diag(0, t x11) at y = |1>: least value exactly 0; NaN stays NaN
-    grid_min = min(float((ctx.image_minima / np.outer(scale, scale)).min()), 0.0)
+    grid_min = min(float((ctx.image_minima / grid_norm_scale()).min()), 0.0)
     ok = -tol <= result.min_value <= tol and result.min_value <= grid_min + TOLERANCES["grid_slack"]
     return ok, {
         "min_value": result.min_value,
@@ -232,8 +234,7 @@ def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
     document's spanning sample, unconjugated, its values from one stacked call."""
     values = np.abs(value_on_product(ctx.witness, ctx.spanning.stack[0]))
-    families = np.array([sample.family.value for sample in ctx.spanning.samples])
-    per_family = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
+    per_family = default_family_maxima(values)
     worst = float(values.max())
     return worst <= tol, {"samples": len(values), "max_abs_value": worst, "per_family": per_family}
 
@@ -267,8 +268,10 @@ def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """Ten vectors alone reach rank 8 under all eight partial conjugations."""
-    ranks = by_subset(conjugation_ranks(canonical_ten(ctx.params), THREE_QUBITS, tol))
+    """Ten vectors alone reach rank 8 under all eight partial conjugations:
+    `canonical_ten`'s rows of the document's spanning sample, one stacked SVD."""
+    ten = numerical_ranks(ctx.spanning.stack[:, CANONICAL_TEN_ROWS], tol).tolist()
+    ranks = by_subset(dict(zip(all_subsets(3), ten)))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 
 
@@ -374,7 +377,9 @@ def check_report_determinism(ctx: Context, tol: float | None) -> tuple[bool, dic
     """The report's own verify pass, serialized as a `verify` document, and
     one independent `run_verify` from the parameters, seed, restarts and
     see-saw tolerance that document records serialize identically: two
-    independent executions of every verify check."""
+    independent executions of every verify check. The re-run reads the same
+    read-only tables that depend on no parameter (the grid, its D and norm
+    tables, the free-factor rows) as every other document in the process."""
     verify_names = {e.name for e in VERIFY}
     own = ctx.document("verify", [c for c in ctx.checks if c.name in verify_names])
     rerun = run_verify(

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks
+from .linalg import TOLERANCES, hermitian_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,14 @@ def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector
     )
 
 
-def conjugation_stack(pvs: Sequence[ProductVector], shape: TensorShape) -> np.ndarray:
-    """`flatten(partial_conjugate(pv, subset))` for every subset and pv, as one
-    (2^n, len(pvs), total_dim) array, subsets in `all_subsets` order: party
-    j's factors are conjugated where bit j of the subset mask is set."""
-    masks = np.arange(2**shape.n_parties)[:, None, None]
-    parties = []
-    for j, d in enumerate(shape.dims):
-        f = np.array([pv.factors[j] for pv in pvs], dtype=complex).reshape(len(pvs), d)
-        parties.append(np.where(masks >> j & 1, f.conj(), f))
-    return kron_rows(parties)
-
-
-def conjugation_ranks(
-    pvs: Sequence[ProductVector], shape: TensorShape, tol: float = TOLERANCES["rank"]
-) -> dict[tuple[int, ...], int]:
-    """Rank of each subset's conjugated family of `conjugation_stack`, all
-    2^n from one stacked SVD (`numerical_ranks`)."""
-    ranks = numerical_ranks(conjugation_stack(pvs, shape), tol)
-    return dict(zip(all_subsets(shape.n_parties), ranks.tolist()))
+def conjugation_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """`flatten(partial_conjugate(pv, subset))` for every subset and every
+    product vector, from each party's factors as one complex (N, d_j) array,
+    row i of each party making vector i: one (2^n, N, total_dim) array,
+    subsets in `all_subsets` order. Party j's factors are conjugated where
+    bit j of the subset mask is set."""
+    masks = np.arange(2 ** len(factors))[:, None, None]
+    return kron_rows([np.where(masks >> j & 1, f.conj(), f) for j, f in enumerate(factors)])
 
 
 @dataclass

@@ -10,6 +10,7 @@ from spanwitness import (
     OffVarietyError,
     ProductVector,
     ST8_GRID,
+    TOLERANCES,
     ZeroFamily,
     ZeroSample,
     bilinear_map,
@@ -30,8 +31,28 @@ from spanwitness import (
     zero_pair_and_kernel,
     zeta_vector,
 )
-from spanwitness.family import PV1_FAMILIES, SQRT2, Z_FAMILIES, phase_modulus_grid
-from spanwitness.tensor import THREE_QUBITS, all_subsets, conjugation_ranks
+from spanwitness.family import (
+    CANONICAL_TEN_ROWS,
+    PV1_FAMILIES,
+    SQRT2,
+    Z_FAMILIES,
+    default_family_maxima,
+    phase_modulus_grid,
+)
+from spanwitness.linalg import numerical_ranks
+from spanwitness.tensor import all_subsets, conjugation_stack
+
+
+def party_factors(pvs):
+    """Each party's factors of `pvs` as one (len(pvs), 2) array, row i from pvs[i]."""
+    return [np.array([pv.factors[j] for pv in pvs]).reshape(len(pvs), 2) for j in range(3)]
+
+
+def stacked_ranks(pvs):
+    """Each subset's rank of the conjugated `pvs`, from one stacked SVD of
+    their conjugation stack, as the spanning checks rank them."""
+    ranks = numerical_ranks(conjugation_stack(party_factors(pvs)), TOLERANCES["rank"])
+    return dict(zip(all_subsets(3), ranks.tolist()))
 
 
 def phi_on_projectors_oracle(s, t, alpha, beta):
@@ -304,7 +325,7 @@ def test_pv1_subset_ranks_match_conjugation_ranks(params):
     samples = default_zero_sample(params)
     rep = spanning_report(params, samples=samples)
     pv1 = [realize_zero_vector(x, params) for x in samples if x.family in PV1_FAMILIES]
-    assert rep.pv1_subset_ranks == conjugation_ranks(pv1, THREE_QUBITS)
+    assert rep.pv1_subset_ranks == stacked_ranks(pv1)
     assert rep.pv1_rank == rep.pv1_subset_ranks[()] == 6
 
 
@@ -397,8 +418,40 @@ def test_conjugation_ranks_match_reference_loop(label, pvs):
         sub: numerical_rank([flatten(partial_conjugate(pv, sub)) for pv in pvs])
         for sub in all_subsets(3)
     }
-    got = conjugation_ranks(pvs, THREE_QUBITS)
+    got = stacked_ranks(pvs)
     assert list(got) == all_subsets(3)
     assert got == want
     assert set(got.values()) == ({6} if label == "pv1" else {8})
 
+
+CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*ST8_GRID, *(FamilyParams(s, 8.0 / s) for s in CURVE_S), FamilyParams(1.0, 1.0)],
+    ids=lambda p: f"{p.s:.6g}_{p.t:.6g}",
+)
+def test_default_sample_rows_match_per_vector_path(params):
+    # the default sample's rows, built from party factor arrays (on the
+    # curve: the free-factor rows once per process, the Z rows in one pass),
+    # against each sample's vector realized, conjugated and flattened alone;
+    # off the curve the sample is its free-factor rows
+    samples = default_zero_sample(params)
+    rep = spanning_report(params, samples=None if params.on_variety else samples)
+    assert rep.stack.shape == (8, len(samples), 8)
+    assert len(samples) == (36 if params.on_variety else 24)
+    for i, sample in enumerate(samples):
+        pv = realize_zero_vector(sample, params)
+        for k, sub in enumerate(all_subsets(3)):
+            assert np.array_equal(rep.stack[k, i], flatten(partial_conjugate(pv, sub)))
+    if not params.on_variety:
+        return
+    ten = rep.stack[:, CANONICAL_TEN_ROWS]
+    assert np.array_equal(ten, conjugation_stack(party_factors(canonical_ten(params))))
+    # per family maxima from the sample's layout, against selecting each
+    # family by its name
+    values = np.abs(value_on_product(witness_matrix(params), rep.stack[0]))
+    families = np.array([sample.family.value for sample in samples])
+    want = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
+    assert list(default_family_maxima(values).items()) == list(want.items())

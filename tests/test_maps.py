@@ -105,8 +105,9 @@ def test_evaluate_pinned_slot():
         (np.zeros((72, 2, 3)), np.eye(2)),
         (np.eye(2), np.array([np.eye(2), [[0.0, np.nan], [0.0, 1.0]]])),
         (np.eye(2),),
+        (np.zeros((3, 2, 2)), np.zeros((4, 2, 2))),
     ],
-    ids=["stack_of_2x3", "nan_inside_a_stack", "one_input_for_two"],
+    ids=["stack_of_2x3", "nan_inside_a_stack", "one_input_for_two", "stacks_do_not_broadcast"],
 )
 def test_evaluate_rejects_malformed_inputs(inputs):
     with pytest.raises(DimensionMismatchError):

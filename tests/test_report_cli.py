@@ -9,7 +9,12 @@ import pytest
 
 import spanwitness
 from spanwitness.cli import main, parse_param
-from spanwitness.errors import DimensionMismatchError, SpanWitnessError, UsageError
+from spanwitness.errors import (
+    DimensionMismatchError,
+    NonRealPairingError,
+    SpanWitnessError,
+    UsageError,
+)
 from spanwitness.family import (
     CANONICAL,
     ST8_GRID,
@@ -133,11 +138,12 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
-    # each spanning family is flattened once and ranked by stacked SVDs: one
-    # for the canonical ten, two for the one spanning report of the document
-    # (the 2^3 conjugations of the sample, and of its pv1 rows), which
-    # full_spanning, pv1_span_rank6 and zero_set_families share, so the 36
-    # samples are drawn and realized once; W's spectrum is computed once; the
+    # the document's spanning sample is flattened once, from party factor
+    # arrays (the free-factor rows built once per process, so no sample is
+    # realized vector by vector), and ranked by stacked SVDs: two for the one
+    # spanning report (the 2^3 conjugations of the sample, and of its pv1
+    # rows), which full_spanning, pv1_span_rank6 and zero_set_families share,
+    # one for the canonical ten, its rows; W's spectrum is computed once; the
     # see-saw runs once, for the global minimum, and never across a cut;
     # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
@@ -163,18 +169,54 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         for module in modules + [owner]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
+    run_verify(CANONICAL)  # builds the tables that depend on no parameter
+    calls.update(dict.fromkeys(calls, 0))
     assert run_verify(CANONICAL).all_pass
     assert calls == {
         "partial_conjugate": 0,
         "numerical_rank": 0,
         "spanning_report": 1,
         "default_zero_sample": 1,
-        "realize_zero_vector": 36,
+        "realize_zero_vector": 0,
         "svd": 3,
         "eigvalsh": 1,
         "seesaw_block_positivity": 1,
         "cut_block_positivity": 0,
     }
+
+
+def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
+    # the grid, its D and norm-scale tables and the default sample's
+    # free-factor rows depend on no parameter: a second document, at other
+    # (s, t), evaluates no D and realizes no sample, and shares every table
+    def tables():
+        return [
+            family.phase_modulus_grid(),
+            family.grid_determinants(),
+            family.grid_norm_scale(),
+            family._free_rows(),
+        ]
+
+    family = spanwitness.family
+    run_verify(CANONICAL, restarts=1)
+    first = tables()
+    calls = []
+    for name in ("determinant_d", "realize_zero_vector"):
+        real = getattr(family, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("spanwitness") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    assert run_verify(FamilyParams(2.0, 4.0), restarts=1).all_pass
+    assert calls == []
+    assert all(a is b for a, b in zip(tables(), first, strict=True))
+    for table in first:
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_cut_negativity_runs_no_cut_seesaw(monkeypatch):
@@ -598,6 +640,20 @@ def test_cli_json_output_and_out_file(tmp_path, capsys):
     assert stdout_doc == file_doc
     assert stdout_doc["all_pass"] is True
     assert stdout_doc["tolerances"]["seesaw"] == 1e-7
+
+
+def test_cli_detect_pairing_overflow_is_one_error_line(tmp_path):
+    # finite entries whose products overflow: exit 2 with one error line on
+    # stderr and no numpy warning before it
+    payload = {"dims": [2, 2, 2], "matrix": [[[1e308, 0.0]] * 8] * 8}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(NonRealPairingError, match="overflows"):
+        pairing(state_from_payload(payload), witness_matrix(CANONICAL))
+    cmd = [sys.executable, "-m", "spanwitness", "detect", "--json", f"file:{path}"]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: pairing overflows") and run.stderr.count("\n") == 1
 
 
 def test_cli_byte_identical_reports():

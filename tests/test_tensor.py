@@ -70,9 +70,10 @@ def test_stacked_flatten_matches_flatten_row_by_row():
         ProductVector([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in shape.dims])
         for _ in range(5)
     ]
-    flats = kron_rows([np.array([pv.factors[j] for pv in pvs]) for j in range(3)])
+    factors = [np.array([pv.factors[j] for pv in pvs]) for j in range(3)]
+    flats = kron_rows(factors)
     assert flats.shape == (5, 12)
-    stack = conjugation_stack(pvs, shape)
+    stack = conjugation_stack(factors)
     assert stack.shape == (8, 5, 12)
     for i, pv in enumerate(pvs):
         assert np.array_equal(flats[i], flatten(pv))
