@@ -78,6 +78,9 @@ class FamilyParams:
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.t)):
             raise InvalidParamsError("parameters must be finite")
+        # numpy scalars would leak numpy types (np.bool_ on_variety) into documents
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "t", float(self.t))
         if self.s <= 0 or self.t <= 0:
             raise InvalidParamsError(f"parameters must be positive, got s={self.s}, t={self.t}")
 

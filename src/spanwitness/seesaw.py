@@ -8,19 +8,21 @@ The search restarts from several random product vectors: row r of one seeded
 draw is restart r's start, so that start depends on (seed, r) alone, not on
 the execution order or on how many restarts run.
 
-The restarts run as one stack along a leading axis. W is written once per
-party k as a (d_k, d_k, R, R) block, R = D / d_k: party k's row and column
-first, the other parties' rows and columns flattened in party order. A step
-forms the Kronecker product v of the other parties' factors and gets H_k
-from two elementwise multiply-and-sums over a contiguous last axis, then
-its lowest eigenpair: in closed form for a qubit, one stacked `eigh` for a
-larger party. Elementwise arithmetic and short reductions do the same work
-per restart whether one restart runs or many, so the stack matches a
-one-restart-at-a-time loop bit for bit. A restart stops, and stays frozen,
-at the first sweep that improves its value by less than the tolerance,
-exactly as if it ran alone; only the factors of the restarts still moving
-are stacked, and they return to the full stack when restarts freeze, and at
-the sweep cap.
+The restarts run as one stack. W is written once per party k as an
+(R R, d_k, d_k, 1) block, R = D / d_k: the other parties' rows and columns
+first, flattened in party order, then party k's. A step forms the Kronecker
+product v of the other parties' factors and gets H_k from one elementwise
+product of the block with conj(v) (x) v, an (R R, 1, 1, restarts) stack,
+summed over the leading axis; then its lowest eigenpair, in closed form for
+a qubit, one stacked `eigh` for a larger party. numpy sums a leading axis
+element by element, in order, so a restart's arithmetic does not depend on
+how many run and the stack matches a one-restart-at-a-time loop bit for
+bit; BLAS does not (an (n, 16) @ (16, 4) product changes most rows' bits
+with n), and a short trailing-axis sum costs one tiny loop per element. A
+restart stops, and stays frozen, at the first sweep that improves its value
+by less than the tolerance, exactly as if it ran alone; only the factors of
+the restarts still moving are stacked, and they return to the full stack
+when restarts freeze, and at the sweep cap.
 
 A negative minimum certifies failure of block positivity; a minimum at zero
 (within tolerance) is what a witness with a nonempty zero set must show.
@@ -84,7 +86,7 @@ def _lowest_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v)))
     mag = abs(v[idx])
-    if mag == 0:
+    if not mag > 0:  # zero, or NaN once W overflows
         return v
     return v * (v[idx].conjugate() / mag)
 
@@ -109,13 +111,13 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     dims = witness.shape.dims
     n = len(dims)
     tensor = witness.matrix.reshape(dims + dims)
-    # blocks[k][a, b, r, c]: W at party k's row a and column b, the other
-    # parties' rows r and columns c flattened in party order
+    # blocks[k][r R + c, a, b, 0]: W at the other parties' rows r and columns
+    # c, flattened in party order, and party k's row a and column b
     blocks = []
     for k, d in enumerate(dims):
         rest = [j for j in range(n) if j != k]
-        axes = [k, n + k, *rest, *(n + j for j in rest)]
-        blocks.append(tensor.transpose(axes).reshape(d, d, len(witness.matrix) // d, -1))
+        axes = [*rest, *(n + j for j in rest), k, n + k]
+        blocks.append(tensor.transpose(axes).reshape(-1, d, d, 1))
     # allocated before the draw, so a count too large to hold fails at once
     by_sweep = np.empty((MAX_SWEEPS + 1, restarts))
     # factors[k][r] is party k's factor in restart r
@@ -130,10 +132,10 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     for sweep in range(1, MAX_SWEEPS + 1):
         before = live
         for k in range(n):
-            # H_k[a, b] = sum_rc conj(v_r) W_k[a, b, r, c] v_c, columns first
-            v = kron_rows([f for j, f in enumerate(kets) if j != k])
-            u = (blocks[k] * v[:, None, None, None, :]).sum(-1)
-            kets[k], live = _lowest_eigenpairs((u * v.conj()[:, None, None, :]).sum(-1))
+            # H_k[a, b] = sum_rc conj(v_r) v_c W_k[r R + c, a, b], over the leading axis
+            v = kron_rows([f for j, f in enumerate(kets) if j != k]).T
+            o = (v.conj()[:, None] * v).reshape(-1, 1, 1, v.shape[-1])
+            kets[k], live = _lowest_eigenpairs((blocks[k] * o).sum(0).transpose(2, 0, 1))
         by_sweep[sweep, moving] = live
         sweeps[moving] = sweep
         keep = before - live >= TOLERANCES["sweep"]

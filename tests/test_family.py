@@ -69,6 +69,8 @@ def test_params_validation():
         FamilyParams(0.0, 1.0)
     with pytest.raises(InvalidParamsError):
         FamilyParams(1.0, -2.0)
+    with pytest.raises(TypeError):
+        FamilyParams("2", 4.0)
     assert CANONICAL.on_variety
     assert FamilyParams(2.0, 4.0).on_variety
     assert not FamilyParams(1.0, 1.0).on_variety

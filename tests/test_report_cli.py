@@ -259,6 +259,14 @@ def test_document_values_are_json_native(params):
             assert c.tolerance is None or type(c.tolerance) is float
 
 
+@pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64])
+def test_numpy_scalar_params_give_documents_that_serialize(scalar):
+    params = FamilyParams(scalar(2), scalar(4))
+    assert type(params.s) is float and type(params.t) is float
+    for doc in (run_verify(params, restarts=4), run_full_report(params, restarts=4)):
+        assert json.loads(to_json(doc))["params"]["on_variety"] is True
+
+
 CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
 
 

@@ -82,6 +82,21 @@ def test_seed_changes_start_points(canonical_witness):
     assert abs(a.min_value) < 1e-7 and abs(b.min_value) < 1e-7
 
 
+@pytest.mark.parametrize("k", [-12, -8, -4, 0, 4, 8, 12])
+def test_seesaw_minimum_is_zero_along_the_curve(k):
+    # W(s, 8/s) has minimum 0 at every scale of s, and the step must hold it to
+    # rounding: a contraction that loses digits near the zero set reads below
+    s = 10.0**k
+    res = seesaw_block_positivity(witness_matrix(FamilyParams(s, 8.0 / s)), restarts=16, seed=SEED)
+    assert abs(res.min_value) <= 1e-14
+
+
+def test_canonical_phase_leaves_a_nan_factor_as_it_is():
+    # an overflowed W gives NaN factors: no modulus to divide by, and no warning
+    out = _canonical_phase(np.array([np.nan, 1.0], dtype=complex))
+    assert np.isnan(out[0]) and out[1] == 1.0
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -206,9 +221,9 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
     size = len(witness.matrix)
     tensor = witness.matrix.reshape(dims + dims)
     others = [[j for j in range(n) if j != k] for k in range(n)]
-    # party k's row and column first, the other parties' flattened in order
+    # the other parties' rows and columns first, flattened in order, party k's last
     blocks = [
-        tensor.transpose([k, n + k, *o, *(n + j for j in o)]).reshape(d, d, size // d, -1)
+        tensor.transpose([*o, *(n + j for j in o), k, n + k]).reshape(size * size // d // d, d, d, 1)
         for k, (d, o) in enumerate(zip(dims, others))
     ]
     best_value, best_index, best_factors, best_history = np.inf, -1, None, []
@@ -226,8 +241,9 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
         for _ in range(max_iters):
             for k in range(n):
                 v = reduce(np.kron, [factors[j] for j in others[k]])
-                h = ((blocks[k] * v).sum(-1) * v.conj()).sum(-1)
-                kets, values = seesaw._lowest_eigenpairs(h[None])
+                # conj(v) (x) v down the leading axis, one restart on the trailing one
+                h = (blocks[k] * np.kron(v.conj(), v)[:, None, None, None]).sum(0)
+                kets, values = seesaw._lowest_eigenpairs(h.transpose(2, 0, 1))
                 factors[k] = kets[0]
                 value = float(values[0])
             history.append(value)
