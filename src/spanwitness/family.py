@@ -29,9 +29,9 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParamsError, OffVarietyError
-from .linalg import TOLERANCES, numerical_ranks
-from .maps import MultilinearMapTable, Witness
-from .tensor import THREE_QUBITS, ProductVector, all_subsets, conjugation_stack
+from .linalg import TOLERANCES, read_only
+from .maps import MultilinearMapTable, Witness, evaluate
+from .tensor import THREE_QUBITS, ProductVector, conjugation_ranks, conjugation_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,31 +192,48 @@ GRID_PHASES = 24
 GRID_MODULI = (0.5, 1.0, 2.0)
 
 
-def _read_only(table: np.ndarray) -> np.ndarray:
-    """Freeze a table that depends on no parameter, shared by every caller in the process."""
-    table.flags.writeable = False
-    return table
-
-
 @cache
 def phase_modulus_grid() -> np.ndarray:
     """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus."""
     angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
-    return _read_only(np.array([m * np.exp(x) for m in GRID_MODULI for x in angles]))
+    return read_only(np.array([m * np.exp(x) for m in GRID_MODULI for x in angles]))
 
 
 @cache
 def grid_determinants() -> np.ndarray:
     """D(a, b) at every pair of grid points, a down the rows, b across."""
     points = phase_modulus_grid()
-    return _read_only(determinant_d(points[:, None], points[None, :]))
+    return read_only(determinant_d(points[:, None], points[None, :]))
 
 
 @cache
 def grid_norm_scale() -> np.ndarray:
     """(1 + |a|^2)(1 + |b|^2), the squared norm of (1, a) (x) (1, b), on the same pairs."""
     scale = 1 + np.abs(phase_modulus_grid()) ** 2
-    return _read_only(np.outer(scale, scale))
+    return read_only(np.outer(scale, scale))
+
+
+@cache
+def grid_image_terms() -> tuple:
+    """The rank-one images of every grid pair as terms affine in (s, t): ((k, l),
+    j, term) is entry (k, l)'s term, times 1, s or t for j = 0, 1, 2, `evaluate`d
+    from a block table that `bilinear_map` gives at three points; no zero terms."""
+    p = rank_one_projector(phase_modulus_grid())
+    one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
+    images = (evaluate(MultilinearMapTable(THREE_QUBITS, b), p[:, None], p[None, :])
+              for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
+    return tuple(
+        ((int(k), int(l)), j, read_only(image[..., k, l].copy()))
+        for j, image in enumerate(images) for k, l in zip(*np.nonzero(image.any(axis=(0, 1))))
+    )
+
+
+def grid_images(params: FamilyParams) -> np.ndarray:
+    """The rank-one images at (s, t) of every grid pair, (a, b, 2, 2): a view of an entry-major array."""
+    out = np.zeros((2, 2, *grid_determinants().shape), dtype=complex)
+    for (k, l), j, term in grid_image_terms():
+        np.multiply((1.0, params.s, params.t)[j], term, out=out[k, l])
+    return out.transpose(2, 3, 0, 1)
 
 
 class ZeroFamily(Enum):
@@ -366,19 +383,10 @@ def _by_party(rows) -> np.ndarray:
 
 
 @cache
-def _free_rows() -> np.ndarray:
-    """The default sample's free-factor rows, by party; no (s, t) enters them."""
+def _free_stack() -> np.ndarray:
+    """The default sample's free-factor rows under every conjugation; no (s, t) enters them."""
     pvs = [realize_zero_vector(x, CANONICAL) for x in _default_samples(False)]
-    return _read_only(_by_party([pv.factors for pv in pvs]))
-
-
-def default_sample_factors(params: FamilyParams) -> np.ndarray:
-    """`default_zero_sample` on s t = 8, realized by party as one (3, 36, 2)
-    array: the free-factor rows, then the Z rows, built in one pass."""
-    if not params.on_variety:
-        raise OffVarietyError("the default spanning sample needs s*t = 8")
-    z = _by_party([_z_factors(fam, a, b, params) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS])
-    return np.concatenate([_free_rows(), z], axis=1)
+    return read_only(conjugation_stack(_by_party([pv.factors for pv in pvs])))
 
 
 def default_family_maxima(values: np.ndarray) -> dict[str, float]:
@@ -394,7 +402,8 @@ class SpanningReport:
     """Partial-conjugation ranks of a zero-set sample.
 
     `stack` is the `samples` flattened under every conjugation, as
-    `conjugation_stack` gives it; its first entry is the sample itself.
+    `conjugation_stack` gives it; its first entry is the sample itself (for the
+    default sample off s t = 8, the read-only table of its free-factor rows).
     `full_spanning` holds when every one of the 2^n conjugated images spans
     the whole space. The first-six-family rows are ranked separately, under
     every conjugation too; `pv1_complement` is the computational basis
@@ -425,9 +434,9 @@ def spanning_report(
 ) -> SpanningReport:
     """Rank of the partially conjugated zero-set sample, for every subset.
 
-    The sample is flattened once, from its factors by party (the default
-    sample's from `default_sample_factors`); one SVD ranks its 2^n
-    conjugations, one more the first-six-family rows of each.
+    The default sample (if not given, s t = 8 only) joins its free-factor rows'
+    stack, built once per process, to its Z rows'; any other is flattened by
+    party. `conjugation_ranks` ranks the 2^n conjugations, and the pv1 rows'.
     `pv1_complement` is the basis vectors on which all those rows are
     exactly zero: the orthogonal complement of their span exactly when
     `pv1_rank + len(pv1_complement) == dimension`.
@@ -435,13 +444,17 @@ def spanning_report(
     With the default sample on s t = 8 every rank is full; restricted to the
     first six families every rank is 6 and the complement is |011>, |100>.
     """
-    if samples is None:
-        factors, samples = default_sample_factors(params), default_zero_sample(params)
+    default = default_zero_sample(params)
+    if samples is None and not params.on_variety:
+        raise OffVarietyError("the default spanning sample needs s*t = 8")
+    if samples is None or samples == default:
+        samples, flats = default, _free_stack()
+        if params.on_variety:
+            z = [_z_factors(fam, a, b, params) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
+            flats = np.concatenate([flats, conjugation_stack(_by_party(z))], axis=1)
     else:
-        factors = _by_party([realize_zero_vector(s, params).factors for s in samples])
-    flats = conjugation_stack(factors)
-    subsets = all_subsets(3)
-    ranks = dict(zip(subsets, numerical_ranks(flats, rank_tol).tolist()))
+        flats = conjugation_stack(_by_party([realize_zero_vector(s, params).factors for s in samples]))
+    ranks = conjugation_ranks(flats, rank_tol)
     pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]
     dim = THREE_QUBITS.total_dim
     return SpanningReport(
@@ -449,7 +462,7 @@ def spanning_report(
         stack=flats,
         subset_ranks=ranks,
         full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
-        pv1_subset_ranks=dict(zip(subsets, numerical_ranks(pv1, rank_tol).tolist())),
+        pv1_subset_ranks=conjugation_ranks(pv1, rank_tol),
         pv1_complement=list(np.eye(dim)[~np.any(pv1[0], axis=0)]),
         dimension=dim,
     )

@@ -51,6 +51,12 @@ def document_tolerances(**overrides: float) -> dict:
     return dict(DEFAULT_TOLERANCES, **overrides)
 
 
+def read_only(table: np.ndarray) -> np.ndarray:
+    """Freeze a table that depends on no parameter, shared by every caller in the process."""
+    table.flags.writeable = False
+    return table
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting non-finite entries."""
     a = np.asarray(m, dtype=complex)

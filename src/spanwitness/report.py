@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,14 +33,13 @@ from .family import (
     default_zero_sample,
     eighth_root,
     grid_determinants,
+    grid_images,
     grid_norm_scale,
-    phase_modulus_grid,
-    rank_one_projector,
     spanning_report,
     witness_matrix,
 )
-from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues, numerical_ranks
-from .maps import Witness, choi_matrix, evaluate, pairing, value_on_product
+from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues, read_only
+from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
 from .states import (
@@ -51,7 +50,7 @@ from .states import (
     rho_lambda,
     x_state,
 )
-from .tensor import all_subsets, is_ppt
+from .tensor import conjugation_ranks, is_ppt
 
 
 @dataclass
@@ -127,8 +126,7 @@ class Context:
 
     @cached_property
     def images(self) -> np.ndarray:
-        p = rank_one_projector(phase_modulus_grid())
-        return evaluate(bilinear_map(self.params), p[:, None], p[None, :])
+        return grid_images(self.params)
 
     @cached_property
     def image_minima(self) -> np.ndarray:
@@ -269,16 +267,22 @@ def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations:
-    `canonical_ten`'s rows of the document's spanning sample, one stacked SVD."""
-    ten = numerical_ranks(ctx.spanning.stack[:, CANONICAL_TEN_ROWS], tol).tolist()
-    ranks = by_subset(dict(zip(all_subsets(3), ten)))
+    `canonical_ten`'s rows of the document's spanning sample, `conjugation_ranks`."""
+    ranks = by_subset(conjugation_ranks(ctx.spanning.stack[:, CANONICAL_TEN_ROWS], tol))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
+
+
+@cache
+def _cut_vectors() -> tuple[np.ndarray, ...]:
+    """The bi-separable vectors at exp(i pi / 4), the cut vectors and their squared norms."""
+    bisep = np.array([biseparable_vector(i, eighth_root(1)) for i in (1, 2, 3)])
+    cuts = np.array([biseparable_vector(i, alpha) for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
+    return tuple(map(read_only, (bisep, cuts, (cuts.conj() * cuts).real.sum(-1))))
 
 
 def check_biseparable(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Each cut's detection vector reaches -2 at alpha = exp(i pi / 4)."""
-    flats = np.array([biseparable_vector(i, eighth_root(1)) for i in (1, 2, 3)])
-    values = dict(zip(("xi1", "xi2", "xi3"), value_on_product(ctx.witness, flats).tolist()))
+    values = dict(zip(("xi1", "xi2", "xi3"), value_on_product(ctx.witness, _cut_vectors()[0]).tolist()))
     worst = max(abs(v + 2.0) for v in values.values())
     return worst <= tol, dict(values, max_abs_deviation=worst)
 
@@ -290,8 +294,7 @@ def check_cut_negativity(ctx: Context, tol: float) -> tuple[bool, dict]:
     (indices 3, 4), so <v|W|v> = -4 exactly, for every (s, t)."""
     floor = _closed_form_spectrum(ctx.params)[0]
     keys = ("1|rest", "2|rest", "3|rest")
-    flats = np.array([biseparable_vector(i, alpha) for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
-    squared_norms = (flats.conj() * flats).real.sum(-1)
+    _, flats, squared_norms = _cut_vectors()
     minima = dict(zip(keys, (value_on_product(ctx.witness, flats) / squared_norms).tolist()))
     vectors = {k: [[z.real + 0.0, z.imag + 0.0] for z in v.tolist()] for k, v in zip(keys, flats)}  # no -0.0
     ok = all(m <= floor + tol for m in minima.values())
@@ -378,8 +381,7 @@ def check_report_determinism(ctx: Context, tol: float | None) -> tuple[bool, dic
     one independent `run_verify` from the parameters, seed, restarts and
     see-saw tolerance that document records serialize identically: two
     independent executions of every verify check. The re-run reads the same
-    read-only tables that depend on no parameter (the grid, its D and norm
-    tables, the free-factor rows) as every other document in the process."""
+    read-only parameter-free tables as every other document in the process."""
     verify_names = {e.name for e in VERIFY}
     own = ctx.document("verify", [c for c in ctx.checks if c.name in verify_names])
     rerun = run_verify(

@@ -79,8 +79,10 @@ def _lowest_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return evecs[:, :, 0], evals[:, 0]
     b, mag, half_gap, lowest = qubit_hermitian_parts(h)
     half = np.arctan2(mag, half_gap) / 2
-    phase = np.divide(b, mag, out=np.ones_like(b), where=mag > 0)
-    return np.stack([-np.sin(half) * phase, np.cos(half)], axis=-1), lowest
+    kets = np.empty(b.shape + (2,), dtype=complex)
+    np.multiply(np.divide(b, mag, out=np.ones_like(b), where=mag > 0), -np.sin(half), out=kets[..., 0])
+    kets[..., 1] = np.cos(half)
+    return kets, lowest
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, hermitian_eigenvalues
+from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,13 @@ def conjugation_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
     bit j of the subset mask is set."""
     masks = np.arange(2 ** len(factors))[:, None, None]
     return kron_rows([np.where(masks >> j & 1, f.conj(), f) for j, f in enumerate(factors)])
+
+
+def conjugation_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> dict:
+    """`numerical_ranks` of a `conjugation_stack`, keyed by subset, from one SVD of the
+    half that leaves the last party unconjugated: mask 2^n - 1 - m is mask m's conjugate."""
+    half = numerical_ranks(stack[: len(stack) // 2], tol).tolist()
+    return dict(zip(all_subsets(len(stack).bit_length() - 1), half + half[::-1]))
 
 
 @dataclass

@@ -37,10 +37,12 @@ from spanwitness.family import (
     SQRT2,
     Z_FAMILIES,
     default_family_maxima,
+    grid_image_terms,
+    grid_images,
     phase_modulus_grid,
 )
 from spanwitness.linalg import numerical_ranks
-from spanwitness.tensor import all_subsets, conjugation_stack
+from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack
 
 
 def party_factors(pvs):
@@ -165,6 +167,22 @@ def test_witness_golden_fixture(canonical_witness, data_dir):
     fixture = np.array([[complex(c[0], c[1]) for c in row] for row in doc["matrix"]])
     assert np.array_equal(canonical_witness.matrix, fixture)
     assert doc["dims"] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("st", [0.5, 8.0, 100.0])
+def test_grid_image_terms_reproduce_evaluate_bit_for_bit(st):
+    # the affine term tables against one evaluate of the map per point, down
+    # to the sign of each zero, from s = 1e-150 to 1e150; one term per entry
+    entries = [entry for entry, _, _ in grid_image_terms()]
+    assert len(entries) == len(set(entries))
+    p = rank_one_projector(phase_modulus_grid())
+    for k in range(-150, 151, 50):
+        params = FamilyParams(10.0**k, st / 10.0**k)
+        want = evaluate(bilinear_map(params), p[:, None], p[None, :])
+        got = grid_images(params)
+        assert got.shape == want.shape == (72, 72, 2, 2)
+        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+        assert np.array_equal(*bits)
 
 
 def test_determinant_d_values():
@@ -457,3 +475,26 @@ def test_default_sample_rows_match_per_vector_path(params):
     families = np.array([sample.family.value for sample in samples])
     want = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
     assert list(default_family_maxima(values).items()) == list(want.items())
+
+
+def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
+    # s = 10^k, k in [-12, 12] in steps of 1/4, t = 8 / s: the report's ranks
+    # and the canonical ten's, each from one SVD of half the conjugations,
+    # against one SVD of all eight, FAILs included: the full sample loses
+    # rank at both ends of the scan and the canonical ten from k = 4.25 on
+    tol = TOLERANCES["rank"]
+    short = set()
+    for k in np.arange(-48, 49) / 4:
+        params = FamilyParams(10.0**k, 8.0 / 10.0**k)
+        rep = spanning_report(params)
+        pv1 = rep.stack[:, [x.family in PV1_FAMILIES for x in rep.samples]]
+        ten = rep.stack[:, CANONICAL_TEN_ROWS]
+        assert list(rep.subset_ranks.values()) == numerical_ranks(rep.stack, tol).tolist()
+        assert list(rep.pv1_subset_ranks.values()) == numerical_ranks(pv1, tol).tolist()
+        assert conjugation_ranks(ten, tol) == dict(zip(all_subsets(3), numerical_ranks(ten, tol).tolist()))
+        if min(rep.subset_ranks.values()) < 8:
+            short.add(("full", k))
+        if min(numerical_ranks(ten, tol)) < 8:
+            short.add(("ten", k))
+    assert {("full", -12.0), ("full", 12.0), ("ten", 4.25), ("ten", 12.0)} <= short
+    assert ("full", 0.0) not in short and ("ten", 4.0) not in short

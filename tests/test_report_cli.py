@@ -143,7 +143,8 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # realized vector by vector), and ranked by stacked SVDs: two for the one
     # spanning report (the 2^3 conjugations of the sample, and of its pv1
     # rows), which full_spanning, pv1_span_rank6 and zero_set_families share,
-    # one for the canonical ten, its rows; W's spectrum is computed once; the
+    # one for the canonical ten, its rows, each over half the conjugations, the
+    # other half taking their complements' ranks; W's spectrum is computed once; the
     # see-saw runs once, for the global minimum, and never across a cut;
     # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
@@ -158,11 +159,14 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "cut_block_positivity": spanwitness.seesaw,
     }
     calls = dict.fromkeys(owners, 0)
+    svd_stacks = []
     for name, owner in owners.items():
         real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "svd":
+                svd_stacks.append(args[0].shape)
             return _real(*args, **kwargs)
 
         modules = [m for key, m in sys.modules.items() if key.startswith("spanwitness")]
@@ -171,7 +175,10 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     run_verify(CANONICAL)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
+    svd_stacks.clear()
     assert run_verify(CANONICAL).all_pass
+    # each SVD ranks the 4 conjugations that leave party 3 unconjugated
+    assert [shape[0] for shape in svd_stacks] == [4, 4, 4]
     assert calls == {
         "partial_conjugate": 0,
         "numerical_rank": 0,
@@ -186,23 +193,28 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
-    # the grid, its D and norm-scale tables and the default sample's
-    # free-factor rows depend on no parameter: a second document, at other
-    # (s, t), evaluates no D and realizes no sample, and shares every table
+    # the grid, its D and norm-scale tables, the grid images' affine terms,
+    # the default sample's free-factor rows under every conjugation and the
+    # cut vectors depend on no parameter: a second document, at other (s, t),
+    # on the curve or off it, evaluates no map and no D, realizes no sample,
+    # and shares every table
     def tables():
         return [
             family.phase_modulus_grid(),
             family.grid_determinants(),
             family.grid_norm_scale(),
-            family._free_rows(),
+            *(term for _, _, term in family.grid_image_terms()),
+            family._free_stack(),
+            *spanwitness.report._cut_vectors(),
         ]
 
     family = spanwitness.family
     run_verify(CANONICAL, restarts=1)
     first = tables()
     calls = []
-    for name in ("determinant_d", "realize_zero_vector"):
-        real = getattr(family, name)
+    owners = {"determinant_d": family, "realize_zero_vector": family, "evaluate": spanwitness.maps}
+    for name, owner in owners.items():
+        real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls.append(_name)
@@ -212,6 +224,7 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
             if key.startswith("spanwitness") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(FamilyParams(2.0, 4.0), restarts=1).all_pass
+    assert not run_verify(FamilyParams(3.0, 1.0), restarts=1).all_pass
     assert calls == []
     assert all(a is b for a, b in zip(tables(), first, strict=True))
     for table in first:
@@ -669,6 +682,16 @@ def test_cli_byte_identical_reports():
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
+
+
+def test_documents_do_not_depend_on_the_order_the_tables_were_filled():
+    # a cold child, whose one document builds every table, against this
+    # process, whose tables documents at other points, on and off the curve, filled
+    cmd = [sys.executable, "-m", "spanwitness", "verify", "--s", "2", "--t", "4", "--json"]
+    cold = subprocess.run(cmd, capture_output=True, check=True).stdout
+    for params in (FamilyParams(1.0, 8.0), FamilyParams(3.0, 1.0), CANONICAL):
+        run_verify(params, restarts=4)
+    assert to_json(run_verify(FamilyParams(2.0, 4.0))).encode() == cold
 
 
 def test_cli_exit_one_on_failing_check(monkeypatch, capsys):
