@@ -215,9 +215,9 @@ def grid_norm_scale() -> np.ndarray:
 
 @cache
 def grid_image_terms() -> tuple:
-    """The rank-one images of every grid pair as terms affine in (s, t): ((k, l),
-    j, term) is entry (k, l)'s term, times 1, s or t for j = 0, 1, 2, `evaluate`d
-    from a block table that `bilinear_map` gives at three points; no zero terms."""
+    """Rank-one images of every grid pair as terms affine in (s, t): ((k, l), j, term)
+    is entry (k, l)'s one term, times 1, s or t for j = 0, 1, 2. `evaluate` gives each
+    from its block table, a difference of `bilinear_map` at three points."""
     p = rank_one_projector(phase_modulus_grid())
     one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
     images = (evaluate(MultilinearMapTable(THREE_QUBITS, b), p[:, None], p[None, :])
@@ -229,7 +229,7 @@ def grid_image_terms() -> tuple:
 
 
 def grid_images(params: FamilyParams) -> np.ndarray:
-    """The rank-one images at (s, t) of every grid pair, (a, b, 2, 2): a view of an entry-major array."""
+    """Rank-one images at (s, t) of every grid pair, (a, b, 2, 2): an entry-major array's view."""
     out = np.zeros((2, 2, *grid_determinants().shape), dtype=complex)
     for (k, l), j, term in grid_image_terms():
         np.multiply((1.0, params.s, params.t)[j], term, out=out[k, l])

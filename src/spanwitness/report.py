@@ -274,7 +274,7 @@ def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 @cache
 def _cut_vectors() -> tuple[np.ndarray, ...]:
-    """The bi-separable vectors at exp(i pi / 4), the cut vectors and their squared norms."""
+    """Bi-separable vectors at exp(i pi / 4), cut vectors at i, i, 1, and their squared norms."""
     bisep = np.array([biseparable_vector(i, eighth_root(1)) for i in (1, 2, 3)])
     cuts = np.array([biseparable_vector(i, alpha) for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
     return tuple(map(read_only, (bisep, cuts, (cuts.conj() * cuts).real.sum(-1))))
