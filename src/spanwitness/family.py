@@ -222,10 +222,8 @@ def grid_image_terms() -> tuple:
     one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
     images = (evaluate(MultilinearMapTable(THREE_QUBITS, b), p[:, None], p[None, :])
               for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
-    return tuple(
-        ((int(k), int(l)), j, read_only(image[..., k, l].copy()))
-        for j, image in enumerate(images) for k, l in zip(*np.nonzero(image.any(axis=(0, 1))))
-    )
+    return tuple(((int(k), int(l)), j, read_only(image[..., k, l].copy())) for j, image in enumerate(images)
+                 for k, l in zip(*np.nonzero(image.any(axis=(0, 1)))))
 
 
 def grid_images(params: FamilyParams) -> np.ndarray:
@@ -280,6 +278,7 @@ class ZeroSample:
     params: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "params", tuple(self.params))  # an array would not compare
         if len(self.params) != 2:
             raise InvalidParamsError("a zero sample takes exactly two parameters")
         if self.family in _Z_EXPONENTS:

@@ -349,6 +349,15 @@ def test_pv1_subset_ranks_match_conjugation_ranks(params):
     assert rep.pv1_rank == rep.pv1_subset_ranks[()] == 6
 
 
+def test_default_sample_given_with_array_parameters_reads_the_same_stack():
+    # array parameters compare as tuples: the off-curve default sample, given
+    # with each free factor as an array, is recognized and matches the default
+    off = FamilyParams(1.0, 1.0)
+    samples = [ZeroSample(x.family, np.array(x.params)) for x in default_zero_sample(off)]
+    got, want = spanning_report(off, samples=samples), spanning_report(off, default_zero_sample(off))
+    assert np.array_equal(got.stack, want.stack) and got.subset_ranks == want.subset_ranks
+
+
 def test_pv1_complement_outside_a_coordinate_span_falls_short():
     # XI_01 at (1, 1) alone is |001> + |101>: support {1, 5}, rank 1, so the
     # six zero coordinates are orthogonal to it but not all of its complement
