@@ -1,7 +1,7 @@
 """The zero set of the witness and its full spanning property.
 
-Product vectors with <xi|W|xi> = 0 come in ten families: six fix two
-qubits at basis states and leave one factor free, four lock all three
+Product vectors with <xi|W|xi> = 0 come in ten sampled families: six fix
+two qubits at basis states and leave one factor free, four lock all three
 phases to eighth roots of unity. Their span, and the span of every
 partially conjugated image, is the whole 8-dimensional space; the free
 families alone only ever reach a 6-dimensional subspace.
@@ -9,42 +9,23 @@ families alone only ever reach a 6-dimensional subspace.
 
 import numpy as np
 
-from spanwitness import (
-    CANONICAL,
-    ZeroFamily,
-    ZeroSample,
-    all_subsets,
-    canonical_ten,
-    flatten,
-    numerical_rank,
-    partial_conjugate,
-    realize_zero_vector,
-    spanning_report,
-    value_on_product,
-    witness_matrix,
-    zeta_vector,
-)
+from spanwitness import CANONICAL, spanning_report, value_on_product, witness_matrix
+from spanwitness.family import CANONICAL_TEN_ROWS
+from spanwitness.tensor import conjugation_ranks
 
 w = witness_matrix(CANONICAL)
-
-print("one vector from each family, with its witness value:")
-samples = [
-    ZeroSample(family=ZeroFamily.XI_01, params=(1, 1j)),
-    ZeroSample(family=ZeroFamily.ETA_0, params=(1, 1)),
-    ZeroSample(family=ZeroFamily.ZETA_PARAM_1, params=(0, 1)),
-    ZeroSample(family=ZeroFamily.Z1, params=(1.0, 1.0)),
-    ZeroSample(family=ZeroFamily.Z3, params=(2.0, 1.0)),
-]
-for s in samples:
-    pv = realize_zero_vector(s, CANONICAL)
-    print(f"  {s.family.value:8s} params={s.params}: value = "
-          f"{value_on_product(w, pv):+.2e}")
-
-z1 = zeta_vector(ZeroFamily.Z1, 1.0, 1.0, CANONICAL)
-print("\nthe phase-locked vector Z1(1,1), flattened:")
-print(np.round(flatten(z1), 4))
-
 rep = spanning_report(CANONICAL)
+sample = rep.stack[0]  # the sample's rows, flattened, none conjugated
+
+print("the first sampled vector of each family, with its witness value:")
+values = value_on_product(w, sample)
+for fam in dict.fromkeys(rep.samples):
+    row = rep.samples.index(fam)
+    print(f"  {fam.value:8s} row {row:2d}: value = {values[row]:+.2e}")
+
+print("\nthe phase-locked vector Z1(1,1), flattened:")
+print(np.round(sample[CANONICAL_TEN_ROWS[6]], 4))
+
 print(f"\nspanning report over {rep.sample_size} sampled zero vectors:")
 print("  subset : rank of the partially conjugated images")
 for subset, rank in rep.subset_ranks.items():
@@ -58,9 +39,5 @@ for v in rep.pv1_complement:
     print(f"  basis vector |{idx:03b}>")
 
 print("\nthe ten canonical vectors (six basis + four phase-locked at (1,1))")
-ten = canonical_ten(CANONICAL)
-ranks = [
-    numerical_rank([flatten(partial_conjugate(pv, s)) for pv in ten])
-    for s in all_subsets(3)
-]
-print("ranks under all eight conjugations:", ranks)
+ranks = conjugation_ranks(rep.stack[:, CANONICAL_TEN_ROWS])
+print("ranks under all eight conjugations:", list(ranks.values()))

@@ -64,18 +64,14 @@ from .family import (
     FamilyParams,
     SpanningReport,
     ZeroFamily,
-    ZeroSample,
     bilinear_map,
-    canonical_ten,
     default_zero_sample,
     determinant_d,
     eighth_root,
     rank_one_projector,
-    realize_zero_vector,
     spanning_report,
     witness_matrix,
     zero_pair_and_kernel,
-    zeta_vector,
 )
 from .states import (
     DetectionReport,

@@ -16,7 +16,7 @@ inputs P_a = (1, a)(1, a)^H the image has determinant
 so the map is positive (block-positive witness) exactly on s t >= 8. All
 statements about the zero set and spanning live on the curve s t = 8, where
 the determinant degenerates to D and the zero set acquires the four
-phase-locked product-vector families realized below.
+phase-locked product-vector families sampled by `default_zero_sample`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidParamsError, OffVarietyError
+from .errors import InvalidParamsError
 from .linalg import TOLERANCES, read_only
 from .maps import MultilinearMapTable, Witness, evaluate
-from .tensor import THREE_QUBITS, ProductVector, conjugation_ranks, conjugation_stack
+from .tensor import THREE_QUBITS, conjugation_ranks, conjugation_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +68,7 @@ class FamilyParams:
     """Parameters (s, t) of the witness family.
 
     Any s, t > 0 is constructible; operations whose guarantees hold only on
-    the curve s t = 8 are gated on `on_variety` and raise OffVarietyError
-    elsewhere.
+    the curve s t = 8 are gated on `on_variety`.
     """
 
     s: float
@@ -235,24 +234,38 @@ def grid_images(params: FamilyParams) -> np.ndarray:
 
 
 class ZeroFamily(Enum):
-    """The ten product-vector families with vanishing witness value.
+    """The ten sampled families of product vectors with vanishing witness value.
 
     The first six fix two qubit factors at basis states and leave one factor
     free (any parameters, any s, t > 0). Z1..Z4 are the phase-locked
-    families with two positive parameters (a, b), defined only on s t = 8.
+    families with two positive parameters (a, b), sampled only on s t = 8.
+    They are not the whole zero set: the Z formulas vanish at (a, b) of mixed
+    sign too, the phase pairs with k1 + k2 = 4 (mod 8) (ROADMAP item 2).
     """
 
-    XI_01 = "xi_01"  # (free) (x) |0> (x) |1>
-    XI_10 = "xi_10"  # (free) (x) |1> (x) |0>
-    ETA_0 = "eta_0"  # |0> (x) (free) (x) |0>
-    ETA_1 = "eta_1"  # |1> (x) (free) (x) |1>
-    ZETA_PARAM_0 = "zeta_0"  # |0> (x) |0> (x) (free)
-    ZETA_PARAM_1 = "zeta_1"  # |1> (x) |1> (x) (free)
+    XI_01 = "xi_01"
+    XI_10 = "xi_10"
+    ETA_0 = "eta_0"
+    ETA_1 = "eta_1"
+    ZETA_PARAM_0 = "zeta_0"
+    ZETA_PARAM_1 = "zeta_1"
     Z1 = "z1"
     Z2 = "z2"
     Z3 = "z3"
     Z4 = "z4"
 
+
+# A free-factor family's factors, party by party: "f" the free factor, "0" and
+# "1" the basis states |0> and |1>.
+_PV1_SLOTS = {
+    ZeroFamily.XI_01: "f01",
+    ZeroFamily.XI_10: "f10",
+    ZeroFamily.ETA_0: "0f0",
+    ZeroFamily.ETA_1: "1f1",
+    ZeroFamily.ZETA_PARAM_0: "00f",
+    ZeroFamily.ZETA_PARAM_1: "11f",
+}
+_BASIS = ((1, 0), (0, 1))
 
 # omega exponents (first factor, second factor, third factor) per Z family.
 _Z_EXPONENTS = {
@@ -263,49 +276,16 @@ _Z_EXPONENTS = {
 }
 
 Z_FAMILIES = tuple(_Z_EXPONENTS)
-PV1_FAMILIES = tuple(fam for fam in ZeroFamily if fam not in _Z_EXPONENTS)
-
-_E0 = np.array([1.0, 0.0], dtype=complex)
-_E1 = np.array([0.0, 1.0], dtype=complex)
+PV1_FAMILIES = tuple(_PV1_SLOTS)
 
 
-@dataclass(frozen=True)
-class ZeroSample:
-    """One point of a zero-set family: a free factor (c0, c1) for the first
-    six families, a positive pair (a, b) for Z1..Z4."""
-
-    family: ZeroFamily
-    params: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))  # an array would not compare
-        if len(self.params) != 2:
-            raise InvalidParamsError("a zero sample takes exactly two parameters")
-        if self.family in _Z_EXPONENTS:
-            a, b = self.params
-            if not (float(a) > 0 and float(b) > 0):
-                raise InvalidParamsError("Z-family parameters must be positive reals")
-
-
-def _z_factors(family: ZeroFamily, a: float, b: float, params: FamilyParams) -> tuple:
-    """A Z family's three factors at (a, b), as pairs of scalars: the one
-    formula behind `zeta_vector` and the Z rows of the default sample."""
-    k1, k2, k3 = _Z_EXPONENTS[family]
-    u = params.u
+def _z_factors(exponents: tuple[int, int, int], a: float, b: float, u: float) -> tuple:
+    """A Z family's three factors at (a, b), from its omega exponents (k1, k2, k3)
+    and the third-factor scale u = s / (2 sqrt 2), as pairs of scalars:
+    (1, a w^k1), (1, b w^k2), (b, u a w^k3), w^k read from the exact table;
+    Z1 = (1, a w^7) (x) (1, b w) (x) (b, u a w^3)."""
+    k1, k2, k3 = exponents
     return (1.0, a * eighth_root(k1)), (1.0, b * eighth_root(k2)), (b, u * a * eighth_root(k3))
-
-
-def zeta_vector(family: ZeroFamily, a: float, b: float, params: FamilyParams) -> ProductVector:
-    """The phase-locked product vector of a Z family at parameters (a, b).
-
-    Z1 = (1, a w^7) (x) (1, b w) (x) (b, u a w^3) and cyclic variants, with
-    w = exp(i pi / 4) and u = s / (2 sqrt 2). Defined only on s t = 8.
-    """
-    if family not in _Z_EXPONENTS:
-        raise InvalidParamsError(f"{family} is not a phase-locked family")
-    if not params.on_variety:
-        raise OffVarietyError(f"family {family.value} needs s*t = 8, got {params.s * params.t}")
-    return ProductVector(list(_z_factors(family, float(a), float(b), params)))
 
 
 def zero_pair_and_kernel(
@@ -321,95 +301,63 @@ def zero_pair_and_kernel(
     return alpha, beta, kernel
 
 
-def realize_zero_vector(sample: ZeroSample, params: FamilyParams) -> ProductVector:
-    """Turn a zero-set sample into a concrete product vector."""
-    fam = sample.family
-    if fam in _Z_EXPONENTS:
-        a, b = sample.params
-        return zeta_vector(fam, a, b, params)
-    free = np.asarray(sample.params, dtype=complex)
-    slots = {
-        ZeroFamily.XI_01: [free, _E0, _E1],
-        ZeroFamily.XI_10: [free, _E1, _E0],
-        ZeroFamily.ETA_0: [_E0, free, _E0],
-        ZeroFamily.ETA_1: [_E1, free, _E1],
-        ZeroFamily.ZETA_PARAM_0: [_E0, _E0, free],
-        ZeroFamily.ZETA_PARAM_1: [_E1, _E1, free],
-    }
-    return ProductVector(list(slots[fam]))
-
-
-def canonical_ten(params: FamilyParams) -> list[ProductVector]:
-    """Ten zero-set vectors spanning the whole space under every partial
-    conjugation: six basis vectors plus the four Z vectors at (a, b) = (1, 1)."""
-    if not params.on_variety:
-        raise OffVarietyError("the canonical ten are defined on s*t = 8 only")
-    basis = ("000", "001", "010", "101", "110", "111")
-    ten = [ProductVector([(_E0, _E1)[int(c)] for c in label]) for label in basis]
-    ten += [zeta_vector(fam, 1.0, 1.0, params) for fam in Z_FAMILIES]
-    return ten
-
-
 # Free-factor grid for the first six families: two basis points plus two
 # genuinely complex directions; already more than enough for the rank checks.
 _PV1_FREE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, 1j))
 _Z_AB_PARAMS = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))
 
-# `canonical_ten` as rows of the default sample on s t = 8: basis vectors at free
-# parameters (1, 0) (rows 0-5) and (0, 1) (rows 6-11), Z vectors at (a, b) = (1, 1).
+# Ten rows of the default sample on s t = 8 that span the whole space under
+# every partial conjugation: the basis vectors |000>, |001>, |010>, |101>,
+# |110>, |111> at free parameters (1, 0) (rows 0-5) and (0, 1) (rows 6-11),
+# then Z1..Z4 at (a, b) = (1, 1).
 CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
 
 
 @cache
-def _default_samples(on_variety: bool) -> tuple[ZeroSample, ...]:
-    samples = tuple(ZeroSample(fam, free) for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES)
-    if on_variety:
-        samples += tuple(ZeroSample(fam, ab) for fam in Z_FAMILIES for ab in _Z_AB_PARAMS)
-    return samples
+def free_factor_rows() -> np.ndarray:
+    """The default sample's first rows, the same for every s, t: each free-factor
+    family at each free parameter in turn, as one read-only (3, 24, 2) factor array."""
+    rows = [[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
+            for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES]
+    return read_only(np.array(rows, dtype=complex).transpose(1, 0, 2))
 
 
-def default_zero_sample(params: FamilyParams) -> list[ZeroSample]:
-    """Deterministic sampling of the zero set used by the spanning checks:
-    the six free-factor families at each free parameter in turn, then, on
-    s t = 8, each Z family at its three (a, b)."""
-    return list(_default_samples(params.on_variety))
-
-
-def _by_party(rows) -> np.ndarray:
-    """Three-qubit product vectors' factors, given vector by vector, as one
-    (3, N, 2) array, party by party, as `conjugation_stack` takes them."""
-    return np.array(rows, dtype=complex).reshape(-1, 3, 2).transpose(1, 0, 2)
+def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], np.ndarray]:
+    """The zero-set sample of the spanning checks: a family label per row, and
+    the rows' factors party by party as one complex (3, N, 2) array, as
+    `conjugation_stack` takes them. The rows are `free_factor_rows`, then, on
+    s t = 8 only, each Z family at its three (a, b)."""
+    labels = PV1_FAMILIES * len(_PV1_FREE_PARAMS)
+    if not params.on_variety:
+        return labels, free_factor_rows()
+    rows = [_z_factors(k, a, b, params.u) for k in _Z_EXPONENTS.values() for a, b in _Z_AB_PARAMS]
+    # one flat pass: np.array would spend longer discovering the nesting
+    z = np.fromiter((x for row in rows for factor in row for x in factor), complex, 6 * len(rows))
+    labels += tuple(fam for fam in Z_FAMILIES for _ in _Z_AB_PARAMS)
+    return labels, np.concatenate([free_factor_rows(), z.reshape(-1, 3, 2).transpose(1, 0, 2)], axis=1)
 
 
 @cache
 def _free_stack() -> np.ndarray:
-    """The default sample's free-factor rows under every conjugation; no (s, t) enters them."""
-    pvs = [realize_zero_vector(x, CANONICAL) for x in _default_samples(False)]
-    return read_only(conjugation_stack(_by_party([pv.factors for pv in pvs])))
-
-
-def default_family_maxima(values: np.ndarray) -> dict[str, float]:
-    """The largest of `values`, one per row of the default sample on s t = 8, family by family."""
-    split = len(_PV1_FREE_PARAMS) * len(PV1_FAMILIES)
-    free = values[:split].reshape(-1, len(PV1_FAMILIES)).max(0)
-    z = values[split:].reshape(len(Z_FAMILIES), -1).max(1)
-    return dict(zip([fam.value for fam in ZeroFamily], free.tolist() + z.tolist()))
+    """`free_factor_rows` under every conjugation; no (s, t) enters them."""
+    return read_only(conjugation_stack(free_factor_rows()))
 
 
 @dataclass
 class SpanningReport:
-    """Partial-conjugation ranks of a zero-set sample.
+    """Partial-conjugation ranks of the default zero-set sample.
 
-    `stack` is the `samples` flattened under every conjugation, as
-    `conjugation_stack` gives it; its first entry is the sample itself (for the
-    default sample off s t = 8, the read-only table of its free-factor rows).
-    `full_spanning` holds when every one of the 2^n conjugated images spans
-    the whole space. The first-six-family rows are ranked separately, under
-    every conjugation too; `pv1_complement` is the computational basis
-    vectors outside their support, which are orthogonal to their span.
+    `samples` is the sample's family labels, one per row, and `stack` its rows
+    under every conjugation, as `conjugation_stack` gives them; its first
+    entry is the sample itself (off s t = 8, the read-only table of its
+    free-factor rows). `full_spanning` holds when every one of the 2^n
+    conjugated images spans the whole space. The first-six-family rows are
+    ranked separately, under every conjugation too; `pv1_complement` is the
+    computational basis vectors outside their support, which are orthogonal
+    to their span.
     """
 
-    samples: list[ZeroSample]
+    samples: tuple[ZeroFamily, ...]
     stack: np.ndarray
     subset_ranks: dict[tuple[int, ...], int]
     full_spanning: bool
@@ -425,42 +373,39 @@ class SpanningReport:
     def pv1_rank(self) -> int:
         return self.pv1_subset_ranks[()]
 
+    def family_maxima(self, values: np.ndarray) -> dict[str, float]:
+        """The largest of `values`, one per row of the sample, family by family."""
+        families = list(dict.fromkeys(self.samples))
+        codes = np.array([families.index(fam) for fam in self.samples])
+        best = np.where(codes == np.arange(len(families))[:, None], values, -np.inf).max(axis=1)
+        return dict(zip([fam.value for fam in families], best.tolist()))
 
-def spanning_report(
-    params: FamilyParams,
-    samples: list[ZeroSample] | None = None,
-    rank_tol: float = TOLERANCES["rank"],
-) -> SpanningReport:
-    """Rank of the partially conjugated zero-set sample, for every subset.
 
-    The default sample (if not given, s t = 8 only) joins its free-factor rows'
-    stack, built once per process, to its Z rows'; any other is flattened by
-    party. `conjugation_ranks` ranks the 2^n conjugations, and the pv1 rows'.
-    `pv1_complement` is the basis vectors on which all those rows are
-    exactly zero: the orthogonal complement of their span exactly when
+def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) -> SpanningReport:
+    """Rank of the partially conjugated default zero-set sample, for every subset.
+
+    The free-factor rows' stack is built once per process; on s t = 8 the Z
+    rows' joins it. `conjugation_ranks` ranks the 2^n conjugations, and the
+    pv1 rows'. `pv1_complement` is the basis vectors on which all those rows
+    are exactly zero: the orthogonal complement of their span exactly when
     `pv1_rank + len(pv1_complement) == dimension`.
 
-    With the default sample on s t = 8 every rank is full; restricted to the
-    first six families every rank is 6 and the complement is |011>, |100>.
+    On s t = 8 every rank is full. Restricted to the first six families, which
+    are the whole sample off the curve, every rank is 6 and the complement is
+    |011>, |100>.
     """
-    default = default_zero_sample(params)
-    if samples is None and not params.on_variety:
-        raise OffVarietyError("the default spanning sample needs s*t = 8")
-    if samples is None or samples == default:
-        samples, flats = default, _free_stack()
-        if params.on_variety:
-            z = [_z_factors(fam, a, b, params) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
-            flats = np.concatenate([flats, conjugation_stack(_by_party(z))], axis=1)
-    else:
-        flats = conjugation_stack(_by_party([realize_zero_vector(s, params).factors for s in samples]))
+    labels, factors = default_zero_sample(params)
+    flats = _free_stack()
+    if params.on_variety:
+        flats = np.concatenate([flats, conjugation_stack(factors[:, flats.shape[1]:])], axis=1)
     ranks = conjugation_ranks(flats, rank_tol)
-    pv1 = flats[:, [s.family in PV1_FAMILIES for s in samples]]
+    pv1 = flats[:, [fam in PV1_FAMILIES for fam in labels]]
     dim = THREE_QUBITS.total_dim
     return SpanningReport(
-        samples=samples,
+        samples=labels,
         stack=flats,
         subset_ranks=ranks,
-        full_spanning=bool(ranks) and all(r == dim for r in ranks.values()),
+        full_spanning=all(r == dim for r in ranks.values()),
         pv1_subset_ranks=conjugation_ranks(pv1, rank_tol),
         pv1_complement=list(np.eye(dim)[~np.any(pv1[0], axis=0)]),
         dimension=dim,

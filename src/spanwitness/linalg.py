@@ -42,12 +42,13 @@ DEFAULT_TOLERANCES = {k: TOLERANCES[k] for k in ("pairing", "seesaw", "rank", "e
 
 
 def document_tolerances(**overrides: float) -> dict:
-    """`DEFAULT_TOLERANCES` with overrides, each finite and >= 0 (the rank
-    tolerance > 0); raises UsageError otherwise."""
+    """`DEFAULT_TOLERANCES` with overrides, each finite and >= 0, the rank
+    tolerance in (0, 1): at 1 or above no singular value would count toward a
+    rank; raises UsageError otherwise."""
     for key, value in overrides.items():
-        if not (math.isfinite(value) and (value > 0 or value == 0 and key != "rank")):
-            bound = "> 0" if key == "rank" else ">= 0"
-            raise UsageError(f"{key} tolerance must be finite and {bound}, got {value!r}")
+        if not (0 < value < 1 if key == "rank" else math.isfinite(value) and value >= 0):
+            bound = "in (0, 1)" if key == "rank" else "finite and >= 0"
+            raise UsageError(f"{key} tolerance must be {bound}, got {value!r}")
     return dict(DEFAULT_TOLERANCES, **overrides)
 
 

@@ -29,8 +29,6 @@ from .family import (
     FamilyParams,
     SpanningReport,
     bilinear_map,
-    default_family_maxima,
-    default_zero_sample,
     eighth_root,
     grid_determinants,
     grid_images,
@@ -136,8 +134,7 @@ class Context:
     def spanning(self) -> SpanningReport:
         """Spanning report of the default zero-set sample at the rank tolerance:
         off s t = 8, of its free-factor rows alone."""
-        samples = None if self.params.on_variety else default_zero_sample(self.params)
-        return spanning_report(self.params, samples=samples, rank_tol=self.tolerances["rank"])
+        return spanning_report(self.params, rank_tol=self.tolerances["rank"])
 
     def document(self, command: str, checks: list[Check]) -> ReportDocument:
         p = self.params
@@ -232,7 +229,7 @@ def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
     document's spanning sample, unconjugated, its values from one stacked call."""
     values = np.abs(value_on_product(ctx.witness, ctx.spanning.stack[0]))
-    per_family = default_family_maxima(values)
+    per_family = ctx.spanning.family_maxima(values)
     worst = float(values.max())
     return worst <= tol, {"samples": len(values), "max_abs_value": worst, "per_family": per_family}
 
@@ -267,7 +264,7 @@ def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations:
-    `canonical_ten`'s rows of the document's spanning sample, `conjugation_ranks`."""
+    the rows `CANONICAL_TEN_ROWS` of the document's spanning sample, `conjugation_ranks`."""
     ranks = by_subset(conjugation_ranks(ctx.spanning.stack[:, CANONICAL_TEN_ROWS], tol))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 

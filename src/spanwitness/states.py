@@ -9,15 +9,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutOfRangeError
-from .family import (
-    CANONICAL,
-    R,
-    Z_FAMILIES,
-    FamilyParams,
-    canonical_ten,
-    zeta_vector,
-)
+from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
+from .family import CANONICAL, CANONICAL_TEN_ROWS, R, FamilyParams, default_zero_sample, free_factor_rows
 from .linalg import TOLERANCES
 from .maps import Witness, pairing
 from .tensor import (
@@ -92,7 +85,11 @@ class SeparableDecomposition:
 def assemble(dec: SeparableDecomposition) -> np.ndarray:
     """Sum of weighted projectors onto the product vectors, flattened as one stack."""
     flats = kron_rows([np.array(f) for f in zip(*(pv.factors for pv in dec.vectors), strict=True)])
-    w = np.asarray(dec.weights)
+    return _mixture(dec.weights, flats)
+
+
+def _mixture(weights: list[float], flats: np.ndarray) -> np.ndarray:
+    w = np.asarray(weights)
     return (w[:, None, None] * (flats[:, :, None] * flats.conj()[:, None, :])).sum(axis=0)
 
 
@@ -108,25 +105,32 @@ def verify_decomposition(
     return bool(np.max(np.abs(built - state.matrix)) <= tol)
 
 
+def _equal_mixture(factors: np.ndarray, weight: float) -> tuple[State, SeparableDecomposition]:
+    """The product vectors of a (3, k, 2) factor array, each at `weight`, with
+    their certificate: `assemble`'s sum, read from the factors directly."""
+    vectors = [ProductVector(list(row)) for row in factors.transpose(1, 0, 2)]
+    dec = SeparableDecomposition(weights=[weight] * len(vectors), vectors=vectors)
+    return state_from(_mixture(dec.weights, kron_rows(factors)), THREE_QUBITS.dims), dec
+
+
 def rho0() -> tuple[State, SeparableDecomposition]:
     """Equal mixture of the six basis zero-set vectors: diag(1,1,1,0,0,1,1,1)/6."""
-    vectors = canonical_ten(CANONICAL)[:6]
-    dec = SeparableDecomposition(weights=[1.0 / 6.0] * 6, vectors=vectors)
-    return state_from(assemble(dec), THREE_QUBITS.dims), dec
+    return _equal_mixture(free_factor_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
 
 
 def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecomposition]:
-    """Normalized mixture of the four phase-locked vectors at (a, b) = (1, 1).
+    """Normalized mixture of the four phase-locked vectors at (a, b) = (1, 1),
+    rows of the default zero-set sample; on s t = 8 only.
 
     Built from its separability certificate; the matrix is the consequence,
     not the definition. At s = t = 2 sqrt 2 every flattened vector has
     squared norm 8, so the weights are 1/32 each.
     """
-    vectors = [zeta_vector(fam, 1.0, 1.0, params) for fam in Z_FAMILIES]
+    if not params.on_variety:
+        raise OffVarietyError(f"rho_1 needs s*t = 8, got {params.s * params.t}")
     # each flattened vector has squared norm 2 * 2 * (1 + u^2)
     weight = 1.0 / (16.0 * (1.0 + params.u**2))
-    dec = SeparableDecomposition(weights=[weight] * 4, vectors=vectors)
-    return state_from(assemble(dec), THREE_QUBITS.dims), dec
+    return _equal_mixture(default_zero_sample(params)[1][:, CANONICAL_TEN_ROWS[6:]], weight)
 
 
 def rho_lambda(

@@ -20,7 +20,6 @@ from spanwitness import (
     ST8_GRID,
     bilinear_map,
     biseparable_vector,
-    canonical_ten,
     choi_matrix,
     cut_block_positivity,
     default_zero_sample,
@@ -34,7 +33,7 @@ from spanwitness import (
     partial_conjugate,
     partial_transpose,
     rank_one_projector,
-    realize_zero_vector,
+    ProductVector,
     perturbed_detected_state,
     rho1,
     rho_lambda,
@@ -45,7 +44,7 @@ from spanwitness import (
     witness_matrix,
     x_state,
 )
-from spanwitness.family import SQRT2
+from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2
 from spanwitness.tensor import all_subsets
 
 DATA = Path(__file__).parent / "data"
@@ -160,15 +159,15 @@ def test_criterion_04_seesaw_certificate():
 def test_criterion_05_zero_set():
     tol = 1e-10
     w = witness_matrix(CANONICAL)
-    samples = default_zero_sample(CANONICAL)
+    labels, factors = default_zero_sample(CANONICAL)
     worst = max(
-        abs(value_on_product(w, realize_zero_vector(s, CANONICAL))) for s in samples
+        abs(value_on_product(w, ProductVector(list(row)))) for row in factors.transpose(1, 0, 2)
     )
-    ok = worst <= tol and len(samples) == 36
+    ok = worst <= tol and len(labels) == 36
     report(
         "criterion 05 zero set",
         ok,
-        f"max |value| {worst:.2e} over {len(samples)} sampled vectors",
+        f"max |value| {worst:.2e} over {len(labels)} sampled vectors",
     )
 
 
@@ -180,7 +179,8 @@ def test_criterion_06_full_spanning():
     expected[0, 3] = 1.0
     expected[1, 4] = 1.0
     pv1_ok = rep.pv1_rank == 6 and comp.shape == (2, 8) and np.max(np.abs(comp - expected)) < 1e-8
-    ten = canonical_ten(CANONICAL)
+    factors = default_zero_sample(CANONICAL)[1]
+    ten = [ProductVector(list(factors[:, i])) for i in CANONICAL_TEN_ROWS]
     ten_ok = all(
         numerical_rank([flatten(partial_conjugate(pv, sub)) for pv in ten]) == 8
         for sub in all_subsets(3)

@@ -26,3 +26,5 @@ def test_demo_runs(demo):
         lines = [line.strip() for line in proc.stdout.splitlines()]
         assert "basis vector |011>" in lines
         assert "basis vector |100>" in lines
+        assert "full spanning: True" in lines
+        assert "ranks under all eight conjugations: [8, 8, 8, 8, 8, 8, 8, 8]" in lines

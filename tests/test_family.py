@@ -12,9 +12,7 @@ from spanwitness import (
     ST8_GRID,
     TOLERANCES,
     ZeroFamily,
-    ZeroSample,
     bilinear_map,
-    canonical_ten,
     choi_matrix,
     default_zero_sample,
     determinant_d,
@@ -24,25 +22,31 @@ from spanwitness import (
     numerical_rank,
     partial_conjugate,
     rank_one_projector,
-    realize_zero_vector,
+    rho1,
     spanning_report,
     value_on_product,
     witness_matrix,
     zero_pair_and_kernel,
-    zeta_vector,
 )
 from spanwitness.family import (
+    _Z_EXPONENTS,
+    _z_factors,
     CANONICAL_TEN_ROWS,
     PV1_FAMILIES,
     SQRT2,
     Z_FAMILIES,
-    default_family_maxima,
     grid_image_terms,
     grid_images,
     phase_modulus_grid,
 )
 from spanwitness.linalg import numerical_ranks
 from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack
+
+
+def sample_vectors(params):
+    """The default sample's family labels, and its rows as product vectors."""
+    labels, factors = default_zero_sample(params)
+    return labels, [ProductVector(list(row)) for row in factors.transpose(1, 0, 2)]
 
 
 def party_factors(pvs):
@@ -238,6 +242,8 @@ def test_positivity_grid_large():
 def test_kernel_identity():
     for params in ST8_GRID:
         table = bilinear_map(params)
+        # the Z rows of the default sample: each family at each (a, b) in turn
+        thirds = iter(default_zero_sample(params)[1][2, 24:])
         for fam in Z_FAMILIES:
             for a, b in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
                 alpha, beta, kernel = zero_pair_and_kernel(fam, a, b, params)
@@ -245,9 +251,9 @@ def test_kernel_identity():
                 image = evaluate(table, rank_one_projector(alpha), rank_one_projector(beta))
                 assert np.max(np.abs(image @ kernel)) < 1e-10
                 # the kernel is the (unnormalized) third factor
-                pv = zeta_vector(fam, a, b, params)
-                cross = abs(np.vdot(kernel, pv.factors[2])) ** 2
-                norms = np.vdot(kernel, kernel).real * np.vdot(pv.factors[2], pv.factors[2]).real
+                third = next(thirds)
+                cross = abs(np.vdot(kernel, third)) ** 2
+                norms = np.vdot(kernel, kernel).real * np.vdot(third, third).real
                 assert abs(cross - norms) < 1e-10 * max(1.0, norms)
 
 
@@ -263,10 +269,10 @@ def test_zero_pair_off_the_curve(params):
     # the pair is the conjugate phases of a Z vector's first two factors; at
     # it D = 0, so the image's determinant is (s t - 8) |ab|^2 for any s, t
     table = bilinear_map(params)
-    for fam in Z_FAMILIES:
+    factors = default_zero_sample(CANONICAL)[1]
+    for fam, row in zip(Z_FAMILIES, CANONICAL_TEN_ROWS[6:]):
         alpha, beta, _ = zero_pair_and_kernel(fam, 1.0, 1.0, params)
-        pv = zeta_vector(fam, 1.0, 1.0, CANONICAL)
-        assert (alpha, beta) == (pv.factors[0][1].conjugate(), pv.factors[1][1].conjugate())
+        assert (alpha, beta) == (factors[0, row, 1].conjugate(), factors[1, row, 1].conjugate())
         assert determinant_d(alpha, beta) < 1e-12
         image = evaluate(table, rank_one_projector(alpha), rank_one_projector(beta))
         det = image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
@@ -274,9 +280,11 @@ def test_zero_pair_off_the_curve(params):
 
 
 def test_realize_zero_vector_families(canonical_witness):
-    sample = ZeroSample(family=ZeroFamily.XI_10, params=(0, 1))
-    assert np.array_equal(flatten(realize_zero_vector(sample, CANONICAL)), np.eye(8)[6])
-    z1 = realize_zero_vector(ZeroSample(family=ZeroFamily.Z1, params=(1.0, 1.0)), CANONICAL)
+    # row 7 is XI_10 at free parameter (0, 1); row 24 is Z1 at (a, b) = (1, 1)
+    labels, pvs = sample_vectors(CANONICAL)
+    assert labels[7] == ZeroFamily.XI_10 and labels[24] == ZeroFamily.Z1
+    assert np.array_equal(flatten(pvs[7]), np.eye(8)[6])
+    z1 = pvs[24]
     assert np.allclose(z1.factors[0], [1, eighth_root(7)], atol=1e-15)
     assert np.allclose(z1.factors[1], [1, eighth_root(1)], atol=1e-15)
     assert np.allclose(z1.factors[2], [1, eighth_root(3)], atol=1e-15)
@@ -285,34 +293,42 @@ def test_realize_zero_vector_families(canonical_witness):
 def test_all_sampled_zero_vectors_annihilate_witness():
     for params in ST8_GRID:
         w = witness_matrix(params)
-        for sample in default_zero_sample(params):
-            pv = realize_zero_vector(sample, params)
+        for pv in sample_vectors(params)[1]:
             assert abs(value_on_product(w, pv)) <= 1e-10
 
 
+def test_z_formulas_vanish_at_mixed_sign_parameters():
+    # the sampled families are not the whole zero set: the Z formulas vanish
+    # at (a, b) of mixed sign too, where the first two phases are a pair
+    # k1 + k2 = 4 (mod 8) that no sampled family has (ROADMAP item 2)
+    for params in ST8_GRID:
+        w = witness_matrix(params)
+        for fam in Z_FAMILIES:
+            for a, b in ((-1.3, 0.7), (1.3, -0.7), (-1.0, 2.0), (2.0, -1.0)):
+                factors = [np.array(f, dtype=complex) for f in _z_factors(_Z_EXPONENTS[fam], a, b, params.u)]
+                k1, k2 = (round(np.angle(f[1]) / (np.pi / 4)) for f in factors[:2])
+                assert (k1 + k2) % 8 == 4
+                assert abs(value_on_product(w, ProductVector(factors))) < 1e-13
+
+
 def test_z_families_gated_off_variety():
+    # off the curve the sample is its free-factor rows alone, which stay zeros
+    # of the witness and rank 6; rho_1, made of Z rows, is not defined there
     off = FamilyParams(1.0, 1.0)
+    labels, pvs = sample_vectors(off)
+    assert len(labels) == 24 and set(labels) == set(PV1_FAMILIES)
+    rep = spanning_report(off)
+    assert rep.samples == labels and rep.stack.shape == (8, 24, 8)
+    assert not rep.full_spanning and set(rep.subset_ranks.values()) == {6}
+    assert max(abs(value_on_product(witness_matrix(off), pv)) for pv in pvs) < 1e-12
     with pytest.raises(OffVarietyError):
-        zeta_vector(ZeroFamily.Z1, 1.0, 1.0, off)
-    with pytest.raises(OffVarietyError):
-        canonical_ten(off)
-    with pytest.raises(OffVarietyError):
-        spanning_report(off)
-    # free-factor families stay available off the curve
-    sample = ZeroSample(family=ZeroFamily.ETA_0, params=(1, 1j))
-    assert abs(value_on_product(witness_matrix(off), realize_zero_vector(sample, off))) < 1e-12
-
-
-def test_zero_sample_validation():
-    with pytest.raises(InvalidParamsError):
-        ZeroSample(family=ZeroFamily.Z1, params=(-1.0, 1.0))
-    with pytest.raises(InvalidParamsError):
-        ZeroSample(family=ZeroFamily.XI_01, params=(1, 2, 3))
+        rho1(off)
 
 
 def test_canonical_ten_layout():
-    ten = canonical_ten(CANONICAL)
-    assert len(ten) == 10
+    labels, pvs = sample_vectors(CANONICAL)
+    ten = [pvs[i] for i in CANONICAL_TEN_ROWS]
+    assert [labels[i] for i in CANONICAL_TEN_ROWS[6:]] == list(Z_FAMILIES)
     flats = [flatten(pv) for pv in ten]
     for vec, idx in zip(flats[:6], (0, 1, 2, 5, 6, 7)):
         assert np.array_equal(vec, np.eye(8)[idx])
@@ -320,7 +336,8 @@ def test_canonical_ten_layout():
 
 
 def test_canonical_ten_spans_under_every_conjugation():
-    ten = canonical_ten(CANONICAL)
+    pvs = sample_vectors(CANONICAL)[1]
+    ten = [pvs[i] for i in CANONICAL_TEN_ROWS]
     for subset in all_subsets(3):
         images = [flatten(partial_conjugate(pv, subset)) for pv in ten]
         assert numerical_rank(images) == 8
@@ -341,37 +358,12 @@ def test_spanning_report_default():
     "params", [*ST8_GRID, FamilyParams(1.0, 1.0)], ids=lambda p: f"{p.s:.4g}_{p.t:.4g}"
 )
 def test_pv1_subset_ranks_match_conjugation_ranks(params):
-    # the pv1 rows of the one stacked report, against the pv1 samples alone
-    samples = default_zero_sample(params)
-    rep = spanning_report(params, samples=samples)
-    pv1 = [realize_zero_vector(x, params) for x in samples if x.family in PV1_FAMILIES]
+    # the pv1 rows of the one stacked report, against the pv1 rows alone
+    rep = spanning_report(params)
+    labels, pvs = sample_vectors(params)
+    pv1 = [pv for fam, pv in zip(labels, pvs) if fam in PV1_FAMILIES]
     assert rep.pv1_subset_ranks == stacked_ranks(pv1)
     assert rep.pv1_rank == rep.pv1_subset_ranks[()] == 6
-
-
-def test_default_sample_given_with_array_parameters_reads_the_same_stack():
-    # array parameters compare as tuples: the off-curve default sample, given
-    # with each free factor as an array, is recognized and matches the default
-    off = FamilyParams(1.0, 1.0)
-    samples = [ZeroSample(x.family, np.array(x.params)) for x in default_zero_sample(off)]
-    got, want = spanning_report(off, samples=samples), spanning_report(off, default_zero_sample(off))
-    assert np.array_equal(got.stack, want.stack) and got.subset_ranks == want.subset_ranks
-
-
-def test_pv1_complement_outside_a_coordinate_span_falls_short():
-    # XI_01 at (1, 1) alone is |001> + |101>: support {1, 5}, rank 1, so the
-    # six zero coordinates are orthogonal to it but not all of its complement
-    rep = spanning_report(CANONICAL, samples=[ZeroSample(family=ZeroFamily.XI_01, params=(1, 1))])
-    assert rep.pv1_rank == 1
-    assert len(rep.pv1_complement) == 6
-    assert rep.pv1_rank + len(rep.pv1_complement) < rep.dimension
-
-
-def test_spanning_report_empty_sample():
-    rep = spanning_report(CANONICAL, samples=[])
-    assert not rep.full_spanning
-    assert set(rep.subset_ranks.values()) == {0}
-    assert rep.pv1_rank == 0
 
 
 def test_adjacent_pv1_families_share_one_vertex():
@@ -385,15 +377,10 @@ def test_adjacent_pv1_families_share_one_vertex():
         (ZeroFamily.ZETA_PARAM_0, ZeroFamily.ETA_0, "000"),
         (ZeroFamily.ETA_0, ZeroFamily.XI_10, "010"),
     ]
-    shape = CANONICAL
-    free = ((1, 0), (0, 1), (1, 1), (1, 1j))
+    labels, pvs = sample_vectors(CANONICAL)
     for fam_a, fam_b, label in cycle:
-        span_a = [
-            flatten(realize_zero_vector(ZeroSample(family=fam_a, params=p), shape)) for p in free
-        ]
-        span_b = [
-            flatten(realize_zero_vector(ZeroSample(family=fam_b, params=p), shape)) for p in free
-        ]
+        span_a = [flatten(pv) for fam, pv in zip(labels, pvs) if fam == fam_a]
+        span_b = [flatten(pv) for fam, pv in zip(labels, pvs) if fam == fam_b]
         ra = numerical_rank(span_a)
         rb = numerical_rank(span_b)
         runion = numerical_rank(span_a + span_b)
@@ -428,12 +415,12 @@ def _rank_cases():
     the curve, the rank-6 pv1 sample, and the canonical ten."""
     s = float(2 ** np.random.default_rng(5).uniform(-0.5, 2.5))
     cases = [
-        (f"sample_{p.s:.4g}_{p.t:.4g}", [realize_zero_vector(x, p) for x in default_zero_sample(p)])
+        (f"sample_{p.s:.4g}_{p.t:.4g}", sample_vectors(p)[1])
         for p in (*ST8_GRID, FamilyParams(s, 8.0 / s))
     ]
-    pv1 = [x for x in default_zero_sample(CANONICAL) if x.family in PV1_FAMILIES]
-    cases.append(("pv1", [realize_zero_vector(x, CANONICAL) for x in pv1]))
-    cases.append(("canonical_ten", canonical_ten(CANONICAL)))
+    labels, pvs = sample_vectors(CANONICAL)
+    cases.append(("pv1", [pv for fam, pv in zip(labels, pvs) if fam in PV1_FAMILIES]))
+    cases.append(("canonical_ten", [pvs[i] for i in CANONICAL_TEN_ROWS]))
     return cases
 
 
@@ -455,6 +442,37 @@ def test_conjugation_ranks_match_reference_loop(label, pvs):
 
 CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
 
+_H = math.sqrt(2.0) / 2
+# omega^k = exp(i pi k / 4), k = 0..7, written out
+_OMEGA = (1, (1 + 1j) * _H, 1j, (-1 + 1j) * _H, -1, (-1 - 1j) * _H, -1j, (1 - 1j) * _H)
+
+
+def written_out_sample(params):
+    """The default sample from the families' formulas, row by row: its label
+    and its three factors. Each free-factor family at (1, 0), (0, 1), (1, 1)
+    and (1, i) in turn, then, on s t = 8, Z1..Z4 each at (a, b) = (1, 1),
+    (1, 2), (2, 1), Z = (1, a w^k1) (x) (1, b w^k2) (x) (b, u a w^k3),
+    u = s / (2 sqrt 2)."""
+    e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    rows = []
+    for free in ((1, 0), (0, 1), (1, 1), (1, 1j)):
+        f = np.array(free, dtype=complex)
+        rows += [
+            ("xi_01", f, e0, e1), ("xi_10", f, e1, e0), ("eta_0", e0, f, e0),
+            ("eta_1", e1, f, e1), ("zeta_0", e0, e0, f), ("zeta_1", e1, e1, f),
+        ]
+    if params.on_variety:
+        u = params.s / (2 * math.sqrt(2.0))
+        for name, (k1, k2, k3) in (("z1", (7, 1, 3)), ("z2", (5, 3, 5)), ("z3", (3, 5, 3)), ("z4", (1, 7, 5))):
+            for a, b in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
+                rows.append((
+                    name,
+                    np.array([1, a * _OMEGA[k1]], dtype=complex),
+                    np.array([1, b * _OMEGA[k2]], dtype=complex),
+                    np.array([b, u * a * _OMEGA[k3]], dtype=complex),
+                ))
+    return rows
+
 
 @pytest.mark.parametrize(
     "params",
@@ -462,28 +480,34 @@ CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
     ids=lambda p: f"{p.s:.6g}_{p.t:.6g}",
 )
 def test_default_sample_rows_match_per_vector_path(params):
-    # the default sample's rows, built from party factor arrays (on the
-    # curve: the free-factor rows once per process, the Z rows in one pass),
-    # against each sample's vector realized, conjugated and flattened alone;
-    # off the curve the sample is its free-factor rows
-    samples = default_zero_sample(params)
-    rep = spanning_report(params, samples=None if params.on_variety else samples)
-    assert rep.stack.shape == (8, len(samples), 8)
-    assert len(samples) == (36 if params.on_variety else 24)
-    for i, sample in enumerate(samples):
-        pv = realize_zero_vector(sample, params)
-        for k, sub in enumerate(all_subsets(3)):
-            assert np.array_equal(rep.stack[k, i], flatten(partial_conjugate(pv, sub)))
+    # default_zero_sample's labels and factors, and the report's rows under every
+    # conjugation, bit for bit against each row written out from the
+    # families' formulas, its factors conjugated one by one and multiplied
+    # out with np.kron; off the curve the sample is its free-factor rows
+    rows = written_out_sample(params)
+    labels, factors = default_zero_sample(params)
+    rep = spanning_report(params)
+    assert [fam.value for fam in labels] == [name for name, *_ in rows]
+    assert rep.samples == labels and rep.sample_size == len(rows) == (36 if params.on_variety else 24)
+    assert np.array_equal(factors, np.array([fs for _, *fs in rows]).transpose(1, 0, 2))
+    assert rep.stack.shape == (8, len(rows), 8)
+    for k, sub in enumerate(all_subsets(3)):
+        for i, (_, *fs) in enumerate(rows):
+            conjugated = [f.conj() if j + 1 in sub else f for j, f in enumerate(fs)]
+            assert np.array_equal(rep.stack[k, i], np.kron(np.kron(*conjugated[:2]), conjugated[2]))
     if not params.on_variety:
         return
-    ten = rep.stack[:, CANONICAL_TEN_ROWS]
-    assert np.array_equal(ten, conjugation_stack(party_factors(canonical_ten(params))))
-    # per family maxima from the sample's layout, against selecting each
-    # family by its name
+    # the canonical ten: the basis vectors, then each Z family at (1, 1)
+    basis = [flatten(ProductVector(fs)) for _, *fs in rows[:12]]
+    assert [int(np.argmax(basis[i])) for i in CANONICAL_TEN_ROWS[:6]] == [0, 1, 2, 5, 6, 7]
+    assert [rows[i][0] for i in CANONICAL_TEN_ROWS[6:]] == ["z1", "z2", "z3", "z4"]
+    phases = [(rows[i][1][1], rows[i][2][1]) for i in CANONICAL_TEN_ROWS[6:]]
+    assert phases == [(_OMEGA[7], _OMEGA[1]), (_OMEGA[5], _OMEGA[3]), (_OMEGA[3], _OMEGA[5]), (_OMEGA[1], _OMEGA[7])]
+    # per family maxima, against selecting each family by its written-out name
     values = np.abs(value_on_product(witness_matrix(params), rep.stack[0]))
-    families = np.array([sample.family.value for sample in samples])
-    want = {f: float(values[families == f].max()) for f in dict.fromkeys(families.tolist())}
-    assert list(default_family_maxima(values).items()) == list(want.items())
+    names = np.array([name for name, *_ in rows])
+    want = {f: float(values[names == f].max()) for f in dict.fromkeys(names.tolist())}
+    assert list(rep.family_maxima(values).items()) == list(want.items())
 
 
 def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
@@ -496,7 +520,7 @@ def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
     for k in np.arange(-48, 49) / 4:
         params = FamilyParams(10.0**k, 8.0 / 10.0**k)
         rep = spanning_report(params)
-        pv1 = rep.stack[:, [x.family in PV1_FAMILIES for x in rep.samples]]
+        pv1 = rep.stack[:, [fam in PV1_FAMILIES for fam in rep.samples]]
         ten = rep.stack[:, CANONICAL_TEN_ROWS]
         assert list(rep.subset_ranks.values()) == numerical_ranks(rep.stack, tol).tolist()
         assert list(rep.pv1_subset_ranks.values()) == numerical_ranks(pv1, tol).tolist()

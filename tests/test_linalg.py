@@ -8,13 +8,11 @@ from spanwitness import (
     DimensionMismatchError,
     NotHermitianError,
     default_zero_sample,
-    canonical_ten,
-    flatten,
     hermitian_eigenvalues,
     numerical_rank,
-    realize_zero_vector,
 )
-from spanwitness.family import PV1_FAMILIES
+from spanwitness.family import CANONICAL_TEN_ROWS, PV1_FAMILIES
+from spanwitness.tensor import kron_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,16 +81,14 @@ def test_numerical_rank_tolerance_is_on_singular_values():
 
 
 def test_numerical_rank_pv1_families_span_six():
-    vecs = [
-        flatten(realize_zero_vector(s, CANONICAL))
-        for s in default_zero_sample(CANONICAL)
-        if s.family in PV1_FAMILIES
-    ]
+    labels, factors = default_zero_sample(CANONICAL)
+    vecs = kron_rows(factors)[[fam in PV1_FAMILIES for fam in labels]]
+    assert len(vecs) == 24
     assert numerical_rank(vecs) == 6
 
 
 def test_numerical_rank_canonical_ten_is_eight():
-    assert numerical_rank([flatten(pv) for pv in canonical_ten(CANONICAL)]) == 8
+    assert numerical_rank(kron_rows(default_zero_sample(CANONICAL)[1])[list(CANONICAL_TEN_ROWS)]) == 8
 
 
 def test_numerical_rank_random_independent():

@@ -23,9 +23,8 @@ from spanwitness import (
     state_from,
     value_on_product,
     x_state,
-    zeta_vector,
 )
-from spanwitness.family import SQRT2, ZeroFamily
+from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, default_zero_sample
 
 
 def random_hermitian_table(rng):
@@ -200,7 +199,8 @@ def test_pairing_rejects_complex_result():
 
 def test_value_on_product_zero_set(canonical_witness):
     assert value_on_product(canonical_witness, ProductVector([[1, 0], [1, 0], [1, 0]])) == 0.0
-    z1 = zeta_vector(ZeroFamily.Z1, 1.0, 1.0, CANONICAL)
+    # Z1 at (a, b) = (1, 1), a row of the default sample
+    z1 = ProductVector(list(default_zero_sample(CANONICAL)[1][:, CANONICAL_TEN_ROWS[6]]))
     assert abs(value_on_product(canonical_witness, z1)) < 1e-12
 
 

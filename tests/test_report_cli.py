@@ -21,7 +21,6 @@ from spanwitness.family import (
     FamilyParams,
     default_zero_sample,
     phase_modulus_grid,
-    realize_zero_vector,
     witness_matrix,
 )
 from spanwitness.linalg import TOLERANCES, lowest_eigenvalues
@@ -37,7 +36,7 @@ from spanwitness.report import (
     to_json,
 )
 from spanwitness.serialize import state_from_payload
-from spanwitness.tensor import state_from
+from spanwitness.tensor import ProductVector, state_from
 
 VERIFY_CHECKS = {
     "hermiticity",
@@ -138,11 +137,11 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
-    # the document's spanning sample is flattened once, from party factor
-    # arrays (the free-factor rows built once per process, so no sample is
-    # realized vector by vector), and ranked by stacked SVDs: two for the one
-    # spanning report (the 2^3 conjugations of the sample, and of its pv1
-    # rows), which full_spanning, pv1_span_rank6 and zero_set_families share,
+    # the document's spanning sample is built once, as one factor array; the
+    # free-factor rows and their conjugation stack are built once per process,
+    # so only the Z rows are conjugated; it is ranked by stacked SVDs: two for
+    # the one spanning report (the 2^3 conjugations of the sample, and of its
+    # pv1 rows), which full_spanning, pv1_span_rank6 and zero_set_families share,
     # one for the canonical ten, its rows, each over half the conjugations, the
     # other half taking their complements' ranks; W's spectrum is computed once; the
     # see-saw runs once, for the global minimum, and never across a cut;
@@ -152,7 +151,7 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "numerical_rank": spanwitness.linalg,
         "spanning_report": spanwitness.family,
         "default_zero_sample": spanwitness.family,
-        "realize_zero_vector": spanwitness.family,
+        "conjugation_stack": spanwitness.tensor,
         "svd": np.linalg,
         "eigvalsh": np.linalg,
         "seesaw_block_positivity": spanwitness.seesaw,
@@ -176,7 +175,9 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     run_verify(CANONICAL)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
     svd_stacks.clear()
+    free_rows_built = spanwitness.family.free_factor_rows.cache_info().misses
     assert run_verify(CANONICAL).all_pass
+    assert spanwitness.family.free_factor_rows.cache_info().misses == free_rows_built
     # each SVD ranks the 4 conjugations that leave party 3 unconjugated
     assert [shape[0] for shape in svd_stacks] == [4, 4, 4]
     assert calls == {
@@ -184,7 +185,7 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         "numerical_rank": 0,
         "spanning_report": 1,
         "default_zero_sample": 1,
-        "realize_zero_vector": 0,
+        "conjugation_stack": 1,
         "svd": 3,
         "eigvalsh": 1,
         "seesaw_block_positivity": 1,
@@ -194,16 +195,18 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
     # the grid, its D and norm-scale tables, the grid images' affine terms,
-    # the default sample's free-factor rows under every conjugation and the
-    # cut vectors depend on no parameter: a second document, at other (s, t),
-    # on the curve or off it, evaluates no map and no D, realizes no sample,
-    # and shares every table
+    # the default sample's free-factor rows, alone and under every
+    # conjugation, and the cut vectors depend on no parameter: a second
+    # document, at other (s, t), on the curve or off it, evaluates no map and
+    # no D, builds no free-factor row, conjugates only the Z rows (on the
+    # curve), and shares every table
     def tables():
         return [
             family.phase_modulus_grid(),
             family.grid_determinants(),
             family.grid_norm_scale(),
             *(term for _, _, term in family.grid_image_terms()),
+            family.free_factor_rows(),
             family._free_stack(),
             *spanwitness.report._cut_vectors(),
         ]
@@ -211,8 +214,9 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
     family = spanwitness.family
     run_verify(CANONICAL, restarts=1)
     first = tables()
+    free_rows_built = family.free_factor_rows.cache_info().misses
     calls = []
-    owners = {"determinant_d": family, "realize_zero_vector": family, "evaluate": spanwitness.maps}
+    owners = {"determinant_d": family, "evaluate": spanwitness.maps, "conjugation_stack": spanwitness.tensor}
     for name, owner in owners.items():
         real = getattr(owner, name)
 
@@ -225,8 +229,11 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(FamilyParams(2.0, 4.0), restarts=1).all_pass
     assert not run_verify(FamilyParams(3.0, 1.0), restarts=1).all_pass
-    assert calls == []
+    assert calls == ["conjugation_stack"]
+    assert family.free_factor_rows.cache_info().misses == free_rows_built
     assert all(a is b for a, b in zip(tables(), first, strict=True))
+    # off the curve the document's spanning stack is the shared table itself
+    assert Context(FamilyParams(3.0, 1.0)).spanning.stack is family._free_stack()
     for table in first:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -292,9 +299,10 @@ def test_zero_set_values_match_reference_loop(params):
     (check,) = [c for c in doc.checks if c.name == "zero_set_families"]
     witness = witness_matrix(params)
     want: dict[str, float] = {}
-    for sample in default_zero_sample(params):
-        value = abs(value_on_product(witness, realize_zero_vector(sample, params)))
-        want[sample.family.value] = max(want.get(sample.family.value, 0.0), value)
+    labels, factors = default_zero_sample(params)
+    for fam, row in zip(labels, factors.transpose(1, 0, 2)):
+        value = abs(value_on_product(witness, ProductVector(list(row))))
+        want[fam.value] = max(want.get(fam.value, 0.0), value)
     got = check.values["per_family"]
     assert list(got) == list(want)
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
@@ -468,6 +476,7 @@ def test_cli_detect_exit_codes(capsys):
     assert main(["detect", "xstate"]) == 0
     assert main(["detect", "nonsense"]) == 2
     assert main(["detect", "rho-lambda:1.5"]) == 2
+    assert main(["detect", "rho-lambda:0.5", "--s", "1", "--t", "1"]) == 2  # rho_1 needs s t = 8
     assert main(["detect", "file:/no/such/file.json"]) == 2
 
 
@@ -483,6 +492,8 @@ def test_cli_detect_exit_codes(capsys):
         ["spanning", "--tol", "nan"],
         ["spanning", "--tol", "inf"],
         ["spanning", "--tol", "0"],
+        ["spanning", "--tol", "1"],
+        ["spanning", "--tol", "2"],
     ],
 )
 def test_cli_rejects_out_of_range_tol(argv, capsys):

@@ -254,6 +254,10 @@ def test_assemble_matches_per_vector_loop_bit_for_bit(s):
         assert np.array_equal(got, want)
         # the sign of each zero too
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    # rho_0 and rho_1 sum their projectors from the factor arrays: assemble's bits
+    for state, dec in (rho0(), rho1(params)):
+        bits = [np.ascontiguousarray(m).view(np.uint64) for m in (state.matrix, assemble(dec))]
+        assert np.array_equal(*bits)
 
 
 def test_verify_decomposition_rejects_wrong_target():

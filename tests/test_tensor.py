@@ -19,9 +19,8 @@ from spanwitness import (
     state_from,
     subset_complement,
     x_state,
-    zeta_vector,
 )
-from spanwitness.family import FamilyParams, ZeroFamily
+from spanwitness.family import CANONICAL_TEN_ROWS, FamilyParams, ZeroFamily, default_zero_sample
 from spanwitness.tensor import conjugation_stack, kron_rows
 
 SUBSETS3 = all_subsets(3)
@@ -47,8 +46,16 @@ def test_flatten_two_party_grouping():
     assert np.allclose(flatten(pv), expected, atol=1e-14)
 
 
+def z1_at_one_one():
+    """Z1 at (a, b) = (1, 1), at the canonical parameters: a row of the default sample."""
+    labels, factors = default_zero_sample(CANONICAL)
+    row = CANONICAL_TEN_ROWS[6]
+    assert labels[row] == ZeroFamily.Z1
+    return ProductVector(list(factors[:, row]))
+
+
 def test_flatten_phase_locked_vector():
-    pv = zeta_vector(ZeroFamily.Z1, 1.0, 1.0, CANONICAL)
+    pv = z1_at_one_one()
     w = eighth_root
     expected = np.array([1, w(3), w(1), -1, w(7), w(2), 1, w(3)])
     assert np.allclose(flatten(pv), expected, atol=1e-14)
@@ -137,7 +144,7 @@ def test_partial_conjugate_real_and_full():
 
 
 def test_partial_conjugate_first_factor_of_z1():
-    pv = zeta_vector(ZeroFamily.Z1, 1.0, 1.0, CANONICAL)
+    pv = z1_at_one_one()
     got = partial_conjugate(pv, (1,))
     assert np.allclose(got.factors[0], [1, eighth_root(1)], atol=1e-15)
     assert np.array_equal(got.factors[1], pv.factors[1])

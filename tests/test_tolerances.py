@@ -68,6 +68,8 @@ def test_document_tolerances_are_the_table_head():
         ("seesaw", math.nan),
         ("rank", 0.0),
         ("rank", -1e-8),
+        ("rank", 1.0),
+        ("rank", math.nan),
     ],
 )
 def test_document_tolerances_reject_out_of_range(key, value):
