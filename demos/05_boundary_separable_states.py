@@ -32,7 +32,7 @@ print("  pairing:", pairing(state0, w))
 state1, dec1 = rho1()
 print("\nrho_1: mixture of the four phase-locked states at (a, b) = (1, 1)")
 print(state1.matrix.real)
-print("  certificate weights:", dec1.weights)
+print("  certificate weights:", dec1.weights.tolist())
 print("  reassembles exactly:", verify_decomposition(state1, dec1))
 print("  pairing:", f"{pairing(state1, w):.2e}")
 
@@ -43,7 +43,7 @@ for lam in (0.1, 0.5, 0.9):
     lo = min(rep.min_eigenvalues.values())
     print(
         f"  lambda = {lam}: pairing {pairing(state, w):+.1e}, "
-        f"decomposition ({len(dec.vectors)} vectors) verified: "
+        f"decomposition ({len(dec.weights)} vectors) verified: "
         f"{verify_decomposition(state, dec)}, min PT eigenvalue ratio "
         f"{rep.min_ratio:.2e}, min PT eigenvalue {lo:.4f}"
     )

@@ -27,18 +27,14 @@ from .linalg import (
     TOLERANCES,
     hermitian_eigenvalues,
     hermiticity_defect,
-    numerical_rank,
 )
 from .tensor import (
     THREE_QUBITS,
     PptReport,
-    ProductVector,
     State,
     TensorShape,
     all_subsets,
-    flatten,
     is_ppt,
-    partial_conjugate,
     partial_transpose,
     state_from,
     subset_complement,
@@ -48,7 +44,6 @@ from .maps import (
     Witness,
     choi_matrix,
     evaluate,
-    map_from_choi,
     pairing,
     value_on_product,
 )

@@ -8,7 +8,6 @@ singular values above a tolerance relative to the largest one.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -106,14 +105,6 @@ def qubit_hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, ...]:
 def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
     return qubit_hermitian_parts(m)[-1]
-
-
-def numerical_rank(vectors: Sequence, tol: float = TOLERANCES["rank"]) -> int:
-    """Rank of a family of vectors (`numerical_ranks`); an empty family has rank 0."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if len({v.shape[0] for v in vecs}) > 1:
-        raise DimensionMismatchError("vectors must share a common dimension")
-    return int(numerical_ranks(np.array(vecs) if vecs else np.zeros((0, 0)), tol))
 
 
 def numerical_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
-from .linalg import TOLERANCES, as_matrix, hermiticity_defect, require_hermitian
-from .tensor import ProductVector, State, TensorShape, flatten
+from .linalg import TOLERANCES, as_matrix, hermiticity_defect
+from .tensor import State, TensorShape
 
 
 @dataclass
@@ -61,7 +61,7 @@ class MultilinearMapTable:
 def choi_matrix(table: MultilinearMapTable) -> Witness:
     """Assemble W_phi from the block table.
 
-    Pure reindexing, so the round trip with `map_from_choi` is exact.
+    Pure reindexing: each entry of W is one entry of the table, bit for bit.
     Raises NonHermitianMapError when the table violates Hermiticity.
     """
     n = table.shape.n_parties
@@ -75,16 +75,6 @@ def choi_matrix(table: MultilinearMapTable) -> Witness:
             f"map table violates block(i,j) = block(j,i)^dagger: defect {defect:.3e}"
         )
     return Witness(matrix=w, shape=table.shape, meta={})
-
-
-def map_from_choi(witness: Witness) -> MultilinearMapTable:
-    """Extract the block table of a Hermitian witness; inverse of `choi_matrix`."""
-    a = require_hermitian(witness.matrix)
-    dims = witness.shape.dims
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    perm = [axis for j in range(n) for axis in (j, n + j)]
-    return MultilinearMapTable(shape=witness.shape, blocks=t.transpose(perm).copy())
 
 
 def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
@@ -138,10 +128,10 @@ def pairing(state: State, witness: Witness) -> float:
     return float(val.real)
 
 
-def value_on_product(witness: Witness, pv) -> float | np.ndarray:
-    """<xi|W|xi> as a float for a product or flat vector, as an array for a stack
+def value_on_product(witness: Witness, v) -> float | np.ndarray:
+    """<xi|W|xi> as a float for a flat vector (D,), as an array for a stack
     (..., D) of flat vectors: a row's multiply-and-sum does not depend on the stack."""
-    v = flatten(pv) if isinstance(pv, ProductVector) else np.asarray(pv, dtype=complex)
+    v = np.asarray(v, dtype=complex)
     if v.shape[-1:] != (witness.shape.total_dim,):
         raise DimensionMismatchError(
             f"vector shape {v.shape} does not end in the witness dimension "

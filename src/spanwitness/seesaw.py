@@ -39,13 +39,13 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import TOLERANCES, qubit_hermitian_parts, require_hermitian
 from .maps import Witness, value_on_product
-from .tensor import ProductVector, TensorShape, check_subset, kron_rows, subset_complement
+from .tensor import TensorShape, check_subset, kron_rows, subset_complement
 
 
 @dataclass
 class SeeSawResult:
     min_value: float
-    argmin: ProductVector
+    argmin: tuple[np.ndarray, ...]
     converged: bool
     history: list[float] = field(default_factory=list)
 
@@ -152,10 +152,9 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
 
     values = by_sweep[sweeps, np.arange(restarts)]
     best = int(np.argmin(values))
-    argmin = ProductVector([_canonical_phase(f[best]) for f in factors])
     return SeeSawResult(
         min_value=float(values[best]),
-        argmin=argmin,
+        argmin=tuple(_canonical_phase(f[best]) for f in factors),
         converged=moving.size == 0,
         history=by_sweep[: sweeps[best] + 1, best].tolist(),
     )

@@ -13,15 +13,7 @@ from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
 from .family import CANONICAL, CANONICAL_TEN_ROWS, R, FamilyParams, default_zero_sample, free_factor_rows
 from .linalg import TOLERANCES
 from .maps import Witness, pairing
-from .tensor import (
-    THREE_QUBITS,
-    PptReport,
-    ProductVector,
-    State,
-    is_ppt,
-    kron_rows,
-    state_from,
-)
+from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows, state_from
 
 
 def x_state(params: FamilyParams) -> State:
@@ -70,27 +62,30 @@ def biseparable_vector(i: int, alpha: complex) -> np.ndarray:
 
 @dataclass
 class SeparableDecomposition:
-    """Positive weights and product vectors certifying separability."""
+    """Product vectors certifying separability: `weights` as floats (k,), each
+    finite and positive, and `factors` as one complex (parties, k, d) array,
+    parties >= 2, row i of each party making vector i, at weight i."""
 
-    weights: list[float]
-    vectors: list[ProductVector]
+    weights: np.ndarray
+    factors: np.ndarray
 
     def __post_init__(self):
-        if not self.vectors or len(self.weights) != len(self.vectors):
-            raise DimensionMismatchError("one weight per product vector, at least one vector")
-        if any(w <= 0 for w in self.weights):
-            raise OutOfRangeError("decomposition weights must be positive")
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.factors = np.asarray(self.factors, dtype=complex)
+        shape = self.factors.shape
+        if len(shape) != 3 or shape[0] < 2 or self.weights.shape != shape[1:2] or not shape[1]:
+            raise DimensionMismatchError(
+                f"need (k,) weights and (parties, k, d) factors, parties >= 2, k >= 1, got "
+                f"{self.weights.shape} and {shape}"
+            )
+        if not (np.isfinite(self.weights) & (self.weights > 0)).all():
+            raise OutOfRangeError("decomposition weights must be finite and positive")
 
 
 def assemble(dec: SeparableDecomposition) -> np.ndarray:
     """Sum of weighted projectors onto the product vectors, flattened as one stack."""
-    flats = kron_rows([np.array(f) for f in zip(*(pv.factors for pv in dec.vectors), strict=True)])
-    return _mixture(dec.weights, flats)
-
-
-def _mixture(weights: list[float], flats: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights)
-    return (w[:, None, None] * (flats[:, :, None] * flats.conj()[:, None, :])).sum(axis=0)
+    flats = kron_rows(dec.factors)
+    return (dec.weights[:, None, None] * (flats[:, :, None] * flats.conj()[:, None, :])).sum(axis=0)
 
 
 def verify_decomposition(
@@ -107,10 +102,9 @@ def verify_decomposition(
 
 def _equal_mixture(factors: np.ndarray, weight: float) -> tuple[State, SeparableDecomposition]:
     """The product vectors of a (3, k, 2) factor array, each at `weight`, with
-    their certificate: `assemble`'s sum, read from the factors directly."""
-    vectors = [ProductVector(list(row)) for row in factors.transpose(1, 0, 2)]
-    dec = SeparableDecomposition(weights=[weight] * len(vectors), vectors=vectors)
-    return state_from(_mixture(dec.weights, kron_rows(factors)), THREE_QUBITS.dims), dec
+    their certificate; the state is the certificate assembled."""
+    dec = SeparableDecomposition(weights=np.full(factors.shape[1], weight), factors=factors)
+    return state_from(assemble(dec), THREE_QUBITS.dims), dec
 
 
 def rho0() -> tuple[State, SeparableDecomposition]:
@@ -145,9 +139,10 @@ def rho_lambda(
         raise OutOfRangeError(f"lambda must lie in (0, 1), got {lam}")
     s0, d0 = rho0()
     s1, d1 = rho1(params)
-    weights = [(1.0 - lam) * w for w in d0.weights] + [lam * w for w in d1.weights]
-    vectors = d0.vectors + d1.vectors
-    dec = SeparableDecomposition(weights=weights, vectors=vectors)
+    dec = SeparableDecomposition(
+        weights=np.concatenate([(1.0 - lam) * d0.weights, lam * d1.weights]),
+        factors=np.concatenate([d0.factors, d1.factors], axis=1),
+    )
     matrix = (1.0 - lam) * s0.matrix + lam * s1.matrix
     return state_from(matrix, THREE_QUBITS.dims), dec
 

@@ -59,18 +59,6 @@ def check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
-@dataclass
-class ProductVector:
-    """One local vector per party; the flattened vector is their Kronecker product."""
-
-    factors: list[np.ndarray]
-
-    def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
-        if len(self.factors) < 2:
-            raise DimensionMismatchError("a product vector needs at least two factors")
-
-
 def kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product along the last axis, left to right under the
     big-endian convention: party factors stacked as (..., d_j), with equal
@@ -80,11 +68,6 @@ def kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
         dim = flat.shape[-1] * f.shape[-1]
         flat = (flat[..., :, None] * f[..., None, :]).reshape(*f.shape[:-1], dim)
     return flat
-
-
-def flatten(pv: ProductVector) -> np.ndarray:
-    """Kronecker product of the factors under the big-endian convention."""
-    return kron_rows(pv.factors)
 
 
 @dataclass
@@ -123,22 +106,13 @@ def partial_transpose(state: State, subset: Iterable[int]) -> np.ndarray:
     return t.transpose(axes).reshape(state.matrix.shape).copy()
 
 
-def partial_conjugate(pv: ProductVector, subset: Iterable[int]) -> ProductVector:
-    """Conjugate the factors indexed by `subset` entrywise; on pure product
-    states this realizes the partial transpose of the projector."""
-    n = len(pv.factors)
-    sub = set(check_subset(subset, n))
-    return ProductVector(
-        [f.conj() if (j + 1) in sub else f.copy() for j, f in enumerate(pv.factors)]
-    )
-
-
 def conjugation_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """`flatten(partial_conjugate(pv, subset))` for every subset and every
-    product vector, from each party's factors as one complex (N, d_j) array,
-    row i of each party making vector i: one (2^n, N, total_dim) array,
-    subsets in `all_subsets` order. Party j's factors are conjugated where
-    bit j of the subset mask is set."""
+    """Each product vector with the factors of every party subset conjugated
+    entrywise, flattened; on a pure product state this realizes the partial
+    transpose of its projector. From each party's factors as one complex
+    (N, d_j) array, row i of each party making vector i: one (2^n, N,
+    total_dim) array, subsets in `all_subsets` order, party j's factors
+    conjugated where bit j of the subset mask is set."""
     masks = np.arange(2 ** len(factors))[:, None, None]
     return kron_rows([np.where(masks >> j & 1, f.conj(), f) for j, f in enumerate(factors)])
 

@@ -25,15 +25,11 @@ from spanwitness import (
     default_zero_sample,
     determinant_d,
     evaluate,
-    flatten,
     hermitian_eigenvalues,
     is_ppt,
-    numerical_rank,
     pairing,
-    partial_conjugate,
     partial_transpose,
     rank_one_projector,
-    ProductVector,
     perturbed_detected_state,
     rho1,
     rho_lambda,
@@ -45,7 +41,9 @@ from spanwitness import (
     x_state,
 )
 from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2
+from spanwitness.linalg import numerical_ranks
 from spanwitness.tensor import all_subsets
+from test_tensor import kron_flat
 
 DATA = Path(__file__).parent / "data"
 DETECTION_VALUE = 8.0 / SQRT2 - 8.0  # -2.3431457505076203
@@ -161,7 +159,7 @@ def test_criterion_05_zero_set():
     w = witness_matrix(CANONICAL)
     labels, factors = default_zero_sample(CANONICAL)
     worst = max(
-        abs(value_on_product(w, ProductVector(list(row)))) for row in factors.transpose(1, 0, 2)
+        abs(value_on_product(w, kron_flat(row))) for row in factors.transpose(1, 0, 2)
     )
     ok = worst <= tol and len(labels) == 36
     report(
@@ -180,9 +178,9 @@ def test_criterion_06_full_spanning():
     expected[1, 4] = 1.0
     pv1_ok = rep.pv1_rank == 6 and comp.shape == (2, 8) and np.max(np.abs(comp - expected)) < 1e-8
     factors = default_zero_sample(CANONICAL)[1]
-    ten = [ProductVector(list(factors[:, i])) for i in CANONICAL_TEN_ROWS]
+    ten = [factors[:, i] for i in CANONICAL_TEN_ROWS]
     ten_ok = all(
-        numerical_rank([flatten(partial_conjugate(pv, sub)) for pv in ten]) == 8
+        numerical_ranks(np.array([kron_flat(pv, sub) for pv in ten])) == 8
         for sub in all_subsets(3)
     )
     ok = ranks_ok and pv1_ok and ten_ok
@@ -252,7 +250,7 @@ def test_criterion_09_boundary_family():
         min_eig = min(table.min_eigenvalues.values())
         ranks_full = min_eig > 1e-6  # strictly positive definite => rank 8
         rank_count = [
-            numerical_rank(list(partial_transpose(state, sub).T))
+            numerical_ranks(partial_transpose(state, sub).T)
             for sub in all_subsets(3)
         ]
         ok = ok and verified and abs(val) <= tol and ranks_full and all(r == 8 for r in rank_count)

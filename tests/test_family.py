@@ -8,7 +8,6 @@ from spanwitness import (
     FamilyParams,
     InvalidParamsError,
     OffVarietyError,
-    ProductVector,
     ST8_GRID,
     TOLERANCES,
     ZeroFamily,
@@ -18,9 +17,6 @@ from spanwitness import (
     determinant_d,
     eighth_root,
     evaluate,
-    flatten,
-    numerical_rank,
-    partial_conjugate,
     rank_one_projector,
     rho1,
     spanning_report,
@@ -41,17 +37,24 @@ from spanwitness.family import (
 )
 from spanwitness.linalg import numerical_ranks
 from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack
+from test_tensor import kron_flat
 
 
 def sample_vectors(params):
-    """The default sample's family labels, and its rows as product vectors."""
+    """The default sample's family labels, and its rows as product vectors,
+    each its three factors as one (3, 2) array."""
     labels, factors = default_zero_sample(params)
-    return labels, [ProductVector(list(row)) for row in factors.transpose(1, 0, 2)]
+    return labels, list(factors.transpose(1, 0, 2))
 
 
 def party_factors(pvs):
     """Each party's factors of `pvs` as one (len(pvs), 2) array, row i from pvs[i]."""
-    return [np.array([pv.factors[j] for pv in pvs]).reshape(len(pvs), 2) for j in range(3)]
+    return list(np.array(pvs).transpose(1, 0, 2))
+
+
+def rank(vectors):
+    """The numerical rank of a family of flat vectors."""
+    return int(numerical_ranks(np.array(vectors)))
 
 
 def stacked_ranks(pvs):
@@ -283,18 +286,18 @@ def test_realize_zero_vector_families(canonical_witness):
     # row 7 is XI_10 at free parameter (0, 1); row 24 is Z1 at (a, b) = (1, 1)
     labels, pvs = sample_vectors(CANONICAL)
     assert labels[7] == ZeroFamily.XI_10 and labels[24] == ZeroFamily.Z1
-    assert np.array_equal(flatten(pvs[7]), np.eye(8)[6])
+    assert np.array_equal(kron_flat(pvs[7]), np.eye(8)[6])
     z1 = pvs[24]
-    assert np.allclose(z1.factors[0], [1, eighth_root(7)], atol=1e-15)
-    assert np.allclose(z1.factors[1], [1, eighth_root(1)], atol=1e-15)
-    assert np.allclose(z1.factors[2], [1, eighth_root(3)], atol=1e-15)
+    assert np.allclose(z1[0], [1, eighth_root(7)], atol=1e-15)
+    assert np.allclose(z1[1], [1, eighth_root(1)], atol=1e-15)
+    assert np.allclose(z1[2], [1, eighth_root(3)], atol=1e-15)
 
 
 def test_all_sampled_zero_vectors_annihilate_witness():
     for params in ST8_GRID:
         w = witness_matrix(params)
         for pv in sample_vectors(params)[1]:
-            assert abs(value_on_product(w, pv)) <= 1e-10
+            assert abs(value_on_product(w, kron_flat(pv))) <= 1e-10
 
 
 def test_z_formulas_vanish_at_mixed_sign_parameters():
@@ -308,7 +311,7 @@ def test_z_formulas_vanish_at_mixed_sign_parameters():
                 factors = [np.array(f, dtype=complex) for f in _z_factors(_Z_EXPONENTS[fam], a, b, params.u)]
                 k1, k2 = (round(np.angle(f[1]) / (np.pi / 4)) for f in factors[:2])
                 assert (k1 + k2) % 8 == 4
-                assert abs(value_on_product(w, ProductVector(factors))) < 1e-13
+                assert abs(value_on_product(w, kron_flat(factors))) < 1e-13
 
 
 def test_z_families_gated_off_variety():
@@ -320,7 +323,7 @@ def test_z_families_gated_off_variety():
     rep = spanning_report(off)
     assert rep.samples == labels and rep.stack.shape == (8, 24, 8)
     assert not rep.full_spanning and set(rep.subset_ranks.values()) == {6}
-    assert max(abs(value_on_product(witness_matrix(off), pv)) for pv in pvs) < 1e-12
+    assert max(abs(value_on_product(witness_matrix(off), kron_flat(pv))) for pv in pvs) < 1e-12
     with pytest.raises(OffVarietyError):
         rho1(off)
 
@@ -329,18 +332,18 @@ def test_canonical_ten_layout():
     labels, pvs = sample_vectors(CANONICAL)
     ten = [pvs[i] for i in CANONICAL_TEN_ROWS]
     assert [labels[i] for i in CANONICAL_TEN_ROWS[6:]] == list(Z_FAMILIES)
-    flats = [flatten(pv) for pv in ten]
+    flats = [kron_flat(pv) for pv in ten]
     for vec, idx in zip(flats[:6], (0, 1, 2, 5, 6, 7)):
         assert np.array_equal(vec, np.eye(8)[idx])
-    assert numerical_rank(flats) == 8
+    assert rank(flats) == 8
 
 
 def test_canonical_ten_spans_under_every_conjugation():
     pvs = sample_vectors(CANONICAL)[1]
     ten = [pvs[i] for i in CANONICAL_TEN_ROWS]
     for subset in all_subsets(3):
-        images = [flatten(partial_conjugate(pv, subset)) for pv in ten]
-        assert numerical_rank(images) == 8
+        images = [kron_flat(pv, subset) for pv in ten]
+        assert rank(images) == 8
 
 
 def test_spanning_report_default():
@@ -379,34 +382,32 @@ def test_adjacent_pv1_families_share_one_vertex():
     ]
     labels, pvs = sample_vectors(CANONICAL)
     for fam_a, fam_b, label in cycle:
-        span_a = [flatten(pv) for fam, pv in zip(labels, pvs) if fam == fam_a]
-        span_b = [flatten(pv) for fam, pv in zip(labels, pvs) if fam == fam_b]
-        ra = numerical_rank(span_a)
-        rb = numerical_rank(span_b)
-        runion = numerical_rank(span_a + span_b)
+        span_a = [kron_flat(pv) for fam, pv in zip(labels, pvs) if fam == fam_a]
+        span_b = [kron_flat(pv) for fam, pv in zip(labels, pvs) if fam == fam_b]
+        ra = rank(span_a)
+        rb = rank(span_b)
+        runion = rank(span_a + span_b)
         assert (ra, rb) == (2, 2)
         assert ra + rb - runion == 1  # one-dimensional intersection
         vertex = np.eye(8)[int(label, 2)]
-        assert numerical_rank(span_a + [vertex]) == 2
-        assert numerical_rank(span_b + [vertex]) == 2
+        assert rank(span_a + [vertex]) == 2
+        assert rank(span_b + [vertex]) == 2
 
 
 def test_scale_covariance(canonical_witness):
     rng = np.random.default_rng(19)
     # use a generic (not zero-set) product vector so base != 0
-    pv = ProductVector(
-        [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-    )
-    base = value_on_product(canonical_witness, pv)
+    pv = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
+    base = value_on_product(canonical_witness, kron_flat(pv))
     for _ in range(5):
         phase = np.exp(2j * np.pi * rng.random())
-        scaled = [f.copy() for f in pv.factors]
+        scaled = [f.copy() for f in pv]
         scaled[1] = scaled[1] * phase
-        assert abs(value_on_product(canonical_witness, ProductVector(scaled)) - base) < 1e-10
+        assert abs(value_on_product(canonical_witness, kron_flat(scaled)) - base) < 1e-10
         c = 0.3 + 1.1j
-        scaled2 = [f.copy() for f in pv.factors]
+        scaled2 = [f.copy() for f in pv]
         scaled2[0] = scaled2[0] * c
-        got = value_on_product(canonical_witness, ProductVector(scaled2))
+        got = value_on_product(canonical_witness, kron_flat(scaled2))
         assert abs(got - abs(c) ** 2 * base) < 1e-10
 
 
@@ -429,11 +430,8 @@ RANK_CASES = _rank_cases()
 
 @pytest.mark.parametrize("label, pvs", RANK_CASES, ids=[label for label, _ in RANK_CASES])
 def test_conjugation_ranks_match_reference_loop(label, pvs):
-    # one stacked SVD against numerical_rank of each conjugated family
-    want = {
-        sub: numerical_rank([flatten(partial_conjugate(pv, sub)) for pv in pvs])
-        for sub in all_subsets(3)
-    }
+    # one stacked SVD against the rank of each conjugated family multiplied out alone
+    want = {sub: rank([kron_flat(pv, sub) for pv in pvs]) for sub in all_subsets(3)}
     got = stacked_ranks(pvs)
     assert list(got) == all_subsets(3)
     assert got == want
@@ -498,7 +496,7 @@ def test_default_sample_rows_match_per_vector_path(params):
     if not params.on_variety:
         return
     # the canonical ten: the basis vectors, then each Z family at (1, 1)
-    basis = [flatten(ProductVector(fs)) for _, *fs in rows[:12]]
+    basis = [kron_flat(fs) for _, *fs in rows[:12]]
     assert [int(np.argmax(basis[i])) for i in CANONICAL_TEN_ROWS[:6]] == [0, 1, 2, 5, 6, 7]
     assert [rows[i][0] for i in CANONICAL_TEN_ROWS[6:]] == ["z1", "z2", "z3", "z4"]
     phases = [(rows[i][1][1], rows[i][2][1]) for i in CANONICAL_TEN_ROWS[6:]]

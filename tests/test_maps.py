@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,6 @@ from spanwitness import (
     MultilinearMapTable,
     NonHermitianMapError,
     NonRealPairingError,
-    NotHermitianError,
-    ProductVector,
     TensorShape,
     THREE_QUBITS,
     Witness,
@@ -16,9 +17,7 @@ from spanwitness import (
     biseparable_vector,
     choi_matrix,
     evaluate,
-    flatten,
     hermitian_eigenvalues,
-    map_from_choi,
     pairing,
     state_from,
     value_on_product,
@@ -27,10 +26,18 @@ from spanwitness import (
 from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, default_zero_sample
 
 
+def block_table(w):
+    """Oracle: the block table of an 8x8 matrix, one entry at a time,
+    blocks[i1, j1, i2, j2, k, l] = W[4 i1 + 2 i2 + k, 4 j1 + 2 j2 + l]."""
+    blocks = np.zeros((2,) * 6, dtype=complex)
+    for i1, j1, i2, j2, k, l in product(range(2), repeat=6):
+        blocks[i1, j1, i2, j2, k, l] = w[4 * i1 + 2 * i2 + k, 4 * j1 + 2 * j2 + l]
+    return MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks)
+
+
 def random_hermitian_table(rng):
     w = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    w = (w + w.conj().T) / 2
-    return map_from_choi(Witness(matrix=w, shape=THREE_QUBITS))
+    return block_table((w + w.conj().T) / 2)
 
 
 def test_choi_single_block():
@@ -50,10 +57,9 @@ def test_choi_of_family_map_is_witness(canonical_witness):
 def test_choi_round_trip_exact():
     rng = np.random.default_rng(14)
     table = random_hermitian_table(rng)
-    again = map_from_choi(choi_matrix(table))
-    assert np.array_equal(again.blocks, table.blocks)
     w = choi_matrix(table)
-    assert np.array_equal(choi_matrix(map_from_choi(w)).matrix, w.matrix)
+    assert np.array_equal(block_table(w.matrix).blocks, table.blocks)
+    assert np.array_equal(choi_matrix(block_table(w.matrix)).matrix, w.matrix)
 
 
 def test_choi_rejects_non_hermitian_table():
@@ -63,29 +69,22 @@ def test_choi_rejects_non_hermitian_table():
         choi_matrix(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
 
 
-def test_map_from_choi_identity():
-    table = map_from_choi(Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS))
-    for i1 in range(2):
-        for j1 in range(2):
-            for i2 in range(2):
-                for j2 in range(2):
-                    expected = (i1 == j1) * (i2 == j2) * np.eye(2)
-                    assert np.array_equal(table.blocks[i1, j1, i2, j2], expected)
+def test_choi_matrix_of_identity_table():
+    blocks = np.zeros((2,) * 6, dtype=complex)
+    for i1, i2 in product(range(2), repeat=2):
+        blocks[i1, i1, i2, i2] = np.eye(2)
+    table = MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks)
+    assert np.array_equal(choi_matrix(table).matrix, np.eye(8))
+    assert np.array_equal(block_table(np.eye(8)).blocks, blocks)
 
 
-def test_map_from_choi_family_blocks(canonical_witness):
-    table = map_from_choi(canonical_witness)
+def test_choi_matrix_family_blocks(canonical_witness):
+    table = bilinear_map(CANONICAL)
+    assert np.array_equal(block_table(canonical_witness.matrix).blocks, table.blocks)
     t = canonical_witness.matrix[3, 3].real
     assert np.array_equal(table.blocks[0, 0, 1, 1], np.diag([0.0, t]))
     # the (0,1,0,1) block collects both off-diagonal slots
     assert np.array_equal(table.blocks[0, 1, 0, 1], np.array([[0, 1], [1, 0]]))
-
-
-def test_map_from_choi_rejects_non_hermitian():
-    m = np.zeros((8, 8), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(NotHermitianError):
-        map_from_choi(Witness(matrix=m, shape=THREE_QUBITS))
 
 
 def test_evaluate_pinned_slot():
@@ -135,14 +134,12 @@ def test_product_identity_random_vectors():
     table = bilinear_map(CANONICAL)
     w = choi_matrix(table)
     for _ in range(100):
-        pv = ProductVector(
-            [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        )
-        lhs = value_on_product(w, pv)
-        x1 = np.outer(pv.factors[0].conj(), pv.factors[0])
-        x2 = np.outer(pv.factors[1].conj(), pv.factors[1])
+        pv = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
+        lhs = value_on_product(w, reduce(np.kron, pv))
+        x1 = np.outer(pv[0].conj(), pv[0])
+        x2 = np.outer(pv[1].conj(), pv[1])
         image = evaluate(table, x1, x2)
-        rhs = float(np.vdot(pv.factors[2], image @ pv.factors[2]).real)
+        rhs = float(np.vdot(pv[2], image @ pv[2]).real)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -151,22 +148,18 @@ def test_pairing_values(canonical_witness):
     ident = state_from(np.eye(8), (2, 2, 2))
     s = t = 2 * SQRT2
     assert abs(pairing(ident, canonical_witness) - (s + t)) < 1e-12
-    v = flatten(ProductVector([[1, 0], [1, 0], [1, 0]]))
+    v = reduce(np.kron, np.array([[1, 0], [1, 0], [1, 0]], dtype=complex))
     assert pairing(state_from(np.outer(v, v.conj()), (2, 2, 2)), canonical_witness) == 0.0
 
 
 def test_pairing_matches_quadratic_form_on_conjugate(canonical_witness):
     rng = np.random.default_rng(15)
     for _ in range(25):
-        pv = ProductVector(
-            [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        )
-        v = flatten(ProductVector([f.conj() for f in pv.factors]))
+        pv = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
+        v = reduce(np.kron, [f.conj() for f in pv])
         conj_proj = state_from(np.outer(v, v.conj()), (2, 2, 2))
-        assert (
-            abs(pairing(conj_proj, canonical_witness) - value_on_product(canonical_witness, pv))
-            < 1e-10
-        )
+        value = value_on_product(canonical_witness, reduce(np.kron, pv))
+        assert abs(pairing(conj_proj, canonical_witness) - value) < 1e-10
 
 
 def test_pairing_matches_matrix_product():
@@ -198,10 +191,10 @@ def test_pairing_rejects_complex_result():
 
 
 def test_value_on_product_zero_set(canonical_witness):
-    assert value_on_product(canonical_witness, ProductVector([[1, 0], [1, 0], [1, 0]])) == 0.0
+    assert value_on_product(canonical_witness, np.eye(8)[0]) == 0.0
     # Z1 at (a, b) = (1, 1), a row of the default sample
-    z1 = ProductVector(list(default_zero_sample(CANONICAL)[1][:, CANONICAL_TEN_ROWS[6]]))
-    assert abs(value_on_product(canonical_witness, z1)) < 1e-12
+    z1 = default_zero_sample(CANONICAL)[1][:, CANONICAL_TEN_ROWS[6]]
+    assert abs(value_on_product(canonical_witness, reduce(np.kron, z1))) < 1e-12
 
 
 def test_value_on_product_biseparable(canonical_witness):
@@ -212,14 +205,14 @@ def test_value_on_product_biseparable(canonical_witness):
 
 
 def test_value_on_product_returns_a_float_per_vector_and_an_array_per_stack(canonical_witness):
-    pv = ProductVector([[1, 0], [0, 1], [1, 1j]])
-    flat = flatten(pv)
-    assert type(value_on_product(canonical_witness, pv)) is float
+    pv = np.array([[1, 0], [0, 1], [1, 1j]])
+    flat = reduce(np.kron, pv)
     assert type(value_on_product(canonical_witness, flat)) is float
     stack = value_on_product(canonical_witness, np.stack([flat, 2 * flat]).reshape(2, 1, 8))
     assert isinstance(stack, np.ndarray) and stack.shape == (2, 1)
-    assert stack[1, 0] == 4 * stack[0, 0] == 4 * value_on_product(canonical_witness, pv)
-    for bad in (flat[:4], flat.reshape(2, 4), flat.reshape(8, 1), np.zeros((2, 9)), 1.0):
+    assert stack[1, 0] == 4 * stack[0, 0] == 4 * value_on_product(canonical_witness, flat)
+    # flat vectors only: a (3, 2) factor array is not one
+    for bad in (pv, flat[:4], flat.reshape(2, 4), flat.reshape(8, 1), np.zeros((2, 9)), 1.0):
         with pytest.raises(DimensionMismatchError):
             value_on_product(canonical_witness, bad)
 

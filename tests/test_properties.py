@@ -18,7 +18,6 @@ from spanwitness import (
     Witness,
     choi_matrix,
     hermitian_eigenvalues,
-    map_from_choi,
     pairing,
     partial_transpose,
     state_from,
@@ -30,6 +29,7 @@ from spanwitness.linalg import lowest_eigenvalues
 from spanwitness.report import Context, _closed_form_spectrum, check_cut_negativity
 from spanwitness.family import GRID_MODULI, GRID_PHASES
 from spanwitness.seesaw import _lowest_eigenpairs
+from test_maps import block_table
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -69,9 +69,8 @@ def test_complementary_subsets_give_equal_spectra(h, subset):
 
 @PROPERTY
 @given(hermitian8)
-def test_choi_matrix_inverts_map_from_choi(h):
-    w = Witness(matrix=h, shape=THREE_QUBITS)
-    assert np.array_equal(choi_matrix(map_from_choi(w)).matrix, h)
+def test_choi_matrix_inverts_the_block_table(h):
+    assert np.array_equal(choi_matrix(block_table(h)).matrix, h)
 
 
 @PROPERTY

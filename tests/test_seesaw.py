@@ -14,7 +14,6 @@ from spanwitness import (
     TensorShape,
     Witness,
     cut_block_positivity,
-    flatten,
     regroup_for_cut,
     seesaw_block_positivity,
     value_on_product,
@@ -43,7 +42,7 @@ def test_isotropic_minimum_is_one():
 def test_diagonal_minimum():
     res = seesaw_block_positivity(minus_e00(), restarts=8, seed=SEED)
     assert abs(res.min_value + 1.0) < 1e-9
-    v = flatten(res.argmin)
+    v = reduce(np.kron, res.argmin)
     assert abs(abs(v[0]) - 1.0) < 1e-9  # argmin is |000> up to phase
 
 
@@ -51,13 +50,13 @@ def test_family_witness_minimum_is_zero(canonical_witness):
     res = seesaw_block_positivity(canonical_witness, restarts=64, seed=SEED)
     assert -1e-7 <= res.min_value <= 1e-7
     # the argmin sits on the zero set up to tolerance
-    assert abs(value_on_product(canonical_witness, res.argmin)) <= 1e-7
+    assert abs(value_on_product(canonical_witness, reduce(np.kron, res.argmin))) <= 1e-7
 
 
 def test_min_value_matches_argmin_form(canonical_witness):
     res = seesaw_block_positivity(canonical_witness, restarts=16, seed=SEED)
-    assert abs(res.min_value - value_on_product(canonical_witness, res.argmin)) < 1e-10
-    for f in res.argmin.factors:
+    assert abs(res.min_value - value_on_product(canonical_witness, reduce(np.kron, res.argmin))) < 1e-10
+    for f in res.argmin:
         assert abs(np.linalg.norm(f) - 1.0) < 1e-12
 
 
@@ -71,7 +70,7 @@ def test_deterministic_for_fixed_seed(canonical_witness):
     a = seesaw_block_positivity(canonical_witness, restarts=12, seed=SEED)
     b = seesaw_block_positivity(canonical_witness, restarts=12, seed=SEED)
     assert a.min_value == b.min_value
-    for fa, fb in zip(a.argmin.factors, b.argmin.factors):
+    for fa, fb in zip(a.argmin, b.argmin):
         assert np.array_equal(fa, fb)
 
 
@@ -263,7 +262,8 @@ def assert_matches_reference(res, ref):
     assert res.min_value == value
     assert res.history == history
     assert res.converged == converged
-    for got, want in zip(res.argmin.factors, argmin):
+    assert type(res.argmin) is tuple
+    for got, want in zip(res.argmin, argmin, strict=True):
         assert np.array_equal(got, want)
 
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from spanwitness import (
     DimensionMismatchError,
     FamilyParams,
     OutOfRangeError,
-    ProductVector,
     SeparableDecomposition,
     ST8_GRID,
     TOLERANCES,
@@ -14,7 +15,6 @@ from spanwitness import (
     assemble,
     biseparable_vector,
     detect,
-    flatten,
     is_ppt,
     pairing,
     perturbed_detected_state,
@@ -125,7 +125,7 @@ def test_rho1_matches_reference(data_dir):
     assert abs(state.matrix[0, 1] - (-1.0 / (8.0 * SQRT2))) < 1e-15
     assert abs(state.matrix[0, 0] - 0.125) < 1e-15
     assert verify_decomposition(state, dec)
-    assert dec.weights == [1.0 / 32.0] * 4
+    assert dec.weights.tolist() == [1.0 / 32.0] * 4
     assert abs(pairing(state, witness_matrix(CANONICAL))) < 1e-12
 
 
@@ -156,7 +156,7 @@ def test_rho_lambda_boundary_family():
         assert rep.is_ppt
         assert min(rep.min_eigenvalues.values()) > 1e-6
         assert rep.min_ratio > TOLERANCES["strict"]
-        assert len(dec.vectors) == 10
+        assert dec.weights.shape == (10,) and dec.factors.shape == (3, 10, 2)
 
 
 def test_strict_floor_rejects_a_rank_deficient_state():
@@ -225,20 +225,18 @@ def test_verify_decomposition_round_trip_random():
     rng = np.random.default_rng(31)
     for _ in range(5):
         vectors = [
-            ProductVector(
-                [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-            )
+            [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
             for _ in range(4)
         ]
-        weights = list(rng.random(4) + 0.1)
-        dec = SeparableDecomposition(weights=weights, vectors=vectors)
+        weights = rng.random(4) + 0.1
+        dec = SeparableDecomposition(weights=weights, factors=np.array(vectors).transpose(1, 0, 2))
         state = state_from(assemble(dec), (2, 2, 2))
         assert verify_decomposition(state, dec)
 
 
 def _assemble_reference(dec):
-    """The weighted projectors summed one flattened vector at a time."""
-    flats = [flatten(pv) for pv in dec.vectors]
+    """The weighted projectors summed one vector at a time, each multiplied out by np.kron."""
+    flats = [reduce(np.kron, pv) for pv in dec.factors.transpose(1, 0, 2)]
     out = np.zeros((flats[0].shape[0],) * 2, dtype=complex)
     for w, v in zip(dec.weights, flats):
         out += w * np.outer(v, v.conj())
@@ -266,15 +264,35 @@ def test_verify_decomposition_rejects_wrong_target():
     assert not verify_decomposition(s0, dec1)
 
 
+E000 = np.array([[[1, 0]], [[1, 0]], [[1, 0]]])  # |000> as (3, 1, 2) factors
+
+
 def test_decomposition_weight_validation():
     with pytest.raises(OutOfRangeError):
-        SeparableDecomposition(weights=[0.0], vectors=[ProductVector([[1, 0], [1, 0], [1, 0]])])
+        SeparableDecomposition(weights=[0.0], factors=E000)
+
+
+def test_decomposition_rejects_non_finite_weights_and_malformed_factors():
+    # a NaN or infinite weight would assemble to a NaN or infinite state
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfRangeError):
+            SeparableDecomposition(weights=[bad], factors=E000)
+    with pytest.raises(OutOfRangeError):
+        SeparableDecomposition(weights=[1.0, np.nan], factors=np.concatenate([E000, E000], axis=1))
+    # not one (parties, k, d) array, parties >= 2, with a row per weight
+    for factors in (E000[:, 0], E000[None], np.concatenate([E000, E000], axis=1), np.eye(8)[None, :1]):
+        with pytest.raises(DimensionMismatchError):
+            SeparableDecomposition(weights=[1.0], factors=factors)
+    with pytest.raises(DimensionMismatchError):
+        SeparableDecomposition(weights=[[1.0]], factors=E000)
+    dec = SeparableDecomposition(weights=[0.5], factors=E000)
+    assert np.array_equal(assemble(dec), 0.5 * np.outer(np.eye(8)[0], np.eye(8)[0]))
 
 
 def test_empty_decomposition_is_rejected():
     # nothing to assemble: a package error, not an IndexError downstream
     with pytest.raises(DimensionMismatchError):
-        SeparableDecomposition(weights=[], vectors=[])
+        SeparableDecomposition(weights=[], factors=np.zeros((3, 0, 2)))
 
 
 def test_detect_x_state():

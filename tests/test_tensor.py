@@ -7,13 +7,9 @@ from spanwitness import (
     CANONICAL,
     TOLERANCES,
     NotHermitianError,
-    ProductVector,
-    TensorShape,
     all_subsets,
     eighth_root,
-    flatten,
     is_ppt,
-    partial_conjugate,
     partial_transpose,
     rho_lambda,
     state_from,
@@ -31,9 +27,18 @@ def test_all_subsets_order():
     assert subset_complement((1, 3), 3) == (2,)
 
 
+def kron_flat(factors, subset=()):
+    """Oracle: one product vector's factors, those of `subset` conjugated, multiplied out by np.kron."""
+    return reduce(np.kron, [f.conj() if j + 1 in subset else f for j, f in enumerate(factors)])
+
+
+def random_factors(rng, dims, count):
+    """Each party's factors of `count` random product vectors, as one (count, d_j) array."""
+    return [rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)) for d in dims]
+
+
 def test_flatten_basis():
-    pv = ProductVector([[1, 0], [1, 0], [1, 0]])
-    v = flatten(pv)
+    v = kron_rows([np.array([1, 0], dtype=complex)] * 3)
     assert np.array_equal(v, np.eye(8)[0])
 
 
@@ -41,51 +46,51 @@ def test_flatten_two_party_grouping():
     # (1, conj(a)) (x) (0, 1, a, 0) lands on coordinates
     # (0, 1, a, 0, 0, conj(a), |a|^2, 0)
     a = 0.3 + 0.8j
-    pv = ProductVector([[1, np.conj(a)], [0, 1, a, 0]])
+    factors = [np.array([1, np.conj(a)]), np.array([0, 1, a, 0])]
     expected = np.array([0, 1, a, 0, 0, np.conj(a), abs(a) ** 2, 0], dtype=complex)
-    assert np.allclose(flatten(pv), expected, atol=1e-14)
+    assert np.allclose(kron_rows(factors), expected, atol=1e-14)
 
 
 def z1_at_one_one():
-    """Z1 at (a, b) = (1, 1), at the canonical parameters: a row of the default sample."""
+    """Z1 at (a, b) = (1, 1), at the canonical parameters, a row of the default
+    sample: its three factors as a (3, 2) array."""
     labels, factors = default_zero_sample(CANONICAL)
     row = CANONICAL_TEN_ROWS[6]
     assert labels[row] == ZeroFamily.Z1
-    return ProductVector(list(factors[:, row]))
+    return factors[:, row]
 
 
 def test_flatten_phase_locked_vector():
-    pv = z1_at_one_one()
+    z1 = z1_at_one_one()
     w = eighth_root
     expected = np.array([1, w(3), w(1), -1, w(7), w(2), 1, w(3)])
-    assert np.allclose(flatten(pv), expected, atol=1e-14)
+    assert np.allclose(kron_rows(z1), expected, atol=1e-14)
 
 
 def test_flatten_equals_kron_reduction():
     rng = np.random.default_rng(41)
     for dims in ((2, 2, 2), (2, 4), (4, 2), (2, 3, 4)):
         factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
-        assert np.array_equal(flatten(ProductVector(factors)), reduce(np.kron, factors))
+        assert np.array_equal(kron_rows(factors), reduce(np.kron, factors))
 
 
 def test_stacked_flatten_matches_flatten_row_by_row():
     # one stacked Kronecker path: every row of the family's stack, and of
-    # each conjugated copy, is the single vector's flatten, bit for bit
+    # each conjugated copy, is the single vector's factors, conjugated one
+    # by one and multiplied out with np.kron, bit for bit
     rng = np.random.default_rng(43)
-    shape = TensorShape((2, 3, 2))
-    pvs = [
-        ProductVector([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in shape.dims])
-        for _ in range(5)
-    ]
-    factors = [np.array([pv.factors[j] for pv in pvs]) for j in range(3)]
-    flats = kron_rows(factors)
-    assert flats.shape == (5, 12)
-    stack = conjugation_stack(factors)
-    assert stack.shape == (8, 5, 12)
-    for i, pv in enumerate(pvs):
-        assert np.array_equal(flats[i], flatten(pv))
-        for k, sub in enumerate(SUBSETS3):
-            assert np.array_equal(stack[k, i], flatten(partial_conjugate(pv, sub)))
+    for dims in ((2, 3, 2), (2, 4), (2, 3, 4)):
+        factors = random_factors(rng, dims, 5)
+        flats = kron_rows(factors)
+        dim = int(np.prod(dims))
+        assert flats.shape == (5, dim)
+        stack = conjugation_stack(factors)
+        assert stack.shape == (2 ** len(dims), 5, dim)
+        for i in range(5):
+            row = [f[i] for f in factors]
+            assert np.array_equal(flats[i], reduce(np.kron, row))
+            for k, sub in enumerate(all_subsets(len(dims))):
+                assert np.array_equal(stack[k, i], kron_flat(row, sub))
 
 
 def test_partial_transpose_empty_and_full():
@@ -135,51 +140,47 @@ def test_partial_transpose_preserves_trace_and_spectrum_pairing():
 
 
 def test_partial_conjugate_real_and_full():
-    pv = ProductVector([[1, 2], [3, 4], [5, 6]])
-    for sub in SUBSETS3:
-        assert np.array_equal(flatten(partial_conjugate(pv, sub)), flatten(pv))
-    pvc = ProductVector([[1, 1j], [1, -1j], [1j, 0]])
-    full = partial_conjugate(pvc, (1, 2, 3))
-    assert np.array_equal(flatten(full), flatten(pvc).conj())
+    real = np.array([[1, 2], [3, 4], [5, 6]], dtype=complex)[:, None]
+    stack = conjugation_stack(real)
+    for k in range(8):
+        assert np.array_equal(stack[k, 0], reduce(np.kron, real[:, 0]))
+    pvc = np.array([[1, 1j], [1, -1j], [1j, 0]])
+    stack = conjugation_stack(pvc[:, None])
+    assert np.array_equal(stack[SUBSETS3.index((1, 2, 3)), 0], reduce(np.kron, pvc).conj())
 
 
 def test_partial_conjugate_first_factor_of_z1():
-    pv = z1_at_one_one()
-    got = partial_conjugate(pv, (1,))
-    assert np.allclose(got.factors[0], [1, eighth_root(1)], atol=1e-15)
-    assert np.array_equal(got.factors[1], pv.factors[1])
-    assert np.array_equal(got.factors[2], pv.factors[2])
+    z1 = z1_at_one_one()
+    assert np.allclose(z1[0].conj(), [1, eighth_root(1)], atol=1e-15)
+    got = conjugation_stack(z1[:, None])[SUBSETS3.index((1,)), 0]
+    assert np.array_equal(got, reduce(np.kron, [z1[0].conj(), z1[1], z1[2]]))
 
 
 def test_partial_conjugate_complement_conjugation_identity():
+    # conjugation_ranks ranks half the stack and copies each rank to the
+    # complementary subset: its rows are the entrywise conjugates
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        pv = ProductVector(
-            [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        )
-        for sub in SUBSETS3:
-            a = flatten(partial_conjugate(pv, sub))
-            b = flatten(partial_conjugate(pv, subset_complement(sub, 3)))
-            assert np.max(np.abs(a - b.conj())) < 1e-12
+    stack = conjugation_stack(random_factors(rng, (2, 2, 2), 20))
+    for k, sub in enumerate(SUBSETS3):
+        assert SUBSETS3[7 - k] == subset_complement(sub, 3)
+        assert np.max(np.abs(stack[k] - stack[7 - k].conj())) < 1e-12
 
 
 def test_pure_product_partial_transpose_matches_partial_conjugate():
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        pv = ProductVector(
-            [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        )
-        v = flatten(pv)
+    factors = random_factors(rng, (2, 2, 2), 10)
+    stack = conjugation_stack(factors)
+    for i in range(10):
+        v = reduce(np.kron, [f[i] for f in factors])
         rho = state_from(np.outer(v, v.conj()), (2, 2, 2))
-        for sub in SUBSETS3:
-            gamma = flatten(partial_conjugate(pv, sub))
+        for k, sub in enumerate(SUBSETS3):
+            gamma = stack[k, i]
             expected = np.outer(gamma, gamma.conj())
             assert np.max(np.abs(partial_transpose(rho, sub) - expected)) < 1e-12
 
 
 def test_is_ppt_product_projector():
-    pv = ProductVector([[1, 1j], [2, 1], [0, 1]])
-    v = flatten(pv)
+    v = reduce(np.kron, np.array([[1, 1j], [2, 1], [0, 1]]))
     rep = is_ppt(state_from(np.outer(v, v.conj()), (2, 2, 2)), tol=1e-12)
     assert rep.is_ppt
     assert all(v >= -1e-12 for v in rep.min_eigenvalues.values())
@@ -212,7 +213,7 @@ def test_interior_check_maximally_mixed():
 
 
 def test_interior_check_pure_product():
-    v = flatten(ProductVector([[1, 0], [1, 0], [1, 0]]))
+    v = reduce(np.kron, np.array([[1, 0], [1, 0], [1, 0]], dtype=complex))
     rep = is_ppt(state_from(np.outer(v, v.conj()), (2, 2, 2)))
     assert rep.is_ppt
     assert rep.min_ratio == 0.0 <= TOLERANCES["strict"]
