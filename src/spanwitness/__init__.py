@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidCutError,
     InvalidParamsError,
-    NonHermitianMapError,
     NonRealPairingError,
     NotHermitianError,
     OffVarietyError,
@@ -37,7 +36,6 @@ from .tensor import (
     is_ppt,
     partial_transpose,
     state_from,
-    subset_complement,
 )
 from .maps import (
     MultilinearMapTable,
@@ -50,7 +48,6 @@ from .maps import (
 from .seesaw import (
     SeeSawResult,
     cut_block_positivity,
-    regroup_for_cut,
     seesaw_block_positivity,
 )
 from .family import (

@@ -13,10 +13,6 @@ class DimensionMismatchError(SpanWitnessError):
     """Operands do not share the dimensions an operation requires."""
 
 
-class NonHermitianMapError(SpanWitnessError):
-    """A multilinear map table violates the Hermiticity constraint."""
-
-
 class NonRealPairingError(SpanWitnessError):
     """A state/witness pairing is not a finite real number: it has a
     non-negligible imaginary part, or it overflows."""

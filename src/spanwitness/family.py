@@ -119,7 +119,7 @@ def bilinear_map(params: FamilyParams) -> MultilinearMapTable:
     blocks[0, 1, 1, 0, 1, 0] = 1.0
     blocks[1, 0, 0, 1, 1, 0] = -1.0
     blocks[1, 0, 1, 0, 1, 0] = 1.0
-    return MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks)
+    return MultilinearMapTable(blocks)
 
 
 def witness_matrix(params: FamilyParams) -> Witness:
@@ -219,7 +219,7 @@ def grid_image_terms() -> tuple:
     from its block table, a difference of `bilinear_map` at three points."""
     p = rank_one_projector(phase_modulus_grid())
     one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
-    images = (evaluate(MultilinearMapTable(THREE_QUBITS, b), p[:, None], p[None, :])
+    images = (evaluate(MultilinearMapTable(b), p[:, None], p[None, :])
               for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
     return tuple(((int(k), int(l)), j, read_only(image[..., k, l].copy())) for j, image in enumerate(images)
                  for k, l in zip(*np.nonzero(image.any(axis=(0, 1)))))

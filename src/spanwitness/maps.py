@@ -1,16 +1,16 @@
-"""Multilinear maps as witness matrices and back.
+"""Bilinear maps on qubit pairs as witness matrices.
 
-A multilinear map phi from M_{d_1} x ... x M_{d_{n-1}} into M_{d_n} is stored
-as its table of matrix-unit images, and corresponds to the matrix
+A bilinear map phi from M_2 x M_2 into M_2 is stored as its table of
+matrix-unit images, and corresponds to the 8 x 8 matrix
 
-    W_phi = sum |i_1><j_1| (x) ... (x) |i_{n-1}><j_{n-1}| (x) phi(|i_1><j_1|, ...).
+    W_phi = sum |i_1><j_1| (x) |i_2><j_2| (x) phi(|i_1><j_1|, |i_2><j_2|).
 
 W_phi is Hermitian iff the table satisfies block(i, j) = block(j, i)^dagger;
 positivity of phi on positive inputs is exactly block positivity of W_phi,
 through the identity
 
-    <xi_1 ... xi_n | W_phi | xi_1 ... xi_n>
-        = <xi_n | phi(|conj(xi_1)><conj(xi_1)|, ...) | xi_n>.
+    <xi_1 xi_2 xi_3 | W_phi | xi_1 xi_2 xi_3>
+        = <xi_3 | phi(|conj(xi_1)><conj(xi_1)|, |conj(xi_2)><conj(xi_2)|) | xi_3>.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianMapError, NonRealPairingError
-from .linalg import TOLERANCES, as_matrix, hermiticity_defect
-from .tensor import State, TensorShape
+from .errors import DimensionMismatchError, NonRealPairingError
+from .linalg import TOLERANCES, as_matrix, require_hermitian
+from .tensor import THREE_QUBITS, State
 
 
 @dataclass
@@ -38,71 +38,49 @@ class Witness(State):
 
 @dataclass
 class MultilinearMapTable:
-    """Matrix-unit images of a multilinear map.
+    """Matrix-unit images of a bilinear map on qubit pairs.
 
-    `blocks` has axes (i_1, j_1, ..., i_{n-1}, j_{n-1}, k, l): the image of
-    the matrix-unit tuple (|i_1><j_1|, ...) is the d_n x d_n matrix
-    blocks[i_1, j_1, ..., :, :].
+    `blocks` has axes (i_1, j_1, i_2, j_2, k, l): the image of the pair
+    (|i_1><j_1|, |i_2><j_2|) is the 2 x 2 matrix blocks[i_1, j_1, i_2, j_2, :, :].
     """
 
-    shape: TensorShape
     blocks: np.ndarray
 
     def __post_init__(self):
-        dims = self.shape.dims
-        expected = tuple(d for d in dims[:-1] for _ in range(2)) + (dims[-1], dims[-1])
         self.blocks = np.asarray(self.blocks, dtype=complex)
-        if self.blocks.shape != expected:
-            raise DimensionMismatchError(
-                f"blocks shape {self.blocks.shape} does not match dims {dims}"
-            )
+        if self.blocks.shape != (2,) * 6:
+            raise DimensionMismatchError(f"blocks shape {self.blocks.shape} is not (2,) * 6")
 
 
 def choi_matrix(table: MultilinearMapTable) -> Witness:
     """Assemble W_phi from the block table.
 
     Pure reindexing: each entry of W is one entry of the table, bit for bit.
-    Raises NonHermitianMapError when the table violates Hermiticity.
+    Raises NotHermitianError when the table violates Hermiticity.
     """
-    n = table.shape.n_parties
-    row_axes = list(range(0, 2 * n, 2))
-    col_axes = list(range(1, 2 * n, 2))
-    d = table.shape.total_dim
-    w = table.blocks.transpose(row_axes + col_axes).reshape(d, d).copy()
-    defect = hermiticity_defect(w)
-    if defect > TOLERANCES["hermiticity"]:
-        raise NonHermitianMapError(
-            f"map table violates block(i,j) = block(j,i)^dagger: defect {defect:.3e}"
-        )
-    return Witness(matrix=w, shape=table.shape, meta={})
+    w = table.blocks.transpose(0, 2, 4, 1, 3, 5).reshape(8, 8).copy()
+    return Witness(matrix=require_hermitian(w), shape=THREE_QUBITS, meta={})
 
 
-def evaluate(table: MultilinearMapTable, *inputs) -> np.ndarray:
-    """Multilinear extension of the block table to matrix inputs: input j is
-    one d_j x d_j matrix or a stack (..., d_j, d_j), the stacks broadcast
-    together (DimensionMismatchError otherwise), and so do the images,
-    (..., d_n, d_n)."""
-    dims = table.shape.dims
-    n = len(dims)
-    if len(inputs) != n - 1:
-        raise DimensionMismatchError(f"map takes {n - 1} inputs, got {len(inputs)}")
-    operands = []
-    for j, x in enumerate(inputs):
-        a = np.asarray(x, dtype=complex)
-        if a.shape[-2:] != (dims[j], dims[j]) or not np.isfinite(a).all():
+def evaluate(table: MultilinearMapTable, x, y) -> np.ndarray:
+    """Bilinear extension of the block table to matrix inputs: x and y are each
+    one 2 x 2 matrix or a stack (..., 2, 2), the stacks broadcast together
+    (DimensionMismatchError otherwise), and so do the images, (..., 2, 2)."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    for j, a in enumerate((x, y)):
+        if a.shape[-2:] != (2, 2) or not np.isfinite(a).all():
             raise DimensionMismatchError(
-                f"input {j + 1} must be finite of shape (..., {dims[j]}, {dims[j]}), got {a.shape}"
+                f"input {j + 1} must be finite of shape (..., 2, 2), got {a.shape}"
             )
-        # the block table's axes are (row, column) party by party, output last
-        operands += [a, [..., 2 * j, 2 * j + 1]]
-    # a fixed path, no search: the table against input 1, the result against input 2, ...
-    path = ["einsum_path", *((0, k) for k in range(n - 1, 0, -1))]
+    # the block table's axes are (row, column) per input, output last; a fixed
+    # path, no search: the table against x, the result against y
+    path = ["einsum_path", (0, 2), (0, 1)]
     try:
         return np.einsum(
-            *operands, table.blocks, list(range(2 * n)), [..., 2 * n - 2, 2 * n - 1], optimize=path
+            x, [..., 0, 1], y, [..., 2, 3], table.blocks, list(range(6)), [..., 4, 5], optimize=path
         )
     except ValueError as exc:  # the trailing shapes are checked: the stacks do not broadcast
-        stacks = [a.shape[:-2] for a in operands[::2]]
+        stacks = [x.shape[:-2], y.shape[:-2]]
         raise DimensionMismatchError(f"input stacks of shapes {stacks} do not broadcast") from exc
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import TOLERANCES, qubit_hermitian_parts, require_hermitian
 from .maps import Witness, value_on_product
-from .tensor import TensorShape, check_subset, kron_rows, subset_complement
+from .tensor import TensorShape, check_subset, kron_rows
 
 
 @dataclass
@@ -160,35 +160,24 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     )
 
 
-def regroup_for_cut(witness: Witness, cut: Iterable[int]) -> Witness:
-    """Merge the parties into the two groups of a bipartite cut.
-
-    `cut` lists the parties (1-based) of the first group, the complement is
-    the second; `meta["cut"]` records both. Tensor legs are permuted so the
-    cut becomes contiguous, then each group is flattened into a single party.
-    """
-    dims = witness.shape.dims
-    n = len(dims)
-    group1 = check_subset(cut, n)
-    group2 = subset_complement(group1, n)
-    if not group1 or not group2:
-        raise InvalidCutError(f"cut {group1} must leave both sides nonempty")
-    perm = [p - 1 for p in group1 + group2]
-    tensor = witness.matrix.reshape(dims + dims)
-    axes = perm + [n + q for q in perm]
-    d = witness.shape.total_dim
-    merged = tensor.transpose(axes).reshape(d, d)
-    d_left = math.prod(dims[p - 1] for p in group1)
-    d_right = d // d_left
-    return Witness(
-        matrix=merged,
-        shape=TensorShape((d_left, d_right)),
-        meta=dict(witness.meta, cut=(group1, group2)),
-    )
-
-
 def cut_block_positivity(
     witness: Witness, cut: Iterable[int], restarts: int = 64, seed: int = 0
 ) -> SeeSawResult:
-    """Two-party see-saw across one bipartite cut of the parties."""
-    return seesaw_block_positivity(regroup_for_cut(witness, cut), restarts=restarts, seed=seed)
+    """Two-party see-saw across one bipartite cut of the parties.
+
+    `cut` lists the parties (1-based) of the first group, the complement is
+    the second. Tensor legs are permuted so the cut becomes contiguous, then
+    each group is flattened into a single party.
+    """
+    dims = witness.shape.dims
+    n = len(dims)
+    first = check_subset(cut, n)
+    if not first or len(first) == n:
+        raise InvalidCutError(f"cut {first} must leave both sides nonempty")
+    perm = [p - 1 for p in first] + [q for q in range(n) if q + 1 not in first]
+    d = witness.shape.total_dim
+    tensor = witness.matrix.reshape(dims + dims)
+    merged = tensor.transpose(perm + [n + q for q in perm]).reshape(d, d)
+    d_first = math.prod(dims[p - 1] for p in first)
+    regrouped = Witness(matrix=merged, shape=TensorShape((d_first, d // d_first)))
+    return seesaw_block_positivity(regrouped, restarts=restarts, seed=seed)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .tensor import State, TensorShape
+from .tensor import THREE_QUBITS, State
 
 
 def matrix_payload(m: np.ndarray) -> list:
@@ -41,19 +41,19 @@ def state_from_payload(doc: dict) -> State:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise DimensionMismatchError("payload must carry 'dims' and 'matrix'")
     dims = doc["dims"]
-    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
-        raise DimensionMismatchError(f"'dims' must be a list of integers, got {dims!r}")
+    # three qubits, and integers: 2.0 == 2
+    if dims != [2, 2, 2] or any(type(d) is not int for d in dims):
+        raise DimensionMismatchError(f"'dims' must be the integers [2, 2, 2], got {dims!r}")
     # a mapping, though the state does not keep it
     try:
         dict(doc.get("meta", {}))
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"malformed 'meta' in payload: {exc}") from exc
-    shape = TensorShape(tuple(dims))
     try:
         matrix = np.array([[_entry(re, im) for re, im in row] for row in doc["matrix"]], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"malformed matrix payload: {exc}") from exc
-    return State(matrix=matrix, shape=shape)
+    return State(matrix=matrix, shape=THREE_QUBITS)
 
 
 def dump_json(doc: dict) -> str:

@@ -47,11 +47,6 @@ def all_subsets(n: int) -> list[tuple[int, ...]]:
     return [tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(2**n)]
 
 
-def subset_complement(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    s = set(subset)
-    return tuple(j for j in range(1, n + 1) if j not in s)
-
-
 def check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     s = tuple(sorted(set(int(j) for j in subset)))
     if any(j < 1 or j > n for j in s):

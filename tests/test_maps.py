@@ -8,8 +8,8 @@ from spanwitness import (
     CANONICAL,
     DimensionMismatchError,
     MultilinearMapTable,
-    NonHermitianMapError,
     NonRealPairingError,
+    NotHermitianError,
     TensorShape,
     THREE_QUBITS,
     Witness,
@@ -32,7 +32,7 @@ def block_table(w):
     blocks = np.zeros((2,) * 6, dtype=complex)
     for i1, j1, i2, j2, k, l in product(range(2), repeat=6):
         blocks[i1, j1, i2, j2, k, l] = w[4 * i1 + 2 * i2 + k, 4 * j1 + 2 * j2 + l]
-    return MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks)
+    return MultilinearMapTable(blocks)
 
 
 def random_hermitian_table(rng):
@@ -43,7 +43,7 @@ def random_hermitian_table(rng):
 def test_choi_single_block():
     blocks = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
     blocks[0, 0, 0, 0, 0, 0] = 1.0  # image of (|0><0|, |0><0|) is E00
-    w = choi_matrix(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
+    w = choi_matrix(MultilinearMapTable(blocks))
     expected = np.zeros((8, 8))
     expected[0, 0] = 1.0
     assert np.array_equal(w.matrix, expected)
@@ -62,18 +62,32 @@ def test_choi_round_trip_exact():
     assert np.array_equal(choi_matrix(block_table(w.matrix)).matrix, w.matrix)
 
 
+def test_choi_matrix_does_not_share_the_table_memory():
+    # a table laid out as W's own transpose would reshape to a view of it
+    w = np.eye(8, dtype=complex)
+    table = MultilinearMapTable(w.reshape((2,) * 6).transpose(0, 3, 1, 4, 2, 5))
+    assert not np.shares_memory(choi_matrix(table).matrix, table.blocks)
+
+
 def test_choi_rejects_non_hermitian_table():
     blocks = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
     blocks[0, 1, 0, 0, 0, 0] = 1.0  # no conjugate partner at (1, 0, ...)
-    with pytest.raises(NonHermitianMapError):
-        choi_matrix(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
+    with pytest.raises(NotHermitianError):
+        choi_matrix(MultilinearMapTable(blocks))
+
+
+def test_table_holds_a_map_on_qubit_pairs():
+    # (2,) * 6 only: one more party, or a qutrit input, is not a table
+    for shape in ((2,) * 8, (2, 2, 3, 3, 2, 2), (2,) * 4):
+        with pytest.raises(DimensionMismatchError):
+            MultilinearMapTable(np.zeros(shape))
 
 
 def test_choi_matrix_of_identity_table():
     blocks = np.zeros((2,) * 6, dtype=complex)
     for i1, i2 in product(range(2), repeat=2):
         blocks[i1, i1, i2, i2] = np.eye(2)
-    table = MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks)
+    table = MultilinearMapTable(blocks)
     assert np.array_equal(choi_matrix(table).matrix, np.eye(8))
     assert np.array_equal(block_table(np.eye(8)).blocks, blocks)
 
@@ -98,17 +112,18 @@ def test_evaluate_pinned_slot():
 
 
 @pytest.mark.parametrize(
-    "inputs",
+    "inputs, error",
     [
-        (np.zeros((72, 2, 3)), np.eye(2)),
-        (np.eye(2), np.array([np.eye(2), [[0.0, np.nan], [0.0, 1.0]]])),
-        (np.eye(2),),
-        (np.zeros((3, 2, 2)), np.zeros((4, 2, 2))),
+        ((np.zeros((72, 2, 3)), np.eye(2)), DimensionMismatchError),
+        ((np.eye(2), np.array([np.eye(2), [[0.0, np.nan], [0.0, 1.0]]])), DimensionMismatchError),
+        # the map takes exactly two inputs: Python's own arity error
+        ((np.eye(2),), TypeError),
+        ((np.zeros((3, 2, 2)), np.zeros((4, 2, 2))), DimensionMismatchError),
     ],
     ids=["stack_of_2x3", "nan_inside_a_stack", "one_input_for_two", "stacks_do_not_broadcast"],
 )
-def test_evaluate_rejects_malformed_inputs(inputs):
-    with pytest.raises(DimensionMismatchError):
+def test_evaluate_rejects_malformed_inputs(inputs, error):
+    with pytest.raises(error):
         evaluate(bilinear_map(CANONICAL), *inputs)
 
 
@@ -228,7 +243,7 @@ def test_is_completely_positive():
     for i in range(2):
         for k in range(2):
             blocks[i, i, k, k] += np.eye(2)
-    assert completely_positive(MultilinearMapTable(shape=THREE_QUBITS, blocks=blocks))
+    assert completely_positive(MultilinearMapTable(blocks))
     assert not completely_positive(bilinear_map(CANONICAL))
-    zero = MultilinearMapTable(shape=THREE_QUBITS, blocks=np.zeros((2, 2, 2, 2, 2, 2)))
+    zero = MultilinearMapTable(np.zeros((2, 2, 2, 2, 2, 2)))
     assert completely_positive(zero)

@@ -241,10 +241,9 @@ def test_cut_negativity_runs_no_cut_seesaw(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("verify ran a cut see-saw")
 
-    for name in ("cut_block_positivity", "regroup_for_cut"):
-        for key, module in list(sys.modules.items()):
-            if key.startswith("spanwitness") and hasattr(module, name):
-                monkeypatch.setattr(module, name, unreachable)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("spanwitness") and hasattr(module, "cut_block_positivity"):
+            monkeypatch.setattr(module, "cut_block_positivity", unreachable)
     for params in (CANONICAL, FamilyParams(1.0, 1.0)):
         by_name = {c.name: c for c in run_verify(params).checks}
         assert by_name["cut_negativity"].status == "PASS"
@@ -530,9 +529,9 @@ def _with_first_entry(entry):
     [
         {"dims": ["a", "b", "c"], "matrix": _GOOD_MATRIX},
         {"dims": 5, "matrix": _GOOD_MATRIX},
-        {"dims": [2, 2], "matrix": [[{"re": 0.0}] * 4] * 4},
-        {"dims": [2, 2], "matrix": _GOOD_MATRIX, "meta": [1]},
-        {"dims": [2, 2], "matrix": [[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3] * 2},
+        {"dims": [2, 2, 2], "matrix": _with_first_entry({"re": 0.0})},
+        {"dims": [2, 2, 2], "matrix": _GOOD_STATE, "meta": [1]},
+        {"dims": [2, 2, 2], "matrix": [*_GOOD_STATE[:7], _GOOD_STATE[7][:7]]},
         {"dims": "222", "matrix": _GOOD_STATE},
         {"dims": [2.9, 2.2], "matrix": _GOOD_STATE},
         {"dims": [True, 2, 2], "matrix": _GOOD_STATE},
@@ -555,6 +554,23 @@ def test_cli_detect_malformed_state_file(payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "dims", [[2, 2], [2, 4], [4, 2], [2, 2, 2, 2]], ids=["2x2", "2x4", "4x2", "four_qubits"]
+)
+def test_cli_detect_state_file_not_on_three_qubits(dims, tmp_path, capsys):
+    # well formed, a maximally mixed state on its dims, but not three qubits
+    d = math.prod(dims)
+    payload = {"dims": dims, "matrix": [[[float(i == j) / d, 0.0] for j in range(d)] for i in range(d)]}
+    with pytest.raises(DimensionMismatchError):
+        state_from_payload(payload)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert main(["detect", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_non_finite_state_is_rejected(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import product
 from string import ascii_lowercase
 
 import numpy as np
@@ -14,7 +15,6 @@ from spanwitness import (
     TensorShape,
     Witness,
     cut_block_positivity,
-    regroup_for_cut,
     seesaw_block_positivity,
     value_on_product,
     witness_matrix,
@@ -174,11 +174,34 @@ def test_cuts_reach_spectral_floor(canonical_witness):
         assert res.min_value >= -1.0 - 1e-9
 
 
+def cut_witness(witness, cut):
+    """Oracle: W with the parties of `cut` merged into a first party and the
+    rest into a second, one entry at a time: basis vector (b1, b2, b3) goes to
+    the index whose binary digits are the cut's bits, then the rest's."""
+    rest = tuple(j for j in (1, 2, 3) if j not in cut)
+
+    def merged(b):
+        return int("".join(str(b[j - 1]) for j in cut + rest), 2)
+
+    m = np.zeros((8, 8), dtype=complex)
+    for b1, b2, b3 in product(range(2), repeat=3):
+        for c1, c2, c3 in product(range(2), repeat=3):
+            m[merged((b1, b2, b3)), merged((c1, c2, c3))] = witness.matrix[
+                4 * b1 + 2 * b2 + b3, 4 * c1 + 2 * c2 + c3
+            ]
+    return Witness(matrix=m, shape=TensorShape((2 ** len(cut), 2 ** len(rest))))
+
+
 def test_regroup_preserves_quadratic_form(canonical_witness):
-    # embed a (2) x (13) product vector back into party order and compare
+    # embed a (2) x (13) product vector back into party order and compare;
+    # the cut see-saw searches exactly the oracle's regrouped matrix
     rng = np.random.default_rng(33)
-    regrouped = regroup_for_cut(canonical_witness, (2,))
-    assert regrouped.meta["cut"] == ((2,), (1, 3))
+    regrouped = cut_witness(canonical_witness, (2,))
+    assert regrouped.shape.dims == (2, 4)
+    res = cut_block_positivity(canonical_witness, (2,), restarts=8, seed=SEED)
+    want = seesaw_block_positivity(regrouped, restarts=8, seed=SEED)
+    assert (res.min_value, res.history, res.converged) == (want.min_value, want.history, want.converged)
+    assert all(np.array_equal(g, w) for g, w in zip(res.argmin, want.argmin, strict=True))
     for _ in range(10):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w13 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -291,8 +314,8 @@ def test_stacked_seesaw_tie_breaks_to_first_restart():
 
 
 def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
-    for idx, cut in enumerate(((1,), (2,), (3,)), start=1):
-        regrouped = regroup_for_cut(canonical_witness, cut)
+    for idx, cut in enumerate(((1,), (2,), (3,), (1, 3)), start=1):
+        regrouped = cut_witness(canonical_witness, cut)
         res = cut_block_positivity(canonical_witness, cut, restarts=16, seed=SEED + idx)
         assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))
 

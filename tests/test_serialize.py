@@ -46,11 +46,11 @@ def test_state_round_trip(tmp_path):
 
 def test_payload_shape_validation():
     with pytest.raises(DimensionMismatchError):
-        state_from_payload({"dims": [2, 2], "matrix": [[[0.0, 0.0]]]})
+        state_from_payload({"dims": [2, 2, 2], "matrix": [[[0.0, 0.0]]]})
     with pytest.raises(DimensionMismatchError):
         state_from_payload({"matrix": []})
     with pytest.raises(DimensionMismatchError):
-        state_from_payload({"dims": [2, 2], "matrix": [["oops"] * 4] * 4})
+        state_from_payload({"dims": [2, 2, 2], "matrix": [["oops"] * 8] * 8})
 
 
 def test_json_text_is_stable(canonical_witness):

@@ -13,7 +13,6 @@ from spanwitness import (
     partial_transpose,
     rho_lambda,
     state_from,
-    subset_complement,
     x_state,
 )
 from spanwitness.family import CANONICAL_TEN_ROWS, FamilyParams, ZeroFamily, default_zero_sample
@@ -24,7 +23,6 @@ SUBSETS3 = all_subsets(3)
 
 def test_all_subsets_order():
     assert SUBSETS3 == [(), (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
-    assert subset_complement((1, 3), 3) == (2,)
 
 
 def kron_flat(factors, subset=()):
@@ -133,7 +131,7 @@ def test_partial_transpose_preserves_trace_and_spectrum_pairing():
         pt = partial_transpose(state, sub)
         assert abs(np.trace(pt) - np.trace(h)) < 1e-10
         # S and its complement carry transpose-related, equal spectra
-        ptc = partial_transpose(state, subset_complement(sub, 3))
+        ptc = partial_transpose(state, tuple(j for j in (1, 2, 3) if j not in sub))
         assert np.allclose(
             np.linalg.eigvalsh(pt), np.linalg.eigvalsh(ptc), atol=1e-10
         )
@@ -162,7 +160,7 @@ def test_partial_conjugate_complement_conjugation_identity():
     rng = np.random.default_rng(12)
     stack = conjugation_stack(random_factors(rng, (2, 2, 2), 20))
     for k, sub in enumerate(SUBSETS3):
-        assert SUBSETS3[7 - k] == subset_complement(sub, 3)
+        assert SUBSETS3[7 - k] == tuple(j for j in (1, 2, 3) if j not in sub)
         assert np.max(np.abs(stack[k] - stack[7 - k].conj())) < 1e-12
 
 
