@@ -59,7 +59,7 @@ def choi_matrix(table: MultilinearMapTable) -> Witness:
     Raises NotHermitianError when the table violates Hermiticity.
     """
     w = table.blocks.transpose(0, 2, 4, 1, 3, 5).reshape(8, 8).copy()
-    return Witness(matrix=require_hermitian(w), shape=THREE_QUBITS, meta={})
+    return Witness(matrix=require_hermitian(w), shape=THREE_QUBITS)
 
 
 def evaluate(table: MultilinearMapTable, x, y) -> np.ndarray:
