@@ -4,9 +4,10 @@ Holding every factor but one fixed, the objective is a quadratic form
 xi_k^H H_k xi_k in the remaining factor, where H_k is the contraction of W
 against the other factors. Each step replaces xi_k by the eigenvector of the
 smallest eigenvalue of H_k, so the value is nonincreasing sweep by sweep.
-The search restarts from several random product vectors: row r of one seeded
-draw is restart r's start, so that start depends on (seed, r) alone, not on
-the execution order or on how many restarts run.
+The search restarts from several random product vectors: restart r's start
+is read from the r-th run of bytes of one draw from random.Random(seed), so
+it depends on (seed, r) alone, not on the execution order or on how many
+restarts run.
 
 The restarts run as one stack. W is written once per party k as an
 (R R, d_k, d_k, 1) block, R = D / d_k: the other parties' rows and columns
@@ -31,6 +32,7 @@ A negative minimum certifies failure of block positivity; a minimum at zero
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,13 +57,19 @@ MAX_SWEEPS = 500
 
 
 def _random_unit_factors(dims: Sequence[int], seed: int, restarts: int) -> list[np.ndarray]:
-    """Unit start factors per party, stacked over restarts. Restart r takes
-    row r of one (restarts, 2 sum(dims)) draw of normals from
-    default_rng(seed): party by party, d real parts, then d imaginary parts."""
-    draws = np.random.default_rng(seed).standard_normal((restarts, 2 * sum(dims)))
+    """Unit start factors per party, stacked over restarts. One
+    random.Random(seed).randbytes call gives 16 sum(dims) bytes per restart,
+    restart r reading the r-th run of them: per complex entry, party by party,
+    two little-endian 64-bit words whose top 52 bits make uniforms u1, u2 in
+    (0, 1), and by Box-Muller the entry sqrt(-2 ln u1) e^{2 pi i u2}, a
+    complex normal, so each normalized factor is uniform on the unit sphere."""
+    size = sum(dims)
+    words = np.frombuffer(random.Random(seed).randbytes(16 * size * restarts), "<u8")
+    u = ((words >> 12) + 0.5).reshape(restarts, size, 2) * 2.0**-52
+    radius, angle = np.sqrt(-2.0 * np.log(u[..., 0])), 2.0 * np.pi * u[..., 1]
+    draws = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
     factors = []
-    for part, d in zip(np.split(draws, np.cumsum([2 * d for d in dims])[:-1], axis=1), dims):
-        v = part[:, :d] + 1j * part[:, d:]
+    for v in np.split(draws, np.cumsum(dims)[:-1], axis=1):
         # row @ column of the strided .real and .imag views: np.linalg.norm's own dots
         re, im = v.real[:, None], v.imag[:, None]
         factors.append(v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0])
@@ -97,8 +105,9 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     """Best product-vector minimum over `restarts` random starts.
 
     Deterministic for a fixed (seed, restarts) pair: restart r starts from
-    row r of one draw from default_rng(seed), the same row for any restart
-    count, and ties between restarts break toward the lower restart index.
+    the r-th run of bytes of one draw from random.Random(seed), the same for
+    any restart count, and ties between restarts break toward the lower
+    restart index.
     `history` is the best restart's value per sweep; `converged` holds when
     every restart stopped within `MAX_SWEEPS` sweeps.
     """
@@ -108,6 +117,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
     # the per-sweep float table below must be describable in bytes at all
     if (MAX_SWEEPS + 1) * restarts * 8 > np.iinfo(np.intp).max:
         raise DimensionMismatchError(f"see-saw cannot hold {restarts} restarts")
+    # random.Random seeds from |seed|: a negative seed would draw another's starts
     if seed < 0:
         raise DimensionMismatchError(f"see-saw seed must be non-negative, got {seed}")
     dims = witness.shape.dims

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
-from .family import CANONICAL, CANONICAL_TEN_ROWS, R, FamilyParams, default_zero_sample, free_factor_rows
-from .linalg import TOLERANCES
+from .family import CANONICAL, CANONICAL_TEN_ROWS, R, _Z_EXPONENTS, FamilyParams, _z_factors, free_factor_rows
+from .linalg import TOLERANCES, read_only
 from .maps import Witness, pairing
 from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows, state_from
 
@@ -107,14 +108,23 @@ def _equal_mixture(factors: np.ndarray, weight: float) -> tuple[State, Separable
     return state_from(assemble(dec), THREE_QUBITS.dims), dec
 
 
+@cache
 def rho0() -> tuple[State, SeparableDecomposition]:
-    """Equal mixture of the six basis zero-set vectors: diag(1,1,1,0,0,1,1,1)/6."""
-    return _equal_mixture(free_factor_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
+    """Equal mixture of the six basis zero-set vectors: diag(1,1,1,0,0,1,1,1)/6.
+
+    No (s, t) enters it, so it is built once per process, its arrays
+    read-only; `rho_lambda` reads it, for the `boundary_family` row and
+    `detect rho-lambda:X`."""
+    state, dec = _equal_mixture(free_factor_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
+    for table in (state.matrix, dec.weights, dec.factors):
+        read_only(table)
+    return state, dec
 
 
 def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecomposition]:
-    """Normalized mixture of the four phase-locked vectors at (a, b) = (1, 1),
-    rows of the default zero-set sample; on s t = 8 only.
+    """Normalized mixture of the four phase-locked vectors Z1..Z4 at
+    (a, b) = (1, 1), the default zero-set sample's rows built alone; on
+    s t = 8 only.
 
     Built from its separability certificate; the matrix is the consequence,
     not the definition. At s = t = 2 sqrt 2 every flattened vector has
@@ -124,7 +134,8 @@ def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecompositio
         raise OffVarietyError(f"rho_1 needs s*t = 8, got {params.s * params.t}")
     # each flattened vector has squared norm 2 * 2 * (1 + u^2)
     weight = 1.0 / (16.0 * (1.0 + params.u**2))
-    return _equal_mixture(default_zero_sample(params)[1][:, CANONICAL_TEN_ROWS[6:]], weight)
+    rows = [_z_factors(k, 1.0, 1.0, params.u) for k in _Z_EXPONENTS.values()]
+    return _equal_mixture(np.array(rows, dtype=complex).transpose(1, 0, 2), weight)
 
 
 def rho_lambda(

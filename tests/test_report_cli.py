@@ -430,7 +430,7 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     capsys.readouterr()
-    # a negative see-saw seed is a usage error, not a SeedSequence traceback
+    # a negative see-saw seed is a usage error, not an alias of its absolute value
     for argv in (["verify", "--seed", "-1"], ["report", "--seed", "-3"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -706,6 +706,20 @@ def test_cli_byte_identical_reports():
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv", [["build"], ["verify"], ["detect", "xstate"], ["spanning"], ["report", "--json"]],
+    ids=["build", "verify", "detect", "spanning", "report"],
+)
+def test_no_command_imports_numpy_random(argv):
+    # the see-saw's starts come from the standard library's random
+    script = (
+        "import sys; from spanwitness.cli import main; code = main(sys.argv[1:]); "
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'; sys.exit(code)"
+    )
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_documents_do_not_depend_on_the_order_the_tables_were_filled():

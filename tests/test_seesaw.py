@@ -1,3 +1,6 @@
+import cmath
+import math
+import random
 from functools import reduce
 from itertools import product
 from string import ascii_lowercase
@@ -250,11 +253,17 @@ def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-
     ]
     best_value, best_index, best_factors, best_history = np.inf, -1, None, []
     all_converged = True
-    starts = np.random.default_rng(seed).standard_normal((restarts, 2 * sum(dims)))
-    for ridx, row in enumerate(starts):
+    size = sum(dims)
+    stream = random.Random(seed).randbytes(16 * size * restarts)
+    for ridx in range(restarts):
+        # restart ridx's own bytes: a pair of 64-bit words per entry, by Box-Muller
+        words = np.frombuffer(stream, "<u8", 2 * size, 16 * size * ridx).reshape(size, 2)
+        u = ((words >> 12) + 0.5) * 2.0**-52
+        radius, angle = np.sqrt(-2.0 * np.log(u[:, 0])), 2.0 * np.pi * u[:, 1]
+        row = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
         factors = []
-        for d, at in zip(dims, np.cumsum([0, *(2 * d for d in dims)])):
-            v = row[at : at + d] + 1j * row[at + d : at + 2 * d]
+        for d, at in zip(dims, np.cumsum([0, *dims])):
+            v = row[at : at + d]
             factors.append(v / np.linalg.norm(v))
         flat = reduce(np.kron, factors)
         value = float((flat.conj() * (witness.matrix * flat).sum(-1)).sum(-1).real)
@@ -320,21 +329,11 @@ def test_stacked_cut_seesaw_matches_reference_loop(canonical_witness):
         assert_matches_reference(res, reference_seesaw(regrouped, 16, SEED + idx))
 
 
-def test_starts_for_fewer_restarts_are_the_first_rows(monkeypatch):
-    # restart r's start depends on (seed, r) alone, drawn without spawned seeds
-    spawned = []
-
-    class Recording(np.random.SeedSequence):
-        def spawn(self, n):
-            spawned.append(n)
-            return super().spawn(n)
-
-    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+def test_starts_for_fewer_restarts_are_the_first_rows():
+    # restart r's start depends on (seed, r) alone
     dims = (2, 2, 2)
     few, many = seesaw._random_unit_factors(dims, SEED, 8), seesaw._random_unit_factors(dims, SEED, 64)
     assert all(np.array_equal(f, m[:8]) for f, m in zip(few, many))
-    seesaw_block_positivity(witness_matrix(CANONICAL), restarts=64, seed=SEED)
-    assert spawned == []
 
 
 def random_hermitian(seed, d):
@@ -423,9 +422,13 @@ def test_party_forms_and_start_value_match_the_einsum_contraction(monkeypatch, d
     for seed in range(4):
         steps.clear()
         res = seesaw_block_positivity(w, restarts=1, seed=seed)
-        # restart 0's start factors: row 0 of the see-saw's draw from default_rng(seed)
-        rng = np.random.default_rng(seed)
-        draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        # restart 0's start factors: Box-Muller on the first words of randbytes, in plain Python
+        stream = random.Random(seed).randbytes(16 * sum(dims))
+        words = [int.from_bytes(stream[i : i + 8], "little") for i in range(0, len(stream), 8)]
+        u = [((w >> 12) + 0.5) / 2**52 for w in words]
+        entries = [cmath.rect(math.sqrt(-2.0 * math.log(u1)), 2.0 * math.pi * u2)
+                   for u1, u2 in zip(u[::2], u[1::2])]
+        draws = np.split(np.array(entries), np.cumsum(dims)[:-1])
         factors = [v / np.linalg.norm(v) for v in draws]
         xi = reduce(np.kron, factors)
         assert abs(res.history[0] - np.vdot(xi, w.matrix @ xi).real) <= tol

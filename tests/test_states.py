@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import numpy as np
@@ -27,7 +28,7 @@ from spanwitness import (
     witness_matrix,
     x_state,
 )
-from spanwitness.family import SQRT2
+from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, default_zero_sample
 
 OMEGA = complex(SQRT2 / 2, SQRT2 / 2)
 
@@ -113,6 +114,23 @@ def test_rho0():
     assert verify_decomposition(state, dec)
     assert pairing(state, witness_matrix(CANONICAL)) == 0.0
     assert np.linalg.matrix_rank(state.matrix) == 6
+
+
+def test_rho0_is_built_once_and_read_only():
+    (state, dec), again = rho0(), rho0()
+    assert again[0] is state and again[1] is dec
+    for table in (state.matrix, dec.weights, dec.factors):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_rho1_factors_are_the_default_samples_rows():
+    rng = random.Random(20)
+    curve = [FamilyParams(s, 8 / s) for s in (10 ** rng.uniform(-1.5, 1.5) for _ in range(20))]
+    for params in ST8_GRID + tuple(curve):
+        want = default_zero_sample(params)[1][:, CANONICAL_TEN_ROWS[6:]]
+        got = rho1(params)[1].factors
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_rho1_matches_reference(data_dir):
