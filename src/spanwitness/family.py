@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .linalg import TOLERANCES, read_only
 from .maps import MultilinearMapTable, Witness, evaluate
-from .tensor import THREE_QUBITS, conjugation_ranks, conjugation_stack
+from .tensor import THREE_QUBITS, conjugation_ranks, conjugation_stack, subset_ranks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,44 +193,39 @@ GRID_MODULI = (0.5, 1.0, 2.0)
 
 @cache
 def phase_modulus_grid() -> np.ndarray:
-    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus."""
+    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus; the grid rows' tables read it."""
     angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
     return read_only(np.array([m * np.exp(x) for m in GRID_MODULI for x in angles]))
 
 
 @cache
 def grid_determinants() -> np.ndarray:
-    """D(a, b) at every pair of grid points, a down the rows, b across."""
+    """D(a, b) at every grid pair, a down the rows, b across; for `determinant_identity_grid`."""
     points = phase_modulus_grid()
     return read_only(determinant_d(points[:, None], points[None, :]))
 
 
 @cache
 def grid_norm_scale() -> np.ndarray:
-    """(1 + |a|^2)(1 + |b|^2), the squared norm of (1, a) (x) (1, b), on the same pairs."""
+    """(1 + |a|^2)(1 + |b|^2), the squared norm of (1, a) (x) (1, b); for the see-saw's bound."""
     scale = 1 + np.abs(phase_modulus_grid()) ** 2
     return read_only(np.outer(scale, scale))
 
 
 @cache
-def grid_image_terms() -> tuple:
-    """Rank-one images of every grid pair as terms affine in (s, t): ((k, l), j, term)
-    is entry (k, l)'s one term, times 1, s or t for j = 0, 1, 2. `evaluate` gives each
-    from its block table, a difference of `bilinear_map` at three points."""
+def grid_image_parts() -> tuple[np.ndarray, ...]:
+    """The grid pairs' rank-one images [[s A, m01], [m10, t D]] by parts free of
+    (s, t): A = x22 y11, D = x11 y22, |(m01 + conj(m10)) / 2|, Re and Im of m01 m10,
+    from `evaluate` on differences of `bilinear_map` at three points. Read by
+    `rank_one_positivity_grid`, `determinant_identity_grid` and the see-saw's bound."""
     p = rank_one_projector(phase_modulus_grid())
     one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
-    images = (evaluate(MultilinearMapTable(b), p[:, None], p[None, :])
-              for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
-    return tuple(((int(k), int(l)), j, read_only(image[..., k, l].copy())) for j, image in enumerate(images)
-                 for k, l in zip(*np.nonzero(image.any(axis=(0, 1)))))
-
-
-def grid_images(params: FamilyParams) -> np.ndarray:
-    """Rank-one images at (s, t) of every grid pair, (a, b, 2, 2): an entry-major array's view."""
-    out = np.zeros((2, 2, *grid_determinants().shape), dtype=complex)
-    for (k, l), j, term in grid_image_terms():
-        np.multiply((1.0, params.s, params.t)[j], term, out=out[k, l])
-    return out.transpose(2, 3, 0, 1)
+    off, a, d = (evaluate(MultilinearMapTable(b), p[:, None], p[None, :])
+                 for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
+    m01, m10 = off[..., 0, 1], off[..., 1, 0]
+    product = m01 * m10
+    parts = (a[..., 0, 0].real, d[..., 1, 1].real, np.abs((m01 + m10.conj()) / 2), product.real, product.imag)
+    return tuple(read_only(np.ascontiguousarray(x)) for x in parts)
 
 
 class ZeroFamily(Enum):
@@ -316,7 +311,8 @@ CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
 @cache
 def free_factor_rows() -> np.ndarray:
     """The default sample's first rows, the same for every s, t: each free-factor
-    family at each free parameter in turn, as one read-only (3, 24, 2) factor array."""
+    family at each free parameter in turn, as one read-only (3, 24, 2) factor
+    array; every row that reads the sample reads it, and `rho0` does."""
     rows = [[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
             for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES]
     return read_only(np.array(rows, dtype=complex).transpose(1, 0, 2))
@@ -339,8 +335,27 @@ def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], n
 
 @cache
 def _free_stack() -> np.ndarray:
-    """`free_factor_rows` under every conjugation; no (s, t) enters them."""
+    """`free_factor_rows` under every conjugation; no (s, t) enters them. Every
+    document's spanning stack starts with it; the pv1 rows read it through `_pv1_tables`."""
     return read_only(conjugation_stack(free_factor_rows()))
+
+
+@cache
+def _pv1_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`_free_stack`'s singular values, as `subset_ranks` takes them, and the basis
+    vectors outside its support; read by `pv1_span_rank6` and `pv1_subset_ranks`."""
+    stack = _free_stack()
+    half = np.linalg.svd(stack[: len(stack) // 2], compute_uv=False)
+    return read_only(half), read_only(np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0], axis=0)])
+
+
+@cache
+def _family_rows(on_variety: bool) -> tuple[tuple[str, ...], np.ndarray]:
+    """The default sample's family names, off s t = 8 or on it, and a read-only mask
+    of each one's rows; read by `zero_set_families`, so no label is hashed per document."""
+    labels = default_zero_sample(FamilyParams(ST_PRODUCT if on_variety else 1.0, 1.0))[0]
+    families = dict.fromkeys(labels)
+    return tuple(f.value for f in families), read_only(np.array([[f is g for g in labels] for f in families]))
 
 
 @dataclass
@@ -354,7 +369,7 @@ class SpanningReport:
     conjugated images spans the whole space. The first-six-family rows are
     ranked separately, under every conjugation too; `pv1_complement` is the
     computational basis vectors outside their support, which are orthogonal
-    to their span.
+    to their span. `family_rows` is the family names and a mask of each one's rows.
     """
 
     samples: tuple[ZeroFamily, ...]
@@ -364,6 +379,7 @@ class SpanningReport:
     pv1_subset_ranks: dict[tuple[int, ...], int]
     pv1_complement: list[np.ndarray]
     dimension: int
+    family_rows: tuple[tuple[str, ...], np.ndarray]
 
     @property
     def sample_size(self) -> int:
@@ -375,20 +391,18 @@ class SpanningReport:
 
     def family_maxima(self, values: np.ndarray) -> dict[str, float]:
         """The largest of `values`, one per row of the sample, family by family."""
-        families = list(dict.fromkeys(self.samples))
-        codes = np.array([families.index(fam) for fam in self.samples])
-        best = np.where(codes == np.arange(len(families))[:, None], values, -np.inf).max(axis=1)
-        return dict(zip([fam.value for fam in families], best.tolist()))
+        names, rows = self.family_rows
+        return dict(zip(names, np.where(rows, values, -np.inf).max(axis=1).tolist()))
 
 
 def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) -> SpanningReport:
     """Rank of the partially conjugated default zero-set sample, for every subset.
 
     The free-factor rows' stack is built once per process; on s t = 8 the Z
-    rows' joins it. `conjugation_ranks` ranks the 2^n conjugations, and the
-    pv1 rows'. `pv1_complement` is the basis vectors on which all those rows
-    are exactly zero: the orthogonal complement of their span exactly when
-    `pv1_rank + len(pv1_complement) == dimension`.
+    rows' joins it. `conjugation_ranks` ranks the 2^n conjugations; the pv1
+    rows, the free-factor rows, are ranked from `_pv1_tables` at `rank_tol`.
+    `pv1_complement` is the basis vectors on which those rows are exactly zero:
+    their span's orthogonal complement iff `pv1_rank + len(pv1_complement) == dimension`.
 
     On s t = 8 every rank is full. Restricted to the first six families, which
     are the whole sample off the curve, every rank is 6 and the complement is
@@ -399,14 +413,14 @@ def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) 
     if params.on_variety:
         flats = np.concatenate([flats, conjugation_stack(factors[:, flats.shape[1]:])], axis=1)
     ranks = conjugation_ranks(flats, rank_tol)
-    pv1 = flats[:, [fam in PV1_FAMILIES for fam in labels]]
-    dim = THREE_QUBITS.total_dim
+    pv1_values, complement = _pv1_tables()
     return SpanningReport(
         samples=labels,
         stack=flats,
         subset_ranks=ranks,
-        full_spanning=all(r == dim for r in ranks.values()),
-        pv1_subset_ranks=conjugation_ranks(pv1, rank_tol),
-        pv1_complement=list(np.eye(dim)[~np.any(pv1[0], axis=0)]),
-        dimension=dim,
+        full_spanning=all(r == THREE_QUBITS.total_dim for r in ranks.values()),
+        pv1_subset_ranks=subset_ranks(pv1_values, rank_tol),
+        pv1_complement=list(complement),
+        dimension=THREE_QUBITS.total_dim,
+        family_rows=_family_rows(params.on_variety),
     )

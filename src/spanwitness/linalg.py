@@ -94,23 +94,26 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 def qubit_hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """For each 2x2 matrix of a stack, with [[a, b], [b*, d]] its Hermitian
-    part: b, |b|, (a - d)/2 and the smallest eigenvalue
-    (a + d)/2 - hypot((a - d)/2, |b|)."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    part: b, |b|, then `qubit_lowest` of a, d and |b|."""
     b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
-    mag, half = np.abs(b), (a - d) / 2
-    return b, mag, half, (a + d) / 2 - np.hypot(half, mag)
+    mag = np.abs(b)
+    return b, mag, *qubit_lowest(m[..., 0, 0].real, m[..., 1, 1].real, mag)
 
 
-def lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each 2x2 matrix of a stack."""
-    return qubit_hermitian_parts(m)[-1]
+def qubit_lowest(a, d, mag) -> tuple[np.ndarray, np.ndarray]:
+    """(a - d)/2 and the smallest eigenvalue (a + d)/2 - hypot((a - d)/2, |b|)
+    of [[a, b], [b*, d]], elementwise, from real a and d and |b| = `mag`."""
+    half = (a - d) / 2
+    return half, (a + d) / 2 - np.hypot(half, mag)
 
 
 def numerical_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> np.ndarray:
-    """Ranks of vector families stacked as (..., vectors, dim), from one SVD: per
-    family, the count of singular values above `tol` times its largest one."""
+    """Ranks of vector families stacked as (..., vectors, dim), from one SVD."""
+    return singular_value_ranks(np.linalg.svd(stack, compute_uv=False), tol)
+
+
+def singular_value_ranks(sv: np.ndarray, tol: float = TOLERANCES["rank"]) -> np.ndarray:
+    """Per family of singular values (..., k), the count above `tol` times its largest."""
     if tol <= 0:
         raise DimensionMismatchError("rank tolerance must be positive")
-    sv = np.linalg.svd(stack, compute_uv=False)
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)

@@ -31,12 +31,12 @@ from .family import (
     bilinear_map,
     eighth_root,
     grid_determinants,
-    grid_images,
+    grid_image_parts,
     grid_norm_scale,
     spanning_report,
     witness_matrix,
 )
-from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, lowest_eigenvalues, read_only
+from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, qubit_lowest, read_only
 from .maps import Witness, choi_matrix, pairing, value_on_product
 from .seesaw import seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
@@ -108,9 +108,9 @@ def render_text(doc: ReportDocument) -> str:
 @dataclass
 class Context:
     """What the checks of one document share: its inputs, the checks run so
-    far, and the witness, the rank-one images of the phase-modulus grid
-    with their smallest eigenvalues, and the spanning report of the default
-    zero-set sample, each built once, on first use."""
+    far, and the witness, the smallest eigenvalues of the phase-modulus
+    grid's rank-one images, and the spanning report of the default zero-set
+    sample, each built once, on first use."""
 
     params: FamilyParams
     seed: int = 7
@@ -123,12 +123,10 @@ class Context:
         return witness_matrix(self.params)
 
     @cached_property
-    def images(self) -> np.ndarray:
-        return grid_images(self.params)
-
-    @cached_property
     def image_minima(self) -> np.ndarray:
-        return lowest_eigenvalues(self.images)
+        """`qubit_lowest` of the images' diagonals s A and t D and |b|, from `grid_image_parts`."""
+        a, d, mag, _, _ = grid_image_parts()
+        return qubit_lowest(self.params.s * a, self.params.t * d, mag)[1]
 
     @cached_property
     def spanning(self) -> SpanningReport:
@@ -192,18 +190,17 @@ def check_not_psd(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 
 def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """Positivity of the bilinear map on a deterministic rank-one grid, from
-    the stacked images of `Context.images`."""
+    """Positivity of the bilinear map on a deterministic rank-one grid: the
+    smallest eigenvalues `Context.image_minima`."""
     worst = float(ctx.image_minima.min())
     return worst >= -tol, {"pairs": ctx.image_minima.size, "min_eigenvalue": worst}
 
 
 def check_determinant_identity(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """det of the rank-one image equals the closed-form D on s*t = 8."""
-    images = ctx.images
-    det = images[..., 0, 0] * images[..., 1, 1] - images[..., 0, 1] * images[..., 1, 0]
-    worst = float(np.max(np.abs(det - grid_determinants())))
-    return worst <= tol, {"pairs": images.shape[0] * images.shape[1], "max_abs_difference": worst}
+    """det of the rank-one image, s A t D - m01 m10, equals the closed form D(a, b) on s*t = 8."""
+    a, d, _, re, im = grid_image_parts()
+    worst = float(np.max(np.hypot(ctx.params.s * a * (ctx.params.t * d) - re - grid_determinants(), im)))
+    return worst <= tol, {"pairs": a.size, "max_abs_difference": worst}
 
 
 def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
@@ -271,7 +268,8 @@ def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 @cache
 def _cut_vectors() -> tuple[np.ndarray, ...]:
-    """Bi-separable vectors at exp(i pi / 4), cut vectors at i, i, 1, and their squared norms."""
+    """Bi-separable vectors at exp(i pi / 4), cut vectors at i, i, 1, and their
+    squared norms; read by `biseparable_values` and `cut_negativity`."""
     bisep = np.array([biseparable_vector(i, eighth_root(1)) for i in (1, 2, 3)])
     cuts = np.array([biseparable_vector(i, alpha) for i, alpha in ((1, 1j), (2, 1j), (3, 1))])
     return tuple(map(read_only, (bisep, cuts, (cuts.conj() * cuts).real.sum(-1))))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, hermitian_eigenvalues, numerical_ranks
+from .linalg import TOLERANCES, hermitian_eigenvalues, singular_value_ranks
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,15 @@ def conjugation_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def conjugation_ranks(stack: np.ndarray, tol: float = TOLERANCES["rank"]) -> dict:
-    """`numerical_ranks` of a `conjugation_stack`, keyed by subset, from one SVD of the
-    half that leaves the last party unconjugated: mask 2^n - 1 - m is mask m's conjugate."""
-    half = numerical_ranks(stack[: len(stack) // 2], tol).tolist()
-    return dict(zip(all_subsets(len(stack).bit_length() - 1), half + half[::-1]))
+    """`numerical_ranks` of a `conjugation_stack`, keyed by subset: `subset_ranks` of its first half's SVD."""
+    return subset_ranks(np.linalg.svd(stack[: len(stack) // 2], compute_uv=False), tol)
+
+
+def subset_ranks(half: np.ndarray, tol: float = TOLERANCES["rank"]) -> dict:
+    """Ranks keyed by subset from the singular values of a conjugation stack's first half:
+    mask 2^n - 1 - m is mask m's entrywise conjugate, with the same singular values."""
+    ranks = singular_value_ranks(half, tol).tolist()
+    return dict(zip(all_subsets(len(half).bit_length()), ranks + ranks[::-1]))
 
 
 @dataclass

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanwitness import (
     CANONICAL,
@@ -31,11 +33,11 @@ from spanwitness.family import (
     PV1_FAMILIES,
     SQRT2,
     Z_FAMILIES,
-    grid_image_terms,
-    grid_images,
+    grid_determinants,
     phase_modulus_grid,
 )
 from spanwitness.linalg import numerical_ranks
+from spanwitness.report import Context, check_determinant_identity
 from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack
 from test_tensor import kron_flat
 
@@ -176,20 +178,37 @@ def test_witness_golden_fixture(canonical_witness, data_dir):
     assert doc["dims"] == [2, 2, 2]
 
 
-@pytest.mark.parametrize("st", [0.5, 8.0, 100.0])
-def test_grid_image_terms_reproduce_evaluate_bit_for_bit(st):
-    # the affine term tables against one evaluate of the map per point, down
-    # to the sign of each zero, from s = 1e-150 to 1e150; one term per entry
-    entries = [entry for entry, _, _ in grid_image_terms()]
-    assert len(entries) == len(set(entries))
+def assert_grid_rows_match_evaluate(params):
+    # a document's grid minima and determinant deviation, from the
+    # parameter-free parts, against one evaluate of the map at (s, t) and the
+    # formulas written out on its images, bit for bit down to the sign of zero
     p = rank_one_projector(phase_modulus_grid())
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = evaluate(bilinear_map(params), p[:, None], p[None, :])
+        a, d = images[..., 0, 0].real, images[..., 1, 1].real
+        mag = np.abs((images[..., 0, 1] + images[..., 1, 0].conj()) / 2)
+        minima = (a + d) / 2 - np.hypot((a - d) / 2, mag)
+        det = images[..., 0, 0] * images[..., 1, 1] - images[..., 0, 1] * images[..., 1, 0]
+        deviation = np.max(np.abs(det - grid_determinants()))
+        ctx = Context(params)
+        got = ctx.image_minima
+        values = check_determinant_identity(ctx, TOLERANCES["determinant"])[1]
+    assert got.shape == minima.shape == (72, 72)
+    assert np.array_equal(got.view(np.uint64), minima.view(np.uint64))
+    assert np.float64(values["max_abs_difference"]).view(np.uint64) == deviation.view(np.uint64)
+    assert values["pairs"] == 72 * 72
+
+
+@pytest.mark.parametrize("product", [0.5, 8.0, 100.0])
+def test_grid_rows_reproduce_evaluate_bit_for_bit(product):
     for k in range(-150, 151, 50):
-        params = FamilyParams(10.0**k, st / 10.0**k)
-        want = evaluate(bilinear_map(params), p[:, None], p[None, :])
-        got = grid_images(params)
-        assert got.shape == want.shape == (72, 72, 2, 2)
-        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
-        assert np.array_equal(*bits)
+        assert_grid_rows_match_evaluate(FamilyParams(10.0**k, product / 10.0**k))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.floats(-300, 300), st.floats(-300, 300))
+def test_grid_rows_reproduce_evaluate_log_uniform(log_s, log_t):
+    assert_grid_rows_match_evaluate(FamilyParams(10.0**log_s, 10.0**log_t))
 
 
 def test_determinant_d_values():

@@ -13,7 +13,9 @@ Regenerate the golden files after an intended change of the contract with
 which rewrites the named cases (all when none is named). With `--check`,
 only the named checks of each case are replaced, with the exit code and
 `all_pass`; everything else in the file stays byte-for-byte as pinned, so
-floats that move at the 1e-14 level between machines do not churn. Each
+floats that move at the 1e-14 level between machines do not churn. Every
+case runs, and every `--check` name is looked up in every case, before any
+file is written: if a case lacks a named check, nothing is written. Each
 field whose pinned value changes is printed as one line,
 `<case>.<path>: <old> -> <new>`, with checks named by their `name`.
 """
@@ -125,6 +127,29 @@ def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch, capsys
     assert json.dumps(got, indent=2) + "\n" == text
 
 
+def test_regenerate_writes_nothing_when_a_case_lacks_a_named_check(tmp_path, monkeypatch, capsys):
+    # report_seed7 has both checks and comes first; verify_1_1 has no
+    # report_determinism, so the call stops before it writes either file
+    texts = {}
+    for case in ("report_seed7", "verify_1_1"):
+        payload = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+        for check in payload["document"]["checks"]:
+            if check["name"] == "seesaw_certificate":
+                check["values"]["min_value"] = 1.5  # stale: a write would replace it
+        texts[case] = json.dumps(payload, indent=2) + "\n"
+        (tmp_path / f"{case}.json").write_text(texts[case])
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        regenerate(["report_seed7", "verify_1_1"], ["seesaw_certificate", "report_determinism"])
+    assert str(stop.value).splitlines() == [
+        "verify_1_1: no check named ['report_determinism']",
+        "no golden file written",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report_seed7.json", "verify_1_1.json"]
+    assert all((tmp_path / f"{case}.json").read_text() == text for case, text in texts.items())
+    assert capsys.readouterr().out == ""
+
+
 def changed_fields(old, new, where):
     """(path, old, new) for each leaf where two JSON values differ; a list
     or dict whose length or keys differ counts as one leaf."""
@@ -137,10 +162,12 @@ def changed_fields(old, new, where):
 
 
 def regenerate(cases=None, checks=None):
+    """Run every case and check every `--check` name first; write the files
+    only when every case has every named check, so a re-pin is all or nothing."""
     import contextlib
     import io
 
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    payloads, missing = {}, []
     for case in cases or sorted(CASES):
         argv = CASES[case]
         out = io.StringIO()
@@ -152,12 +179,18 @@ def regenerate(cases=None, checks=None):
         if checks:
             fresh, payload = payload, json.loads(path.read_text())
             new = {c["name"]: c for c in fresh["document"]["checks"]}
-            if missing := set(checks) - set(new):
-                raise SystemExit(f"{case}: no check named {sorted(missing)}")
+            if lacking := set(checks) - set(new):
+                missing.append(f"{case}: no check named {sorted(lacking)}")
+                continue
             doc = payload["document"]
             doc["checks"] = [new[c["name"]] if c["name"] in checks else c for c in doc["checks"]]
             payload["exit_code"], doc["all_pass"] = code, fresh["document"]["all_pass"]
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        payloads[case] = code, pinned, payload
+    if missing:
+        raise SystemExit("\n".join(missing + ["no golden file written"]))
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for case, (code, pinned, payload) in payloads.items():
+        (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(payload, indent=2) + "\n")
         for where, was, now in changed_fields(pinned, payload, case):
             print(f"{where}: {_exact(was)} -> {_exact(now)}")
         print(f"{case}: exit {code}", file=sys.stderr)

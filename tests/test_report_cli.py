@@ -20,12 +20,14 @@ from spanwitness.family import (
     CANONICAL,
     ST8_GRID,
     FamilyParams,
+    bilinear_map,
     default_zero_sample,
     phase_modulus_grid,
+    rank_one_projector,
     witness_matrix,
 )
-from spanwitness.linalg import TOLERANCES, lowest_eigenvalues
-from spanwitness.maps import pairing, value_on_product
+from spanwitness.linalg import TOLERANCES
+from spanwitness.maps import evaluate, pairing, value_on_product
 from spanwitness.report import (
     Context,
     check_detected_interior,
@@ -139,12 +141,13 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     # the document's spanning sample is built once, as one factor array; the
-    # free-factor rows and their conjugation stack are built once per process,
-    # so only the Z rows are conjugated; it is ranked by stacked SVDs: two for
-    # the one spanning report (the 2^3 conjugations of the sample, and of its
-    # pv1 rows), which full_spanning, pv1_span_rank6 and zero_set_families share,
-    # one for the canonical ten, its rows, each over half the conjugations, the
-    # other half taking their complements' ranks; W's spectrum is computed once; the
+    # free-factor rows, their conjugation stack and its singular values are
+    # built once per process, so only the Z rows are conjugated and the pv1
+    # ranks take no SVD; it is ranked by stacked SVDs: one for the one spanning
+    # report (the 2^3 conjugations of the sample), which full_spanning,
+    # pv1_span_rank6 and zero_set_families share, one for the canonical ten,
+    # its rows, each over half the conjugations, the other half taking their
+    # complements' ranks; W's spectrum is computed once; the
     # see-saw runs once, for the global minimum, and never across a cut;
     # calls are counted in every module that binds the name, as a tracer sees them
     owners = {
@@ -178,12 +181,12 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     assert run_verify(CANONICAL).all_pass
     assert spanwitness.family.free_factor_rows.cache_info().misses == free_rows_built
     # each SVD ranks the 4 conjugations that leave party 3 unconjugated
-    assert [shape[0] for shape in svd_stacks] == [4, 4, 4]
+    assert [shape[0] for shape in svd_stacks] == [4, 4]
     assert calls == {
         "spanning_report": 1,
         "default_zero_sample": 1,
         "conjugation_stack": 1,
-        "svd": 3,
+        "svd": 2,
         "eigvalsh": 1,
         "seesaw_block_positivity": 1,
         "cut_block_positivity": 0,
@@ -191,20 +194,24 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
-    # the grid, its D and norm-scale tables, the grid images' affine terms,
-    # the default sample's free-factor rows, alone and under every
-    # conjugation, and the cut vectors depend on no parameter: a second
-    # document, at other (s, t), on the curve or off it, evaluates no map and
-    # no D, builds no free-factor row, conjugates only the Z rows (on the
-    # curve), and shares every table
+    # the grid, its D and norm-scale tables, the grid images' parts that no
+    # (s, t) enters, the default sample's free-factor rows, alone and under
+    # every conjugation, their pv1 singular values and complement, the family
+    # masks on and off the curve, and the cut vectors depend on no parameter:
+    # a second document, at other (s, t), on the curve or off it, evaluates no
+    # map and no D, builds no free-factor row, conjugates only the Z rows (on
+    # the curve), and shares every table
     def tables():
         return [
             family.phase_modulus_grid(),
             family.grid_determinants(),
             family.grid_norm_scale(),
-            *(term for _, _, term in family.grid_image_terms()),
+            *family.grid_image_parts(),
             family.free_factor_rows(),
             family._free_stack(),
+            *family._pv1_tables(),
+            family._family_rows(True)[1],
+            family._family_rows(False)[1],
             *spanwitness.report._cut_vectors(),
         ]
 
@@ -766,9 +773,10 @@ def test_cli_report_command(capsys):
     [FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(4.0, 4.0), CANONICAL],
 )
 def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
-    images = Context(params).images
+    p = rank_one_projector(phase_modulus_grid())
+    images = evaluate(bilinear_map(params), p[:, None], p[None, :])
     want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
-    assert np.max(np.abs(lowest_eigenvalues(images) - want)) <= 1e-13
+    assert np.max(np.abs(Context(params).image_minima - want)) <= 1e-13
 
 
 def test_cli_json_out_writes_stdout_from_one_serialization(tmp_path, capsys, monkeypatch):
