@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,41 +192,38 @@ GRID_PHASES = 24
 GRID_MODULI = (0.5, 1.0, 2.0)
 
 
+class GridTable(NamedTuple):
+    """The rank-one grid's parameter-free table, read by the grid rows and the see-saw's bound, each
+    array read-only: `points` m e^{2 pi i k / GRID_PHASES}, modulus m by modulus; at the grid pairs (a
+    down the rows, b across), with images [[s A, m01], [m10, t D]], `a` = A = x22 y11, `d` = D = x11 y22,
+    `mag` = |(m01 + conj(m10)) / 2|, `re` and `im` of m01 m10, `det` = D(a, b), and `norm` = (1 + |a|^2)
+    (1 + |b|^2), the squared norm of (1, a) (x) (1, b)."""
+
+    points: np.ndarray
+    a: np.ndarray
+    d: np.ndarray
+    mag: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    det: np.ndarray
+    norm: np.ndarray
+
+
 @cache
-def phase_modulus_grid() -> np.ndarray:
-    """The points m e^{2 pi i k / GRID_PHASES}, modulus m by modulus; the grid rows' tables read it."""
+def grid_table() -> GridTable:
+    """Built once per process; the image parts from `evaluate` on differences of `bilinear_map`."""
     angles = [2j * np.pi * k / GRID_PHASES for k in range(GRID_PHASES)]
-    return read_only(np.array([m * np.exp(x) for m in GRID_MODULI for x in angles]))
-
-
-@cache
-def grid_determinants() -> np.ndarray:
-    """D(a, b) at every grid pair, a down the rows, b across; for `determinant_identity_grid`."""
-    points = phase_modulus_grid()
-    return read_only(determinant_d(points[:, None], points[None, :]))
-
-
-@cache
-def grid_norm_scale() -> np.ndarray:
-    """(1 + |a|^2)(1 + |b|^2), the squared norm of (1, a) (x) (1, b); for the see-saw's bound."""
-    scale = 1 + np.abs(phase_modulus_grid()) ** 2
-    return read_only(np.outer(scale, scale))
-
-
-@cache
-def grid_image_parts() -> tuple[np.ndarray, ...]:
-    """The grid pairs' rank-one images [[s A, m01], [m10, t D]] by parts free of
-    (s, t): A = x22 y11, D = x11 y22, |(m01 + conj(m10)) / 2|, Re and Im of m01 m10,
-    from `evaluate` on differences of `bilinear_map` at three points. Read by
-    `rank_one_positivity_grid`, `determinant_identity_grid` and the see-saw's bound."""
-    p = rank_one_projector(phase_modulus_grid())
+    points = np.array([m * np.exp(x) for m in GRID_MODULI for x in angles])
+    p = rank_one_projector(points)
     one, s2, t2 = (bilinear_map(FamilyParams(*st)).blocks for st in ((1, 1), (2, 1), (1, 2)))
     off, a, d = (evaluate(MultilinearMapTable(b), p[:, None], p[None, :])
                  for b in (one - (s2 - one) - (t2 - one), s2 - one, t2 - one))
     m01, m10 = off[..., 0, 1], off[..., 1, 0]
     product = m01 * m10
-    parts = (a[..., 0, 0].real, d[..., 1, 1].real, np.abs((m01 + m10.conj()) / 2), product.real, product.imag)
-    return tuple(read_only(np.ascontiguousarray(x)) for x in parts)
+    scale = 1 + np.abs(points) ** 2
+    parts = (points, a[..., 0, 0].real, d[..., 1, 1].real, np.abs((m01 + m10.conj()) / 2), product.real,
+             product.imag, determinant_d(points[:, None], points[None, :]), np.outer(scale, scale))
+    return GridTable(*(read_only(np.ascontiguousarray(x)) for x in parts))
 
 
 class ZeroFamily(Enum):
@@ -274,12 +272,12 @@ Z_FAMILIES = tuple(_Z_EXPONENTS)
 PV1_FAMILIES = tuple(_PV1_SLOTS)
 
 
-def _z_factors(exponents: tuple[int, int, int], a: float, b: float, u: float) -> tuple:
+def z_factors(family: ZeroFamily, a: float, b: float, u: float) -> tuple:
     """A Z family's three factors at (a, b), from its omega exponents (k1, k2, k3)
     and the third-factor scale u = s / (2 sqrt 2), as pairs of scalars:
     (1, a w^k1), (1, b w^k2), (b, u a w^k3), w^k read from the exact table;
     Z1 = (1, a w^7) (x) (1, b w) (x) (b, u a w^3)."""
-    k1, k2, k3 = exponents
+    k1, k2, k3 = _Z_EXPONENTS[family]
     return (1.0, a * eighth_root(k1)), (1.0, b * eighth_root(k2)), (b, u * a * eighth_root(k3))
 
 
@@ -300,6 +298,8 @@ def zero_pair_and_kernel(
 # genuinely complex directions; already more than enough for the rank checks.
 _PV1_FREE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, 1j))
 _Z_AB_PARAMS = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))
+_FREE_ROWS = len(PV1_FAMILIES) * len(_PV1_FREE_PARAMS)
+_FAMILY_NAMES = tuple(f.value for f in PV1_FAMILIES + Z_FAMILIES)
 
 # Ten rows of the default sample on s t = 8 that span the whole space under
 # every partial conjugation: the basis vectors |000>, |001>, |010>, |101>,
@@ -308,54 +308,46 @@ _Z_AB_PARAMS = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))
 CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
 
 
+class FreeTable(NamedTuple):
+    """`free_rows` read-only, with their conjugation `stack`, its first half's `singular_values`
+    as `subset_ranks` takes them, and `complement`, the basis vectors outside the rows' support."""
+
+    rows: np.ndarray
+    stack: np.ndarray
+    singular_values: np.ndarray
+    complement: np.ndarray
+
+
+def free_rows() -> np.ndarray:
+    """The default sample's first rows, the same for every s, t: each free-factor family at each free
+    parameter in turn, (3, 24, 2). `rho0` reads them here, so `detect` makes no stack and no SVD."""
+    return np.array([[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
+                     for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES], dtype=complex).transpose(1, 0, 2)
+
+
 @cache
-def free_factor_rows() -> np.ndarray:
-    """The default sample's first rows, the same for every s, t: each free-factor
-    family at each free parameter in turn, as one read-only (3, 24, 2) factor
-    array; every row that reads the sample reads it, and `rho0` does."""
-    rows = [[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
-            for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES]
-    return read_only(np.array(rows, dtype=complex).transpose(1, 0, 2))
+def free_table() -> FreeTable:
+    """Built once per process: every sample and spanning stack starts with it, and the pv1 ranks read it."""
+    rows = free_rows()
+    stack = conjugation_stack(rows)
+    half = np.linalg.svd(stack[: len(stack) // 2], compute_uv=False)
+    complement = np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0], axis=0)]
+    return FreeTable(*map(read_only, (rows, stack, half, complement)))
 
 
 def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], np.ndarray]:
     """The zero-set sample of the spanning checks: a family label per row, and
     the rows' factors party by party as one complex (3, N, 2) array, as
-    `conjugation_stack` takes them. The rows are `free_factor_rows`, then, on
+    `conjugation_stack` takes them. The rows are `free_table().rows`, then, on
     s t = 8 only, each Z family at its three (a, b)."""
     labels = PV1_FAMILIES * len(_PV1_FREE_PARAMS)
     if not params.on_variety:
-        return labels, free_factor_rows()
-    rows = [_z_factors(k, a, b, params.u) for k in _Z_EXPONENTS.values() for a, b in _Z_AB_PARAMS]
+        return labels, free_table().rows
+    rows = [z_factors(fam, a, b, params.u) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
     # one flat pass: np.array would spend longer discovering the nesting
     z = np.fromiter((x for row in rows for factor in row for x in factor), complex, 6 * len(rows))
     labels += tuple(fam for fam in Z_FAMILIES for _ in _Z_AB_PARAMS)
-    return labels, np.concatenate([free_factor_rows(), z.reshape(-1, 3, 2).transpose(1, 0, 2)], axis=1)
-
-
-@cache
-def _free_stack() -> np.ndarray:
-    """`free_factor_rows` under every conjugation; no (s, t) enters them. Every
-    document's spanning stack starts with it; the pv1 rows read it through `_pv1_tables`."""
-    return read_only(conjugation_stack(free_factor_rows()))
-
-
-@cache
-def _pv1_tables() -> tuple[np.ndarray, np.ndarray]:
-    """`_free_stack`'s singular values, as `subset_ranks` takes them, and the basis
-    vectors outside its support; read by `pv1_span_rank6` and `pv1_subset_ranks`."""
-    stack = _free_stack()
-    half = np.linalg.svd(stack[: len(stack) // 2], compute_uv=False)
-    return read_only(half), read_only(np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0], axis=0)])
-
-
-@cache
-def _family_rows(on_variety: bool) -> tuple[tuple[str, ...], np.ndarray]:
-    """The default sample's family names, off s t = 8 or on it, and a read-only mask
-    of each one's rows; read by `zero_set_families`, so no label is hashed per document."""
-    labels = default_zero_sample(FamilyParams(ST_PRODUCT if on_variety else 1.0, 1.0))[0]
-    families = dict.fromkeys(labels)
-    return tuple(f.value for f in families), read_only(np.array([[f is g for g in labels] for f in families]))
+    return labels, np.concatenate([free_table().rows, z.reshape(-1, 3, 2).transpose(1, 0, 2)], axis=1)
 
 
 @dataclass
@@ -369,7 +361,7 @@ class SpanningReport:
     conjugated images spans the whole space. The first-six-family rows are
     ranked separately, under every conjugation too; `pv1_complement` is the
     computational basis vectors outside their support, which are orthogonal
-    to their span. `family_rows` is the family names and a mask of each one's rows.
+    to their span.
     """
 
     samples: tuple[ZeroFamily, ...]
@@ -379,7 +371,6 @@ class SpanningReport:
     pv1_subset_ranks: dict[tuple[int, ...], int]
     pv1_complement: list[np.ndarray]
     dimension: int
-    family_rows: tuple[tuple[str, ...], np.ndarray]
 
     @property
     def sample_size(self) -> int:
@@ -390,9 +381,12 @@ class SpanningReport:
         return self.pv1_subset_ranks[()]
 
     def family_maxima(self, values: np.ndarray) -> dict[str, float]:
-        """The largest of `values`, one per row of the sample, family by family."""
-        names, rows = self.family_rows
-        return dict(zip(names, np.where(rows, values, -np.inf).max(axis=1).tolist()))
+        """The largest of `values`, one per row of the sample, family by family:
+        the free rows cycle through the six families once per free parameter,
+        and the Z rows come three per family."""
+        free = values[:_FREE_ROWS].reshape(-1, len(PV1_FAMILIES)).max(0)
+        z = values[_FREE_ROWS:].reshape(-1, len(_Z_AB_PARAMS)).max(1)
+        return dict(zip(_FAMILY_NAMES, free.tolist() + z.tolist()))
 
 
 def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) -> SpanningReport:
@@ -400,7 +394,7 @@ def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) 
 
     The free-factor rows' stack is built once per process; on s t = 8 the Z
     rows' joins it. `conjugation_ranks` ranks the 2^n conjugations; the pv1
-    rows, the free-factor rows, are ranked from `_pv1_tables` at `rank_tol`.
+    rows, the free-factor rows, are ranked from `free_table` at `rank_tol`.
     `pv1_complement` is the basis vectors on which those rows are exactly zero:
     their span's orthogonal complement iff `pv1_rank + len(pv1_complement) == dimension`.
 
@@ -409,18 +403,16 @@ def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) 
     |011>, |100>.
     """
     labels, factors = default_zero_sample(params)
-    flats = _free_stack()
+    flats = free_table().stack
     if params.on_variety:
-        flats = np.concatenate([flats, conjugation_stack(factors[:, flats.shape[1]:])], axis=1)
+        flats = np.concatenate([flats, conjugation_stack(factors[:, _FREE_ROWS:])], axis=1)
     ranks = conjugation_ranks(flats, rank_tol)
-    pv1_values, complement = _pv1_tables()
     return SpanningReport(
         samples=labels,
         stack=flats,
         subset_ranks=ranks,
         full_spanning=all(r == THREE_QUBITS.total_dim for r in ranks.values()),
-        pv1_subset_ranks=subset_ranks(pv1_values, rank_tol),
-        pv1_complement=list(complement),
+        pv1_subset_ranks=subset_ranks(free_table().singular_values, rank_tol),
+        pv1_complement=list(free_table().complement),
         dimension=THREE_QUBITS.total_dim,
-        family_rows=_family_rows(params.on_variety),
     )

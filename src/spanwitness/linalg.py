@@ -92,14 +92,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(m))
 
 
-def qubit_hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each 2x2 matrix of a stack, with [[a, b], [b*, d]] its Hermitian
-    part: b, |b|, then `qubit_lowest` of a, d and |b|."""
-    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
-    mag = np.abs(b)
-    return b, mag, *qubit_lowest(m[..., 0, 0].real, m[..., 1, 1].real, mag)
-
-
 def qubit_lowest(a, d, mag) -> tuple[np.ndarray, np.ndarray]:
     """(a - d)/2 and the smallest eigenvalue (a + d)/2 - hypot((a - d)/2, |b|)
     of [[a, b], [b*, d]], elementwise, from real a and d and |b| = `mag`."""

@@ -30,9 +30,7 @@ from .family import (
     SpanningReport,
     bilinear_map,
     eighth_root,
-    grid_determinants,
-    grid_image_parts,
-    grid_norm_scale,
+    grid_table,
     spanning_report,
     witness_matrix,
 )
@@ -124,9 +122,9 @@ class Context:
 
     @cached_property
     def image_minima(self) -> np.ndarray:
-        """`qubit_lowest` of the images' diagonals s A and t D and |b|, from `grid_image_parts`."""
-        a, d, mag, _, _ = grid_image_parts()
-        return qubit_lowest(self.params.s * a, self.params.t * d, mag)[1]
+        """`qubit_lowest` of the images' diagonals s A and t D and |b|, from `grid_table`."""
+        g = grid_table()
+        return qubit_lowest(self.params.s * g.a, self.params.t * g.d, g.mag)[1]
 
     @cached_property
     def spanning(self) -> SpanningReport:
@@ -198,9 +196,9 @@ def check_rank_one_grid(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_determinant_identity(ctx: Context, tol: float) -> tuple[bool, dict]:
     """det of the rank-one image, s A t D - m01 m10, equals the closed form D(a, b) on s*t = 8."""
-    a, d, _, re, im = grid_image_parts()
-    worst = float(np.max(np.hypot(ctx.params.s * a * (ctx.params.t * d) - re - grid_determinants(), im)))
-    return worst <= tol, {"pairs": a.size, "max_abs_difference": worst}
+    g = grid_table()
+    worst = float(np.max(np.hypot(ctx.params.s * g.a * (ctx.params.t * g.d) - g.re - g.det, g.im)))
+    return worst <= tol, {"pairs": g.a.size, "max_abs_difference": worst}
 
 
 def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
@@ -212,7 +210,7 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
     result = seesaw_block_positivity(ctx.witness, restarts=ctx.restarts, seed=ctx.seed)
     # a pole in party 1 or 2 has a diagonal image with a zero entry, diag(s y11, 0)
     # at x = |1>, diag(0, t x11) at y = |1>: least value exactly 0; NaN stays NaN
-    grid_min = min(float((ctx.image_minima / grid_norm_scale()).min()), 0.0)
+    grid_min = min(float((ctx.image_minima / grid_table().norm).min()), 0.0)
     ok = -tol <= result.min_value <= tol and result.min_value <= grid_min + TOLERANCES["grid_slack"]
     return ok, {
         "min_value": result.min_value,

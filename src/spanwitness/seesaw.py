@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
-from .linalg import TOLERANCES, qubit_hermitian_parts, require_hermitian
+from .linalg import TOLERANCES, qubit_lowest, require_hermitian
 from .maps import Witness, value_on_product
 from .tensor import TensorShape, check_subset, kron_rows
 
@@ -85,7 +85,9 @@ def _lowest_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h.shape[-1] != 2:
         evals, evecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
         return evecs[:, :, 0], evals[:, 0]
-    b, mag, half_gap, lowest = qubit_hermitian_parts(h)
+    b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2
+    mag = np.abs(b)
+    half_gap, lowest = qubit_lowest(h[..., 0, 0].real, h[..., 1, 1].real, mag)
     half = np.arctan2(mag, half_gap) / 2
     kets = np.empty(b.shape + (2,), dtype=complex)
     np.multiply(np.divide(b, mag, out=np.ones_like(b), where=mag > 0), -np.sin(half), out=kets[..., 0])

@@ -11,7 +11,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
-from .family import CANONICAL, CANONICAL_TEN_ROWS, R, _Z_EXPONENTS, FamilyParams, _z_factors, free_factor_rows
+from .family import CANONICAL, CANONICAL_TEN_ROWS, R, Z_FAMILIES, FamilyParams, free_rows, z_factors
 from .linalg import TOLERANCES, read_only
 from .maps import Witness, pairing
 from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows, state_from
@@ -115,7 +115,7 @@ def rho0() -> tuple[State, SeparableDecomposition]:
     No (s, t) enters it, so it is built once per process, its arrays
     read-only; `rho_lambda` reads it, for the `boundary_family` row and
     `detect rho-lambda:X`."""
-    state, dec = _equal_mixture(free_factor_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
+    state, dec = _equal_mixture(free_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
     for table in (state.matrix, dec.weights, dec.factors):
         read_only(table)
     return state, dec
@@ -134,7 +134,7 @@ def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecompositio
         raise OffVarietyError(f"rho_1 needs s*t = 8, got {params.s * params.t}")
     # each flattened vector has squared norm 2 * 2 * (1 + u^2)
     weight = 1.0 / (16.0 * (1.0 + params.u**2))
-    rows = [_z_factors(k, 1.0, 1.0, params.u) for k in _Z_EXPONENTS.values()]
+    rows = [z_factors(fam, 1.0, 1.0, params.u) for fam in Z_FAMILIES]
     return _equal_mixture(np.array(rows, dtype=complex).transpose(1, 0, 2), weight)
 
 

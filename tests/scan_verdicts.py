@@ -6,6 +6,8 @@ Plane: `run_verify(restarts=16)` at s = 10^k for k = -150, -145, ..., 150
 and s t in {0.5, 1, 4, 7.9, 8.0001, 9, 100, 1e6}, t = st / s: 488 points.
 Curve: `run_full_report(restarts=16)` at s = 10^(k/4) for k = -48, ..., 48,
 t = 8 / s: 97 points.
+Detect: `run_detect("xstate")` at the curve's 97 values of s, with
+s t = 8 (1 + delta) for delta in {-1e-3, 0, 1e-3}: 291 points.
 
 The truth comes from exact arithmetic on the floats s and t (each is a
 dyadic rational, so `fractions.Fraction` multiplies them exactly). W(s, t)
@@ -13,10 +15,15 @@ is block positive iff s t >= 8, and s t within `TOLERANCES["variety"]` of 8
 counts as on the curve. So `rank_one_positivity_grid`, `seesaw_certificate`
 and the document's verdict (`all_pass`) are right when they PASS exactly
 there. Every other row is right when it PASSes wherever it runs; a SKIP is
-no verdict.
+no verdict. `x_state` is PPT exactly where W is block positive, and there,
+at these offsets, its pairing s t / sqrt 2 - 8 is negative (s t < 8 sqrt 2):
+the right verdict is ENTANGLED_NPT below the curve and
+PPT_ENTANGLED_DETECTED on it and above. ENTANGLED_NPT on a PPT state is a
+false NPT, any other verdict on an NPT state a false PPT, and INCONCLUSIVE
+on a detected one undetected.
 
 Per scan and row the table gives the false PASS, false FAIL and raise
-counts, and the worst point of each: the one with the least |log10 s|,
+counts (per delta, the detect kinds and raises), and the worst point of each: the one with the least |log10 s|,
 the mildest scale at which the row is wrong, ties going to the point
 farthest from the curve. A raise counts on the document's row and on the
 row whose check raised it, read from the traceback. Two runs print the
@@ -32,13 +39,15 @@ import numpy as np
 
 from spanwitness.family import ST_PRODUCT, FamilyParams
 from spanwitness.linalg import TOLERANCES
-from spanwitness.report import REPORT, VERIFY, run_full_report, run_verify
+from spanwitness.report import REPORT, VERIFY, run_detect, run_full_report, run_verify
 
 RESTARTS = 16
 PLANE_PRODUCTS = (0.5, 1.0, 4.0, 7.9, 8.0001, 9.0, 100.0, 1e6)
 POSITIVITY_ROWS = ("rank_one_positivity_grid", "seesaw_certificate")
 DOCUMENT = "(all_pass)"
 KINDS = ("false PASS", "false FAIL", "raise")
+DETECT_OFFSETS = (-1e-3, 0.0, 1e-3)
+DETECT_KINDS = ("false NPT", "false PPT", "undetected", "raise")
 
 
 def plane_points() -> list[tuple[float, float]]:
@@ -89,6 +98,27 @@ def scan(points, run, entries) -> dict[str, dict[str, list]]:
     return found
 
 
+def scan_detect(delta: float) -> dict[str, list]:
+    """Per detect kind, the points s t = 8 (1 + delta) where `detect xstate` said it."""
+    found = {kind: [] for kind in DETECT_KINDS}
+    for s, _ in curve_points():
+        t = ST_PRODUCT * (1 + delta) / s
+        truth = "PPT_ENTANGLED_DETECTED" if block_positive(s, t) else "ENTANGLED_NPT"
+        try:
+            with np.errstate(all="ignore"):
+                verdict = run_detect("xstate", FamilyParams(s, t)).checks[2].values["verdict"]
+        except Exception:
+            found["raise"].append((s, t))
+            continue
+        if verdict == "ENTANGLED_NPT" != truth:
+            found["false NPT"].append((s, t))
+        elif truth == "ENTANGLED_NPT" != verdict:
+            found["false PPT"].append((s, t))
+        elif verdict != truth:
+            found["undetected"].append((s, t))
+    return found
+
+
 def worst(points: list[tuple[float, float]]) -> str:
     """The point with the least |log10 s|, ties to the one farthest from s t = 8
     and then to the first in scan order; "-" for none."""
@@ -103,16 +133,24 @@ def worst(points: list[tuple[float, float]]) -> str:
     return f"s={s:.4g} st={s * t:.6g}"
 
 
+def line(label: str, name: str, cells: list[str]) -> str:
+    return f"{label:<6} {name:<26} {' '.join(cells)}".rstrip()
+
+
+def counts(found: dict[str, list], kinds) -> list[str]:
+    return [f"{len(found[kind]):>10} {worst(found[kind]):<24}" for kind in kinds]
+
+
 def table() -> list[str]:
-    head = " ".join(f"{kind:>10} {'worst':<24}" for kind in KINDS)
-    lines = [f"{'scan':<6} {'row':<26} {head}".rstrip()]
+    lines = [line("scan", "row", [f"{kind:>10} {'worst':<24}" for kind in KINDS])]
     for label, found in (
         ("plane", scan(plane_points(), run_verify, VERIFY)),
         ("curve", scan(curve_points(), run_full_report, REPORT)),
     ):
-        for name, kinds in found.items():
-            cells = " ".join(f"{len(kinds[kind]):>10} {worst(kinds[kind]):<24}" for kind in KINDS)
-            lines.append(f"{label:<6} {name:<26} {cells}".rstrip())
+        lines += [line(label, name, counts(kinds, KINDS)) for name, kinds in found.items()]
+    lines.append(line("scan", "row", [f"{kind:>10} {'worst':<24}" for kind in DETECT_KINDS]))
+    for delta in DETECT_OFFSETS:
+        lines.append(line("detect", f"xstate delta={delta:g}", counts(scan_detect(delta), DETECT_KINDS)))
     return lines
 
 

@@ -27,14 +27,12 @@ from spanwitness import (
     zero_pair_and_kernel,
 )
 from spanwitness.family import (
-    _Z_EXPONENTS,
-    _z_factors,
     CANONICAL_TEN_ROWS,
     PV1_FAMILIES,
     SQRT2,
     Z_FAMILIES,
-    grid_determinants,
-    phase_modulus_grid,
+    grid_table,
+    z_factors,
 )
 from spanwitness.linalg import numerical_ranks
 from spanwitness.report import Context, check_determinant_identity
@@ -121,7 +119,7 @@ def test_map_rank_one_pair_matches_oracle():
 @pytest.mark.parametrize("params", [CANONICAL, FamilyParams(2.0, 4.0), FamilyParams(1.0, 1.0)])
 def test_stacked_evaluate_matches_one_call_per_pair(params):
     # every image of the report's grid from one stacked call, against one call per pair
-    points = phase_modulus_grid()
+    points = grid_table().points
     table = bilinear_map(params)
     want = np.array(
         [
@@ -182,14 +180,14 @@ def assert_grid_rows_match_evaluate(params):
     # a document's grid minima and determinant deviation, from the
     # parameter-free parts, against one evaluate of the map at (s, t) and the
     # formulas written out on its images, bit for bit down to the sign of zero
-    p = rank_one_projector(phase_modulus_grid())
+    p = rank_one_projector(grid_table().points)
     with np.errstate(over="ignore", invalid="ignore"):
         images = evaluate(bilinear_map(params), p[:, None], p[None, :])
         a, d = images[..., 0, 0].real, images[..., 1, 1].real
         mag = np.abs((images[..., 0, 1] + images[..., 1, 0].conj()) / 2)
         minima = (a + d) / 2 - np.hypot((a - d) / 2, mag)
         det = images[..., 0, 0] * images[..., 1, 1] - images[..., 0, 1] * images[..., 1, 0]
-        deviation = np.max(np.abs(det - grid_determinants()))
+        deviation = np.max(np.abs(det - grid_table().det))
         ctx = Context(params)
         got = ctx.image_minima
         values = check_determinant_identity(ctx, TOLERANCES["determinant"])[1]
@@ -327,7 +325,7 @@ def test_z_formulas_vanish_at_mixed_sign_parameters():
         w = witness_matrix(params)
         for fam in Z_FAMILIES:
             for a, b in ((-1.3, 0.7), (1.3, -0.7), (-1.0, 2.0), (2.0, -1.0)):
-                factors = [np.array(f, dtype=complex) for f in _z_factors(_Z_EXPONENTS[fam], a, b, params.u)]
+                factors = [np.array(f, dtype=complex) for f in z_factors(fam, a, b, params.u)]
                 k1, k2 = (round(np.angle(f[1]) / (np.pi / 4)) for f in factors[:2])
                 assert (k1 + k2) % 8 == 4
                 assert abs(value_on_product(w, kron_flat(factors))) < 1e-13
@@ -525,6 +523,23 @@ def test_default_sample_rows_match_per_vector_path(params):
     names = np.array([name for name, *_ in rows])
     want = {f: float(values[names == f].max()) for f in dict.fromkeys(names.tolist())}
     assert list(rep.family_maxima(values).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("params", [CANONICAL, FamilyParams(1.0, 1.0)], ids=["on_curve", "off_curve"])
+def test_family_maxima_keeps_a_nan_to_its_own_family(params):
+    # a NaN in any one row makes its family's maximum NaN, and every other
+    # family keeps its maximum, on the curve and off it
+    rep = spanning_report(params)
+    names = [fam.value for fam in rep.samples]
+    base = np.arange(rep.sample_size, dtype=float)
+    want = {f: max(v for n, v in zip(names, base) if n == f) for f in dict.fromkeys(names)}
+    assert rep.family_maxima(base) == want
+    for row, fam in enumerate(names):
+        values = base.copy()
+        values[row] = np.nan
+        got = rep.family_maxima(values)
+        assert list(got) == list(want) and math.isnan(got[fam])
+        assert {f: v for f, v in got.items() if f != fam} == {f: v for f, v in want.items() if f != fam}
 
 
 def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():

@@ -18,13 +18,21 @@ case runs, and every `--check` name is looked up in every case, before any
 file is written: if a case lacks a named check, nothing is written. Each
 field whose pinned value changes is printed as one line,
 `<case>.<path>: <old> -> <new>`, with checks named by their `name`.
+
+The see-saw's last bits depend on the host: its start factors go through
+numpy's `log`, `cos` and `sin`, so `seesaw_certificate.min_value` can move
+within 1e-12 from one CPU, Python or numpy to another. Before it writes, the
+tool prints the host it pins on to stderr as one line,
+`pinned on <platform.machine()>, Python <version>, numpy <version>`.
 """
 
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spanwitness.cli import main
@@ -118,9 +126,15 @@ def test_regenerate_replaces_only_the_named_checks(tmp_path, monkeypatch, capsys
     got = json.loads((tmp_path / f"{case}.json").read_text())
     fresh = got["document"]["checks"][replaced]["values"]["min_value"]
     assert fresh != 1.5
-    # one line per replaced field: the stale value, never the untouched 2.5
-    assert capsys.readouterr().out.splitlines() == [
+    # one line per replaced field: the stale value, never the untouched 2.5;
+    # on stderr, the host first, then the case's exit code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
         f"{case}.document.checks[seesaw_certificate].values.min_value: 1.5 -> {fresh!r}"
+    ]
+    assert captured.err.splitlines() == [
+        f"pinned on {platform.machine()}, Python {platform.python_version()}, numpy {np.__version__}",
+        f"{case}: exit {got['exit_code']}",
     ]
     # with the named check put back, the file is the pinned one byte for byte
     got["document"]["checks"][replaced] = checks[replaced]
@@ -188,6 +202,8 @@ def regenerate(cases=None, checks=None):
         payloads[case] = code, pinned, payload
     if missing:
         raise SystemExit("\n".join(missing + ["no golden file written"]))
+    print(f"pinned on {platform.machine()}, Python {platform.python_version()}, numpy {np.__version__}",
+          file=sys.stderr)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for case, (code, pinned, payload) in payloads.items():
         (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(payload, indent=2) + "\n")

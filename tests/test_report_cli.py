@@ -22,7 +22,7 @@ from spanwitness.family import (
     FamilyParams,
     bilinear_map,
     default_zero_sample,
-    phase_modulus_grid,
+    grid_table,
     rank_one_projector,
     witness_matrix,
 )
@@ -177,9 +177,9 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
     run_verify(CANONICAL)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
     svd_stacks.clear()
-    free_rows_built = spanwitness.family.free_factor_rows.cache_info().misses
+    free_rows_built = spanwitness.family.free_table.cache_info().misses
     assert run_verify(CANONICAL).all_pass
-    assert spanwitness.family.free_factor_rows.cache_info().misses == free_rows_built
+    assert spanwitness.family.free_table.cache_info().misses == free_rows_built
     # each SVD ranks the 4 conjugations that leave party 3 unconjugated
     assert [shape[0] for shape in svd_stacks] == [4, 4]
     assert calls == {
@@ -194,31 +194,20 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
-    # the grid, its D and norm-scale tables, the grid images' parts that no
-    # (s, t) enters, the default sample's free-factor rows, alone and under
-    # every conjugation, their pv1 singular values and complement, the family
-    # masks on and off the curve, and the cut vectors depend on no parameter:
-    # a second document, at other (s, t), on the curve or off it, evaluates no
-    # map and no D, builds no free-factor row, conjugates only the Z rows (on
-    # the curve), and shares every table
+    # the grid table (the grid, the parts of its images that no (s, t)
+    # enters, its D and norm-scale tables), the free-factor rows' table (the
+    # rows, alone and under every conjugation, their pv1 singular values and
+    # complement) and the cut vectors depend on no parameter: a second
+    # document, at other (s, t), on the curve or off it, evaluates no map and
+    # no D, builds no free-factor row, conjugates only the Z rows (on the
+    # curve), and shares every table, each built once and read-only
     def tables():
-        return [
-            family.phase_modulus_grid(),
-            family.grid_determinants(),
-            family.grid_norm_scale(),
-            *family.grid_image_parts(),
-            family.free_factor_rows(),
-            family._free_stack(),
-            *family._pv1_tables(),
-            family._family_rows(True)[1],
-            family._family_rows(False)[1],
-            *spanwitness.report._cut_vectors(),
-        ]
+        return [*family.grid_table(), *family.free_table(), *spanwitness.report._cut_vectors()]
 
     family = spanwitness.family
     run_verify(CANONICAL, restarts=1)
     first = tables()
-    free_rows_built = family.free_factor_rows.cache_info().misses
+    built = family.grid_table.cache_info().misses, family.free_table.cache_info().misses
     calls = []
     owners = {"determinant_d": family, "evaluate": spanwitness.maps, "conjugation_stack": spanwitness.tensor}
     for name, owner in owners.items():
@@ -234,13 +223,28 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
     assert run_verify(FamilyParams(2.0, 4.0), restarts=1).all_pass
     assert not run_verify(FamilyParams(3.0, 1.0), restarts=1).all_pass
     assert calls == ["conjugation_stack"]
-    assert family.free_factor_rows.cache_info().misses == free_rows_built
+    assert (family.grid_table.cache_info().misses, family.free_table.cache_info().misses) == built
     assert all(a is b for a, b in zip(tables(), first, strict=True))
     # off the curve the document's spanning stack is the shared table itself
-    assert Context(FamilyParams(3.0, 1.0)).spanning.stack is family._free_stack()
+    assert Context(FamilyParams(3.0, 1.0)).spanning.stack is family.free_table().stack
     for table in first:
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_detect_builds_no_family_table(monkeypatch):
+    # rho0 reads free_rows and rho1 z_factors, so detect builds neither
+    # per-process table of family: no conjugation stack, no SVD, no grid
+    def unreachable():
+        raise AssertionError("detect built a family table")
+
+    for key, module in list(sys.modules.items()):
+        for name in ("grid_table", "free_table"):
+            if key.startswith("spanwitness") and hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    spanwitness.states.rho0.__wrapped__()
+    for spec in ("xstate", "rho-lambda:0.5", "perturbed:0.1"):
+        run_detect(spec, CANONICAL)
 
 
 def test_cut_negativity_runs_no_cut_seesaw(monkeypatch):
@@ -773,7 +777,7 @@ def test_cli_report_command(capsys):
     [FamilyParams(1.0, 1.0), FamilyParams(1.0, 4.0), FamilyParams(4.0, 4.0), CANONICAL],
 )
 def test_closed_form_lowest_eigenvalue_matches_eigvalsh(params):
-    p = rank_one_projector(phase_modulus_grid())
+    p = rank_one_projector(grid_table().points)
     images = evaluate(bilinear_map(params), p[:, None], p[None, :])
     want = np.linalg.eigvalsh((images + images.conj().swapaxes(-1, -2)) / 2)[..., 0]
     assert np.max(np.abs(Context(params).image_minima - want)) <= 1e-13

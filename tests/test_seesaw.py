@@ -118,7 +118,7 @@ def test_seesaw_not_above_grid_minimum(make):
 def test_seesaw_certificate_passes_below_grid_minimum(monkeypatch):
     # a see-saw minimum under the grid's is the see-saw doing its job; the
     # poles alone hold the grid minimum at 0 when every image is positive
-    n = len(family.phase_modulus_grid())
+    n = len(family.grid_table().points)
     monkeypatch.setattr(report.Context, "image_minima", np.full((n, n), 0.5))
     ok, values = report.check_seesaw(report.Context(CANONICAL, seed=SEED, restarts=16), 1e-7)
     assert values["grid_minimum"] == 0.0
@@ -228,13 +228,6 @@ def test_invalid_cuts(canonical_witness):
         cut_block_positivity(canonical_witness, (1, 2, 3), restarts=1, seed=SEED)
     with pytest.raises(InvalidCutError):
         cut_block_positivity(canonical_witness, (0,), restarts=1, seed=SEED)
-
-
-def test_phase_modulus_grid_is_built_once_and_read_only():
-    grid = family.phase_modulus_grid()
-    assert grid is family.phase_modulus_grid()
-    with pytest.raises(ValueError):
-        grid[0] = 0.0
 
 
 def reference_seesaw(witness, restarts, seed, max_iters=500, improvement_tol=1e-12):
