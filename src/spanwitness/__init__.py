@@ -39,7 +39,6 @@ from .tensor import (
 )
 from .maps import (
     MultilinearMapTable,
-    Witness,
     choi_matrix,
     evaluate,
     pairing,
@@ -54,14 +53,13 @@ from .family import (
     CANONICAL,
     ST8_GRID,
     FamilyParams,
-    SpanningReport,
     ZeroFamily,
     bilinear_map,
     default_zero_sample,
     determinant_d,
     eighth_root,
     rank_one_projector,
-    spanning_report,
+    sample_stack,
     witness_matrix,
     zero_pair_and_kernel,
 )

@@ -124,8 +124,8 @@ def main(argv=None) -> int:
     try:
         params = FamilyParams(parse_param(args.s), parse_param(args.t))
         if args.command == "build":
-            witness = witness_matrix(params)
-            payload = state_payload(witness, witness.meta)
+            meta = {"family": "x-shaped", "s": params.s, "t": params.t, "on_variety": params.on_variety}
+            payload = state_payload(witness_matrix(params), meta)
             if args.out:
                 save_json(args.out, payload)
             else:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .linalg import TOLERANCES, read_only
-from .maps import MultilinearMapTable, Witness, evaluate
-from .tensor import THREE_QUBITS, conjugation_ranks, conjugation_stack, subset_ranks
+from .maps import MultilinearMapTable, evaluate
+from .tensor import THREE_QUBITS, State, conjugation_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -123,7 +123,7 @@ def bilinear_map(params: FamilyParams) -> MultilinearMapTable:
     return MultilinearMapTable(blocks)
 
 
-def witness_matrix(params: FamilyParams) -> Witness:
+def witness_matrix(params: FamilyParams) -> State:
     """The 8x8 witness of the family, written out entry by entry.
 
     Coincides exactly (entrywise, no arithmetic involved) with the assembled
@@ -137,16 +137,7 @@ def witness_matrix(params: FamilyParams) -> Witness:
     m[3, 3] = params.t
     m[4, 4] = params.s
     m[3, 4] = m[4, 3] = 1.0
-    return Witness(
-        matrix=m,
-        shape=THREE_QUBITS,
-        meta={
-            "family": "x-shaped",
-            "s": params.s,
-            "t": params.t,
-            "on_variety": params.on_variety,
-        },
-    )
+    return State(matrix=m, shape=THREE_QUBITS)
 
 
 def _square(x: np.ndarray) -> np.ndarray:
@@ -350,69 +341,21 @@ def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], n
     return labels, np.concatenate([free_table().rows, z.reshape(-1, 3, 2).transpose(1, 0, 2)], axis=1)
 
 
-@dataclass
-class SpanningReport:
-    """Partial-conjugation ranks of the default zero-set sample.
-
-    `samples` is the sample's family labels, one per row, and `stack` its rows
-    under every conjugation, as `conjugation_stack` gives them; its first
-    entry is the sample itself (off s t = 8, the read-only table of its
-    free-factor rows). `full_spanning` holds when every one of the 2^n
-    conjugated images spans the whole space. The first-six-family rows are
-    ranked separately, under every conjugation too; `pv1_complement` is the
-    computational basis vectors outside their support, which are orthogonal
-    to their span.
-    """
-
-    samples: tuple[ZeroFamily, ...]
-    stack: np.ndarray
-    subset_ranks: dict[tuple[int, ...], int]
-    full_spanning: bool
-    pv1_subset_ranks: dict[tuple[int, ...], int]
-    pv1_complement: list[np.ndarray]
-    dimension: int
-
-    @property
-    def sample_size(self) -> int:
-        return len(self.samples)
-
-    @property
-    def pv1_rank(self) -> int:
-        return self.pv1_subset_ranks[()]
-
-    def family_maxima(self, values: np.ndarray) -> dict[str, float]:
-        """The largest of `values`, one per row of the sample, family by family:
-        the free rows cycle through the six families once per free parameter,
-        and the Z rows come three per family."""
-        free = values[:_FREE_ROWS].reshape(-1, len(PV1_FAMILIES)).max(0)
-        z = values[_FREE_ROWS:].reshape(-1, len(_Z_AB_PARAMS)).max(1)
-        return dict(zip(_FAMILY_NAMES, free.tolist() + z.tolist()))
+def sample_stack(params: FamilyParams) -> np.ndarray:
+    """The default zero-set sample's rows under every conjugation, as
+    `conjugation_stack` gives them, its first entry the sample itself:
+    `free_table().stack`, joined on s t = 8 by the Z rows' stack. Off the
+    curve it is the shared read-only table."""
+    if not params.on_variety:
+        return free_table().stack
+    z = conjugation_stack(default_zero_sample(params)[1][:, _FREE_ROWS:])
+    return np.concatenate([free_table().stack, z], axis=1)
 
 
-def spanning_report(params: FamilyParams, rank_tol: float = TOLERANCES["rank"]) -> SpanningReport:
-    """Rank of the partially conjugated default zero-set sample, for every subset.
-
-    The free-factor rows' stack is built once per process; on s t = 8 the Z
-    rows' joins it. `conjugation_ranks` ranks the 2^n conjugations; the pv1
-    rows, the free-factor rows, are ranked from `free_table` at `rank_tol`.
-    `pv1_complement` is the basis vectors on which those rows are exactly zero:
-    their span's orthogonal complement iff `pv1_rank + len(pv1_complement) == dimension`.
-
-    On s t = 8 every rank is full. Restricted to the first six families, which
-    are the whole sample off the curve, every rank is 6 and the complement is
-    |011>, |100>.
-    """
-    labels, factors = default_zero_sample(params)
-    flats = free_table().stack
-    if params.on_variety:
-        flats = np.concatenate([flats, conjugation_stack(factors[:, _FREE_ROWS:])], axis=1)
-    ranks = conjugation_ranks(flats, rank_tol)
-    return SpanningReport(
-        samples=labels,
-        stack=flats,
-        subset_ranks=ranks,
-        full_spanning=all(r == THREE_QUBITS.total_dim for r in ranks.values()),
-        pv1_subset_ranks=subset_ranks(free_table().singular_values, rank_tol),
-        pv1_complement=list(free_table().complement),
-        dimension=THREE_QUBITS.total_dim,
-    )
+def family_maxima(values: np.ndarray) -> dict[str, float]:
+    """The largest of `values`, one per row of the default sample, family by
+    family: the free rows cycle through the six families once per free
+    parameter, and the Z rows come three per family."""
+    free = values[:_FREE_ROWS].reshape(-1, len(PV1_FAMILIES)).max(0)
+    z = values[_FREE_ROWS:].reshape(-1, len(_Z_AB_PARAMS)).max(1)
+    return dict(zip(_FAMILY_NAMES, free.tolist() + z.tolist()))

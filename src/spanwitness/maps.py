@@ -16,24 +16,13 @@ through the identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonRealPairingError
 from .linalg import TOLERANCES, as_matrix, require_hermitian
 from .tensor import THREE_QUBITS, State
-
-
-@dataclass
-class Witness(State):
-    """Hermitian matrix on the full tensor space with provenance metadata.
-
-    A useful witness is block positive but not positive semidefinite; both
-    facts are checked by callers, never assumed here.
-    """
-
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -52,14 +41,14 @@ class MultilinearMapTable:
             raise DimensionMismatchError(f"blocks shape {self.blocks.shape} is not (2,) * 6")
 
 
-def choi_matrix(table: MultilinearMapTable) -> Witness:
+def choi_matrix(table: MultilinearMapTable) -> State:
     """Assemble W_phi from the block table.
 
     Pure reindexing: each entry of W is one entry of the table, bit for bit.
     Raises NotHermitianError when the table violates Hermiticity.
     """
     w = table.blocks.transpose(0, 2, 4, 1, 3, 5).reshape(8, 8).copy()
-    return Witness(matrix=require_hermitian(w), shape=THREE_QUBITS)
+    return State(matrix=require_hermitian(w), shape=THREE_QUBITS)
 
 
 def evaluate(table: MultilinearMapTable, x, y) -> np.ndarray:
@@ -84,7 +73,7 @@ def evaluate(table: MultilinearMapTable, x, y) -> np.ndarray:
         raise DimensionMismatchError(f"input stacks of shapes {stacks} do not broadcast") from exc
 
 
-def pairing(state: State, witness: Witness) -> float:
+def pairing(state: State, witness: State) -> float:
     """<rho, W> = tr(W rho^T), the entrywise sum of products.
 
     For Hermitian operands this is real; a residual imaginary part above
@@ -106,7 +95,7 @@ def pairing(state: State, witness: Witness) -> float:
     return float(val.real)
 
 
-def value_on_product(witness: Witness, v) -> float | np.ndarray:
+def value_on_product(witness: State, v) -> float | np.ndarray:
     """<xi|W|xi> as a float for a flat vector (D,), as an array for a stack
     (..., D) of flat vectors: a row's multiply-and-sum does not depend on the stack."""
     v = np.asarray(v, dtype=complex)

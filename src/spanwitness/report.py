@@ -27,15 +27,16 @@ from .family import (
     CANONICAL_TEN_ROWS,
     SQRT2,
     FamilyParams,
-    SpanningReport,
     bilinear_map,
     eighth_root,
+    family_maxima,
+    free_table,
     grid_table,
-    spanning_report,
+    sample_stack,
     witness_matrix,
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, qubit_lowest, read_only
-from .maps import Witness, choi_matrix, pairing, value_on_product
+from .maps import choi_matrix, pairing, value_on_product
 from .seesaw import seesaw_block_positivity
 from .serialize import dump_json, load_json, state_from_payload
 from .states import (
@@ -46,7 +47,7 @@ from .states import (
     rho_lambda,
     x_state,
 )
-from .tensor import conjugation_ranks, is_ppt
+from .tensor import THREE_QUBITS, State, conjugation_ranks, is_ppt, subset_ranks
 
 
 @dataclass
@@ -107,8 +108,8 @@ def render_text(doc: ReportDocument) -> str:
 class Context:
     """What the checks of one document share: its inputs, the checks run so
     far, and the witness, the smallest eigenvalues of the phase-modulus
-    grid's rank-one images, and the spanning report of the default zero-set
-    sample, each built once, on first use."""
+    grid's rank-one images, and the default zero-set sample under every
+    conjugation, each built once, on first use."""
 
     params: FamilyParams
     seed: int = 7
@@ -117,7 +118,7 @@ class Context:
     checks: list[Check] = field(default_factory=list)
 
     @cached_property
-    def witness(self) -> Witness:
+    def witness(self) -> State:
         return witness_matrix(self.params)
 
     @cached_property
@@ -127,10 +128,9 @@ class Context:
         return qubit_lowest(self.params.s * g.a, self.params.t * g.d, g.mag)[1]
 
     @cached_property
-    def spanning(self) -> SpanningReport:
-        """Spanning report of the default zero-set sample at the rank tolerance:
-        off s t = 8, of its free-factor rows alone."""
-        return spanning_report(self.params, rank_tol=self.tolerances["rank"])
+    def stack(self) -> np.ndarray:
+        """`sample_stack`: off s t = 8, the free-factor rows' table alone."""
+        return sample_stack(self.params)
 
     def document(self, command: str, checks: list[Check]) -> ReportDocument:
         p = self.params
@@ -222,45 +222,43 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
-    document's spanning sample, unconjugated, its values from one stacked call."""
-    values = np.abs(value_on_product(ctx.witness, ctx.spanning.stack[0]))
-    per_family = ctx.spanning.family_maxima(values)
+    document's sample, unconjugated, its values from one stacked call."""
+    values = np.abs(value_on_product(ctx.witness, ctx.stack[0]))
+    per_family = family_maxima(values)
     worst = float(values.max())
     return worst <= tol, {"samples": len(values), "max_abs_value": worst, "per_family": per_family}
 
 
 def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
-    rep = ctx.spanning
-    return rep.full_spanning, {
-        "ranks": by_subset(rep.subset_ranks),
-        "dimension": rep.dimension,
-        "sample_size": rep.sample_size,
+    """The document's sample spans the whole space under every partial conjugation."""
+    ranks = conjugation_ranks(ctx.stack, tol)
+    dim = THREE_QUBITS.total_dim
+    return all(r == dim for r in ranks.values()), {
+        "ranks": by_subset(ranks),
+        "dimension": dim,
+        "sample_size": ctx.stack.shape[1],
     }
 
 
 def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families span exactly six dimensions; the
-    complement is the span of |011> and |100>."""
-    rep = ctx.spanning
-    labels = [format(int(np.argmax(v)), "03b") for v in rep.pv1_complement]
+    complement, the basis vectors outside their support, is |011> and |100>."""
+    rank = subset_ranks(free_table().singular_values, tol)[()]
+    labels = [format(int(np.argmax(v)), "03b") for v in free_table().complement]
     basis_ok = labels == ["011", "100"]
-    return rep.pv1_rank == 6 and basis_ok, {
-        "rank": rep.pv1_rank,
-        "complement_labels": labels,
-        "complement_matches": basis_ok,
-    }
+    return rank == 6 and basis_ok, {"rank": rank, "complement_labels": labels, "complement_matches": basis_ok}
 
 
 def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families keep rank 6 under every partial conjugation."""
-    ranks = by_subset(ctx.spanning.pv1_subset_ranks)
+    ranks = by_subset(subset_ranks(free_table().singular_values, tol))
     return all(r == 6 for r in ranks.values()), {"ranks": ranks}
 
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations:
-    the rows `CANONICAL_TEN_ROWS` of the document's spanning sample, `conjugation_ranks`."""
-    ranks = by_subset(conjugation_ranks(ctx.spanning.stack[:, CANONICAL_TEN_ROWS], tol))
+    the rows `CANONICAL_TEN_ROWS` of the document's sample, `conjugation_ranks`."""
+    ranks = by_subset(conjugation_ranks(ctx.stack[:, CANONICAL_TEN_ROWS], tol))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCutError
 from .linalg import TOLERANCES, qubit_lowest, require_hermitian
-from .maps import Witness, value_on_product
-from .tensor import TensorShape, check_subset, kron_rows
+from .maps import value_on_product
+from .tensor import State, TensorShape, check_subset, kron_rows
 
 
 @dataclass
@@ -103,7 +103,7 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (v[idx].conjugate() / mag)
 
 
-def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0) -> SeeSawResult:
+def seesaw_block_positivity(witness: State, restarts: int = 64, seed: int = 0) -> SeeSawResult:
     """Best product-vector minimum over `restarts` random starts.
 
     Deterministic for a fixed (seed, restarts) pair: restart r starts from
@@ -173,7 +173,7 @@ def seesaw_block_positivity(witness: Witness, restarts: int = 64, seed: int = 0)
 
 
 def cut_block_positivity(
-    witness: Witness, cut: Iterable[int], restarts: int = 64, seed: int = 0
+    witness: State, cut: Iterable[int], restarts: int = 64, seed: int = 0
 ) -> SeeSawResult:
     """Two-party see-saw across one bipartite cut of the parties.
 
@@ -191,5 +191,5 @@ def cut_block_positivity(
     tensor = witness.matrix.reshape(dims + dims)
     merged = tensor.transpose(perm + [n + q for q in perm]).reshape(d, d)
     d_first = math.prod(dims[p - 1] for p in first)
-    regrouped = Witness(matrix=merged, shape=TensorShape((d_first, d // d_first)))
+    regrouped = State(matrix=merged, shape=TensorShape((d_first, d // d_first)))
     return seesaw_block_positivity(regrouped, restarts=restarts, seed=seed)

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
 from .family import CANONICAL, CANONICAL_TEN_ROWS, R, Z_FAMILIES, FamilyParams, free_rows, z_factors
 from .linalg import TOLERANCES, read_only
-from .maps import Witness, pairing
-from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows, state_from
+from .maps import pairing
+from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows
 
 
 def x_state(params: FamilyParams) -> State:
@@ -105,7 +105,7 @@ def _equal_mixture(factors: np.ndarray, weight: float) -> tuple[State, Separable
     """The product vectors of a (3, k, 2) factor array, each at `weight`, with
     their certificate; the state is the certificate assembled."""
     dec = SeparableDecomposition(weights=np.full(factors.shape[1], weight), factors=factors)
-    return state_from(assemble(dec), THREE_QUBITS.dims), dec
+    return State(matrix=assemble(dec), shape=THREE_QUBITS), dec
 
 
 @cache
@@ -155,7 +155,7 @@ def rho_lambda(
         factors=np.concatenate([d0.factors, d1.factors], axis=1),
     )
     matrix = (1.0 - lam) * s0.matrix + lam * s1.matrix
-    return state_from(matrix, THREE_QUBITS.dims), dec
+    return State(matrix=matrix, shape=THREE_QUBITS), dec
 
 
 # Upper bound on the mixing ratio eps. On the curve the pairing stays negative
@@ -198,7 +198,7 @@ class DetectionReport:
 
 def detect(
     state: State,
-    witness: Witness,
+    witness: State,
     tol: float = TOLERANCES["pairing"],
     decomposition: SeparableDecomposition | None = None,
 ) -> DetectionReport:

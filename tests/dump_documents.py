@@ -8,7 +8,8 @@ the exit code on the first line, then everything it wrote to stdout; stderr
 `spanning` (every `--families`) and `detect` (xstate, rho-lambda:0.5,
 perturbed:0.1), each with `--json`, at ST8_GRID, at (1, 1), (2, 5) and
 (3, 1), and at 40 points on s t = 8 from a fixed seed; `report --json
---restarts 16` at the first 8 of those points; and `build`.
+--restarts 16` at the first 8 of those points; and `build` at the default
+point, at (2, 4) and at (1, 1).
 
 Two trees are compared byte for byte by dumping each and running
 `diff -r OUT_A OUT_B`: empty output means every document is identical.
@@ -48,7 +49,8 @@ def commands() -> list[list[str]]:
         out += [["detect", spec, *at] for spec in DETECT_SPECS]
         if i < REPORT_POINTS:
             out.append(["report", "--restarts", "16", *at])
-    return out
+    # last, so that the files before them keep their names
+    return out + [["build", "--s", "2", "--t", "4"], ["build", "--s", "1", "--t", "1"]]
 
 
 def run(argv: list[str]) -> str:

@@ -33,16 +33,16 @@ from spanwitness import (
     perturbed_detected_state,
     rho1,
     rho_lambda,
+    sample_stack,
     seesaw_block_positivity,
-    spanning_report,
     value_on_product,
     verify_decomposition,
     witness_matrix,
     x_state,
 )
-from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2
+from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, free_table
 from spanwitness.linalg import numerical_ranks
-from spanwitness.tensor import all_subsets
+from spanwitness.tensor import all_subsets, conjugation_ranks, subset_ranks
 from test_tensor import kron_flat
 
 DATA = Path(__file__).parent / "data"
@@ -170,13 +170,14 @@ def test_criterion_05_zero_set():
 
 
 def test_criterion_06_full_spanning():
-    rep = spanning_report(CANONICAL)
-    ranks_ok = set(rep.subset_ranks.values()) == {8} and len(rep.subset_ranks) == 8
-    comp = np.array(rep.pv1_complement) if rep.pv1_complement else np.zeros((0, 8))
+    ranks = conjugation_ranks(sample_stack(CANONICAL))
+    ranks_ok = set(ranks.values()) == {8} and len(ranks) == 8
+    pv1_rank = subset_ranks(free_table().singular_values)[()]
+    comp = free_table().complement
     expected = np.zeros((2, 8))
     expected[0, 3] = 1.0
     expected[1, 4] = 1.0
-    pv1_ok = rep.pv1_rank == 6 and comp.shape == (2, 8) and np.max(np.abs(comp - expected)) < 1e-8
+    pv1_ok = pv1_rank == 6 and comp.shape == (2, 8) and np.max(np.abs(comp - expected)) < 1e-8
     factors = default_zero_sample(CANONICAL)[1]
     ten = [factors[:, i] for i in CANONICAL_TEN_ROWS]
     ten_ok = all(
@@ -187,7 +188,7 @@ def test_criterion_06_full_spanning():
     report(
         "criterion 06 full spanning",
         ok,
-        f"default ranks {sorted(set(rep.subset_ranks.values()))}, pv1 rank {rep.pv1_rank} "
+        f"default ranks {sorted(set(ranks.values()))}, pv1 rank {pv1_rank} "
         f"(complement |011>, |100>: {pv1_ok}), canonical ten full: {ten_ok}",
     )
 

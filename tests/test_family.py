@@ -21,7 +21,7 @@ from spanwitness import (
     evaluate,
     rank_one_projector,
     rho1,
-    spanning_report,
+    sample_stack,
     value_on_product,
     witness_matrix,
     zero_pair_and_kernel,
@@ -31,12 +31,14 @@ from spanwitness.family import (
     PV1_FAMILIES,
     SQRT2,
     Z_FAMILIES,
+    family_maxima,
+    free_table,
     grid_table,
     z_factors,
 )
 from spanwitness.linalg import numerical_ranks
-from spanwitness.report import Context, check_determinant_identity
-from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack
+from spanwitness.report import Context, by_subset, check_determinant_identity, run_spanning
+from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack, subset_ranks
 from test_tensor import kron_flat
 
 
@@ -337,9 +339,9 @@ def test_z_families_gated_off_variety():
     off = FamilyParams(1.0, 1.0)
     labels, pvs = sample_vectors(off)
     assert len(labels) == 24 and set(labels) == set(PV1_FAMILIES)
-    rep = spanning_report(off)
-    assert rep.samples == labels and rep.stack.shape == (8, 24, 8)
-    assert not rep.full_spanning and set(rep.subset_ranks.values()) == {6}
+    stack = sample_stack(off)
+    assert stack is free_table().stack and stack.shape == (8, 24, 8)
+    assert set(conjugation_ranks(stack).values()) == {6}
     assert max(abs(value_on_product(witness_matrix(off), kron_flat(pv))) for pv in pvs) < 1e-12
     with pytest.raises(OffVarietyError):
         rho1(off)
@@ -364,26 +366,28 @@ def test_canonical_ten_spans_under_every_conjugation():
 
 
 def test_spanning_report_default():
-    rep = spanning_report(CANONICAL)
-    assert rep.full_spanning
-    assert set(rep.subset_ranks.values()) == {8}
-    assert rep.pv1_rank == 6
-    assert rep.sample_size == 36
+    # the `spanning` document of the default families
+    checks = {c.name: c for c in run_spanning(CANONICAL).checks}
+    assert [c.status for c in checks.values()] == ["PASS", "PASS"]
+    full, pv1 = checks["full_spanning"].values, checks["pv1_span_rank6"].values
+    assert set(full["ranks"].values()) == {8} and full["sample_size"] == 36
+    assert pv1["rank"] == 6 and pv1["complement_labels"] == ["011", "100"]
     # |011> and |100>, read off the support: bit for bit, no rounding
-    assert np.array_equal(np.array(rep.pv1_complement), np.eye(8)[[3, 4]])
-    assert rep.pv1_rank + len(rep.pv1_complement) == rep.dimension
+    assert np.array_equal(free_table().complement, np.eye(8)[[3, 4]])
+    assert pv1["rank"] + len(free_table().complement) == full["dimension"]
 
 
 @pytest.mark.parametrize(
     "params", [*ST8_GRID, FamilyParams(1.0, 1.0)], ids=lambda p: f"{p.s:.4g}_{p.t:.4g}"
 )
 def test_pv1_subset_ranks_match_conjugation_ranks(params):
-    # the pv1 rows of the one stacked report, against the pv1 rows alone
-    rep = spanning_report(params)
+    # the pv1 rows' document, ranked from the per-process table, against the
+    # sample's pv1 rows alone
+    checks = {c.name: c.values for c in run_spanning(params, "pv1").checks}
     labels, pvs = sample_vectors(params)
     pv1 = [pv for fam, pv in zip(labels, pvs) if fam in PV1_FAMILIES]
-    assert rep.pv1_subset_ranks == stacked_ranks(pv1)
-    assert rep.pv1_rank == rep.pv1_subset_ranks[()] == 6
+    assert checks["pv1_subset_ranks"]["ranks"] == by_subset(stacked_ranks(pv1))
+    assert checks["pv1_span_rank6"]["rank"] == 6
 
 
 def test_adjacent_pv1_families_share_one_vertex():
@@ -495,21 +499,21 @@ def written_out_sample(params):
     ids=lambda p: f"{p.s:.6g}_{p.t:.6g}",
 )
 def test_default_sample_rows_match_per_vector_path(params):
-    # default_zero_sample's labels and factors, and the report's rows under every
-    # conjugation, bit for bit against each row written out from the
+    # default_zero_sample's labels and factors, and sample_stack's rows under
+    # every conjugation, bit for bit against each row written out from the
     # families' formulas, its factors conjugated one by one and multiplied
     # out with np.kron; off the curve the sample is its free-factor rows
     rows = written_out_sample(params)
     labels, factors = default_zero_sample(params)
-    rep = spanning_report(params)
+    stack = sample_stack(params)
     assert [fam.value for fam in labels] == [name for name, *_ in rows]
-    assert rep.samples == labels and rep.sample_size == len(rows) == (36 if params.on_variety else 24)
+    assert len(rows) == (36 if params.on_variety else 24)
     assert np.array_equal(factors, np.array([fs for _, *fs in rows]).transpose(1, 0, 2))
-    assert rep.stack.shape == (8, len(rows), 8)
+    assert stack.shape == (8, len(rows), 8)
     for k, sub in enumerate(all_subsets(3)):
         for i, (_, *fs) in enumerate(rows):
             conjugated = [f.conj() if j + 1 in sub else f for j, f in enumerate(fs)]
-            assert np.array_equal(rep.stack[k, i], np.kron(np.kron(*conjugated[:2]), conjugated[2]))
+            assert np.array_equal(stack[k, i], np.kron(np.kron(*conjugated[:2]), conjugated[2]))
     if not params.on_variety:
         return
     # the canonical ten: the basis vectors, then each Z family at (1, 1)
@@ -519,45 +523,46 @@ def test_default_sample_rows_match_per_vector_path(params):
     phases = [(rows[i][1][1], rows[i][2][1]) for i in CANONICAL_TEN_ROWS[6:]]
     assert phases == [(_OMEGA[7], _OMEGA[1]), (_OMEGA[5], _OMEGA[3]), (_OMEGA[3], _OMEGA[5]), (_OMEGA[1], _OMEGA[7])]
     # per family maxima, against selecting each family by its written-out name
-    values = np.abs(value_on_product(witness_matrix(params), rep.stack[0]))
+    values = np.abs(value_on_product(witness_matrix(params), stack[0]))
     names = np.array([name for name, *_ in rows])
     want = {f: float(values[names == f].max()) for f in dict.fromkeys(names.tolist())}
-    assert list(rep.family_maxima(values).items()) == list(want.items())
+    assert list(family_maxima(values).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("params", [CANONICAL, FamilyParams(1.0, 1.0)], ids=["on_curve", "off_curve"])
 def test_family_maxima_keeps_a_nan_to_its_own_family(params):
     # a NaN in any one row makes its family's maximum NaN, and every other
     # family keeps its maximum, on the curve and off it
-    rep = spanning_report(params)
-    names = [fam.value for fam in rep.samples]
-    base = np.arange(rep.sample_size, dtype=float)
+    names = [fam.value for fam in default_zero_sample(params)[0]]
+    base = np.arange(len(names), dtype=float)
     want = {f: max(v for n, v in zip(names, base) if n == f) for f in dict.fromkeys(names)}
-    assert rep.family_maxima(base) == want
+    assert family_maxima(base) == want
     for row, fam in enumerate(names):
         values = base.copy()
         values[row] = np.nan
-        got = rep.family_maxima(values)
+        got = family_maxima(values)
         assert list(got) == list(want) and math.isnan(got[fam])
         assert {f: v for f, v in got.items() if f != fam} == {f: v for f, v in want.items() if f != fam}
 
 
 def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
-    # s = 10^k, k in [-12, 12] in steps of 1/4, t = 8 / s: the report's ranks
-    # and the canonical ten's, each from one SVD of half the conjugations,
-    # against one SVD of all eight, FAILs included: the full sample loses
+    # s = 10^k, k in [-12, 12] in steps of 1/4, t = 8 / s: the sample's ranks,
+    # the pv1 table's and the canonical ten's, each from one SVD of half the
+    # conjugations, against one SVD of all eight, FAILs included: the sample loses
     # rank at both ends of the scan and the canonical ten from k = 4.25 on
     tol = TOLERANCES["rank"]
     short = set()
     for k in np.arange(-48, 49) / 4:
         params = FamilyParams(10.0**k, 8.0 / 10.0**k)
-        rep = spanning_report(params)
-        pv1 = rep.stack[:, [fam in PV1_FAMILIES for fam in rep.samples]]
-        ten = rep.stack[:, CANONICAL_TEN_ROWS]
-        assert list(rep.subset_ranks.values()) == numerical_ranks(rep.stack, tol).tolist()
-        assert list(rep.pv1_subset_ranks.values()) == numerical_ranks(pv1, tol).tolist()
+        stack = sample_stack(params)
+        ranks = conjugation_ranks(stack, tol)
+        pv1 = stack[:, [fam in PV1_FAMILIES for fam in default_zero_sample(params)[0]]]
+        ten = stack[:, CANONICAL_TEN_ROWS]
+        assert list(ranks.values()) == numerical_ranks(stack, tol).tolist()
+        pv1_ranks = subset_ranks(free_table().singular_values, tol)
+        assert list(pv1_ranks.values()) == numerical_ranks(pv1, tol).tolist()
         assert conjugation_ranks(ten, tol) == dict(zip(all_subsets(3), numerical_ranks(ten, tol).tolist()))
-        if min(rep.subset_ranks.values()) < 8:
+        if min(ranks.values()) < 8:
             short.add(("full", k))
         if min(numerical_ranks(ten, tol)) < 8:
             short.add(("ten", k))

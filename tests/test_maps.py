@@ -10,9 +10,9 @@ from spanwitness import (
     MultilinearMapTable,
     NonRealPairingError,
     NotHermitianError,
+    State,
     TensorShape,
     THREE_QUBITS,
-    Witness,
     bilinear_map,
     biseparable_vector,
     choi_matrix,
@@ -181,12 +181,12 @@ def test_pairing_matches_matrix_product():
     # entrywise and unconjugated: tr(rho^T W), not tr(rho W)
     a = np.zeros((4, 4), dtype=complex)
     a[0, 1], a[1, 0] = 1j, -1j
-    assert pairing(state_from(a, (2, 2)), Witness(matrix=a, shape=TensorShape((2, 2)))) == -2.0
+    assert pairing(state_from(a, (2, 2)), State(matrix=a, shape=TensorShape((2, 2)))) == -2.0
     rng = np.random.default_rng(9)
     for _ in range(10):
         g, h = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
         rho, w = g + g.conj().T, h + h.conj().T
-        value = pairing(state_from(rho, (2, 2, 2)), Witness(matrix=w, shape=THREE_QUBITS))
+        value = pairing(state_from(rho, (2, 2, 2)), State(matrix=w, shape=THREE_QUBITS))
         assert abs(value - np.trace(rho.T @ w)) < 1e-12
 
 
@@ -202,7 +202,7 @@ def test_pairing_rejects_complex_result():
     b = np.zeros((4, 4), dtype=complex)
     b[0, 1] = 1.0
     with pytest.raises(NonRealPairingError):
-        pairing(state_from(a, (2, 2)), Witness(matrix=b, shape=TensorShape((2, 2))))
+        pairing(state_from(a, (2, 2)), State(matrix=b, shape=TensorShape((2, 2))))
 
 
 def test_value_on_product_zero_set(canonical_witness):

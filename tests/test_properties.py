@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spanwitness import (
+    State,
     THREE_QUBITS,
     TOLERANCES,
     FamilyParams,
-    Witness,
+    all_subsets,
     choi_matrix,
     hermitian_eigenvalues,
+    hermiticity_defect,
     pairing,
     partial_transpose,
     state_from,
@@ -42,6 +44,7 @@ def _hermitian(parts: np.ndarray) -> np.ndarray:
 
 
 hermitian8 = arrays(np.float64, (2, 8, 8), elements=_ENTRIES).map(_hermitian)
+general8 = arrays(np.float64, (2, 8, 8), elements=_ENTRIES).map(lambda parts: parts[0] + 1j * parts[1])
 subsets3 = st.sets(st.integers(1, 3)).map(lambda s: tuple(sorted(s)))
 log_uniform = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
@@ -52,6 +55,16 @@ def test_partial_transpose_is_an_involution(h, subset):
     once = partial_transpose(state_from(h, THREE_QUBITS.dims), subset)
     twice = partial_transpose(state_from(once, THREE_QUBITS.dims), subset)
     assert np.array_equal(twice, h)
+
+
+@PROPERTY
+@given(general8)
+def test_partial_transposes_keep_the_hermiticity_defect(m):
+    # PT_S(M) - PT_S(M)^H = PT_S(M - M^H): every partial transpose permutes the
+    # same pairs of entries, so a Hermiticity check on the state covers them all
+    state = state_from(m, THREE_QUBITS.dims)
+    defects = [hermiticity_defect(partial_transpose(state, sub)) for sub in all_subsets(3)]
+    assert defects == [hermiticity_defect(m)] * 8
 
 
 @PROPERTY
@@ -76,7 +89,7 @@ def test_choi_matrix_inverts_the_block_table(h):
 @PROPERTY
 @given(hermitian8, hermitian8)
 def test_pairing_of_hermitian_operands_is_real(rho, w):
-    value = pairing(state_from(rho, THREE_QUBITS.dims), Witness(matrix=w, shape=THREE_QUBITS))
+    value = pairing(state_from(rho, THREE_QUBITS.dims), State(matrix=w, shape=THREE_QUBITS))
     exact = complex(np.sum(rho * w))
     assert type(value) is float and value == exact.real
     assert abs(exact.imag) <= TOLERANCES["imaginary"]
@@ -169,7 +182,7 @@ vector_stacks = arrays(np.float64, (2, 2, 3, 8), elements=_ENTRIES).map(lambda p
 @PROPERTY
 @given(hermitian8, vector_stacks)
 def test_stacked_value_on_product_matches_vdot_row_by_row(h, vs):
-    witness = Witness(matrix=h, shape=THREE_QUBITS)
+    witness = State(matrix=h, shape=THREE_QUBITS)
     got = value_on_product(witness, vs)
     assert got.shape == (2, 3)
     bound = 8 * EPS * np.linalg.norm(h, 2)

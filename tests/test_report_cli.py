@@ -139,19 +139,34 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
     assert [c.status for c in doc.checks if c.name == "seesaw_certificate"] == ["PASS"]
 
 
-def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
+# Per warm document: the exit code, and calls of (default_zero_sample,
+# conjugation_stack, svd, eigvalsh, seesaw_block_positivity). Each row ranks
+# only what it reads: the sample's stack (one SVD for full_spanning, one for
+# the canonical ten, on the curve only), and the pv1 rows from the
+# per-process table, with no SVD.
+SVD_CASES = {
+    "verify": (["verify"], 0, (1, 1, 2, 1, 1)),
+    "spanning": (["spanning"], 0, (1, 1, 1, 0, 0)),
+    "verify-off-curve": (["verify", "--s", "3", "--t", "1"], 1, (0, 0, 0, 1, 1)),
+    # the report's verify rows, then report_determinism's re-run of them
+    "report-1-1": (["report", "--restarts", "4", "--s", "1", "--t", "1"], 1, (0, 0, 0, 2, 2)),
+    "pv1": (["spanning", "--families", "pv1"], 0, (0, 0, 0, 0, 0)),
+    "pv1-off-curve": (["spanning", "--families", "pv1", "--s", "1", "--t", "1"], 0, (0, 0, 0, 0, 0)),
+    "canonical-ten": (["spanning", "--families", "canonical-ten"], 0, (1, 1, 1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("argv, code, counts", SVD_CASES.values(), ids=SVD_CASES)
+def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, code, counts):
     # the document's spanning sample is built once, as one factor array; the
     # free-factor rows, their conjugation stack and its singular values are
     # built once per process, so only the Z rows are conjugated and the pv1
-    # ranks take no SVD; it is ranked by stacked SVDs: one for the one spanning
-    # report (the 2^3 conjugations of the sample), which full_spanning,
-    # pv1_span_rank6 and zero_set_families share, one for the canonical ten,
-    # its rows, each over half the conjugations, the other half taking their
-    # complements' ranks; W's spectrum is computed once; the
-    # see-saw runs once, for the global minimum, and never across a cut;
-    # calls are counted in every module that binds the name, as a tracer sees them
+    # ranks take no SVD; the sample is ranked by stacked SVDs, each over half
+    # the conjugations, the other half taking their complements' ranks; W's
+    # spectrum is computed once per verify pass; the see-saw runs once per
+    # verify pass, for the global minimum, and never across a cut; calls are
+    # counted in every module that binds the name, as a tracer sees them
     owners = {
-        "spanning_report": spanwitness.family,
         "default_zero_sample": spanwitness.family,
         "conjugation_stack": spanwitness.tensor,
         "svd": np.linalg,
@@ -174,23 +189,16 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch):
         for module in modules + [owner]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
-    run_verify(CANONICAL)  # builds the tables that depend on no parameter
+    main(argv)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
     svd_stacks.clear()
     free_rows_built = spanwitness.family.free_table.cache_info().misses
-    assert run_verify(CANONICAL).all_pass
+    assert main(argv) == code
+    capsys.readouterr()
     assert spanwitness.family.free_table.cache_info().misses == free_rows_built
     # each SVD ranks the 4 conjugations that leave party 3 unconjugated
-    assert [shape[0] for shape in svd_stacks] == [4, 4]
-    assert calls == {
-        "spanning_report": 1,
-        "default_zero_sample": 1,
-        "conjugation_stack": 1,
-        "svd": 2,
-        "eigvalsh": 1,
-        "seesaw_block_positivity": 1,
-        "cut_block_positivity": 0,
-    }
+    assert [shape[0] for shape in svd_stacks] == [4] * counts[2]
+    assert calls == dict(zip(owners, counts + (0,)))
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
@@ -225,8 +233,8 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
     assert calls == ["conjugation_stack"]
     assert (family.grid_table.cache_info().misses, family.free_table.cache_info().misses) == built
     assert all(a is b for a, b in zip(tables(), first, strict=True))
-    # off the curve the document's spanning stack is the shared table itself
-    assert Context(FamilyParams(3.0, 1.0)).spanning.stack is family.free_table().stack
+    # off the curve the document's sample stack is the shared table itself
+    assert Context(FamilyParams(3.0, 1.0)).stack is family.free_table().stack
     for table in first:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -411,15 +419,12 @@ def test_cli_report_passes_far_out_on_the_curve(s, t, capsys):
     assert min(row["min_pt_eigenvalue"] for row in rows) < 1e-6
 
 
-def test_cli_build_fixture(tmp_path, capsys):
+def test_cli_build_fixture(tmp_path, capsys, data_dir):
     out = tmp_path / "w.json"
     code = main(["build", "--s", "2r2", "--t", "2r2", "--out", str(out)])
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["dims"] == [2, 2, 2]
-    assert doc["matrix"][3][3] == [2.8284271247461903, 0.0]
-    assert doc["matrix"][2][5] == [-1.0, 0.0]
-    assert doc["meta"]["on_variety"] is True
+    # byte for byte: every matrix entry, and the meta keys, their order and values
+    assert out.read_text() == (data_dir / "witness_s2r2_t2r2.json").read_text() + "\n"
 
 
 def test_cli_build_other_curve_point(tmp_path):

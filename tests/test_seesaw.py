@@ -14,9 +14,9 @@ from spanwitness import (
     DimensionMismatchError,
     FamilyParams,
     InvalidCutError,
+    State,
     THREE_QUBITS,
     TensorShape,
-    Witness,
     cut_block_positivity,
     seesaw_block_positivity,
     value_on_product,
@@ -32,12 +32,12 @@ SEED = 7
 def minus_e00():
     m = np.zeros((8, 8), dtype=complex)
     m[0, 0] = -1.0
-    return Witness(matrix=m, shape=THREE_QUBITS)
+    return State(matrix=m, shape=THREE_QUBITS)
 
 
 def test_isotropic_minimum_is_one():
     res = seesaw_block_positivity(
-        Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS), restarts=4, seed=SEED
+        State(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS), restarts=4, seed=SEED
     )
     assert abs(res.min_value - 1.0) < 1e-9
 
@@ -102,7 +102,7 @@ def test_canonical_phase_leaves_a_nan_factor_as_it_is():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS),
+        lambda: State(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS),
         minus_e00,
         lambda: witness_matrix(CANONICAL),
         lambda: witness_matrix(FamilyParams(2.0, 4.0)),
@@ -162,7 +162,7 @@ def test_seesaw_allocates_its_table_before_it_draws(monkeypatch):
 
 
 def test_cut_isotropic():
-    w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
+    w = State(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
     for cut in ((1,), (2,), (3,)):
         res = cut_block_positivity(w, cut, restarts=4, seed=SEED)
         assert abs(res.min_value - 1.0) < 1e-9
@@ -192,7 +192,7 @@ def cut_witness(witness, cut):
             m[merged((b1, b2, b3)), merged((c1, c2, c3))] = witness.matrix[
                 4 * b1 + 2 * b2 + b3, 4 * c1 + 2 * c2 + c3
             ]
-    return Witness(matrix=m, shape=TensorShape((2 ** len(cut), 2 ** len(rest))))
+    return State(matrix=m, shape=TensorShape((2 ** len(cut), 2 ** len(rest))))
 
 
 def test_regroup_preserves_quadratic_form(canonical_witness):
@@ -309,7 +309,7 @@ def test_stacked_seesaw_matches_reference_loop(make, restarts, seed):
 
 
 def test_stacked_seesaw_tie_breaks_to_first_restart():
-    w = Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
+    w = State(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS)
     ref = reference_seesaw(w, 16, SEED)
     assert ref[4] == 0
     assert_matches_reference(seesaw_block_positivity(w, restarts=16, seed=SEED), ref)
@@ -340,7 +340,7 @@ def random_hermitian(seed, d):
 )
 def test_compacted_seesaw_matches_reference_on_a_generic_witness(shape, restarts):
     # no X shape: the restarts freeze at many different sweeps
-    w = Witness(matrix=random_hermitian(23, shape.total_dim), shape=shape)
+    w = State(matrix=random_hermitian(23, shape.total_dim), shape=shape)
     res = seesaw_block_positivity(w, restarts=restarts, seed=SEED)
     assert_matches_reference(res, reference_seesaw(w, restarts, SEED))
 
@@ -370,7 +370,7 @@ def spy(monkeypatch, owner, name):
 @pytest.mark.parametrize(
     "make, max_sweeps, loop_sweeps",
     [
-        (lambda: Witness(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS), 500, 1),
+        (lambda: State(matrix=np.eye(8, dtype=complex), shape=THREE_QUBITS), 500, 1),
         (lambda: witness_matrix(CANONICAL), 2, 2),
         (lambda: witness_matrix(CANONICAL), 500, None),
     ],
@@ -396,7 +396,7 @@ def test_seesaw_makes_one_stacked_step_per_party_and_sweep(monkeypatch, make, ma
     assert sum(moving) * 3 == steps
     # a (2, 3) witness still calls eigh, for its d = 3 party's steps only
     pairs.clear()
-    seesaw_block_positivity(Witness(matrix=random_hermitian(23, 6), shape=TensorShape((2, 3))), 16, SEED)
+    seesaw_block_positivity(State(matrix=random_hermitian(23, 6), shape=TensorShape((2, 3))), 16, SEED)
     assert pairs and [h.shape[1:] for (h,) in pairs] == [(2, 2), (3, 3)] * (len(pairs) // 2)
     assert [h.shape for (h,) in eighs] == [h.shape for (h,) in pairs[1::2]]
 
@@ -406,7 +406,7 @@ def test_party_forms_and_start_value_match_the_einsum_contraction(monkeypatch, d
     # the reference loop shares the see-saw's multiply-and-sum; this ties both
     # to the definition: H_k = <other factors| W |other factors>, <xi|W|xi>
     shape = TensorShape(dims)
-    w = Witness(matrix=random_hermitian(sum(dims), shape.total_dim), shape=shape)
+    w = State(matrix=random_hermitian(sum(dims), shape.total_dim), shape=shape)
     tol = 1e-14 * max(1.0, np.linalg.norm(w.matrix, 2))
     n = len(dims)
     rows, cols = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]

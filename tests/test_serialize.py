@@ -27,11 +27,11 @@ def test_matrix_payload_writes_each_entry_as_re_im():
 
 def test_witness_round_trip(tmp_path, canonical_witness):
     path = tmp_path / "w.json"
-    save_json(path, state_payload(canonical_witness, canonical_witness.meta))
+    save_json(path, state_payload(canonical_witness, {"s": CANONICAL.s}))
     loaded = state_from_payload(load_json(path))
     assert np.array_equal(loaded.matrix, canonical_witness.matrix)
     assert loaded.shape == canonical_witness.shape
-    assert load_json(path)["meta"]["s"] == canonical_witness.meta["s"]
+    assert load_json(path)["meta"]["s"] == CANONICAL.s
 
 
 def test_state_round_trip(tmp_path):
@@ -54,9 +54,9 @@ def test_payload_shape_validation():
 
 
 def test_json_text_is_stable(canonical_witness):
-    a = dump_json(state_payload(canonical_witness, canonical_witness.meta))
-    fresh = witness_matrix(CANONICAL)
-    b = dump_json(state_payload(fresh, fresh.meta))
+    meta = {"family": "x-shaped", "s": CANONICAL.s}
+    a = dump_json(state_payload(canonical_witness, meta))
+    b = dump_json(state_payload(witness_matrix(CANONICAL), meta))
     assert a == b
 
 
