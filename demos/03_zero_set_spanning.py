@@ -9,14 +9,18 @@ families alone only ever reach a 6-dimensional subspace.
 
 import numpy as np
 
-from spanwitness import CANONICAL, default_zero_sample, sample_stack, value_on_product, witness_matrix
-from spanwitness.family import CANONICAL_TEN_ROWS, free_table
-from spanwitness.tensor import conjugation_ranks, subset_ranks
+from spanwitness import CANONICAL, default_zero_sample, sample_table, value_on_product, witness_matrix
+from spanwitness.family import CANONICAL_TEN_ROWS
+from spanwitness.tensor import subset_ranks
 
 w = witness_matrix(CANONICAL)
 labels = default_zero_sample(CANONICAL)[0]  # the family of each sampled row
-stack = sample_stack(CANONICAL)  # the sample's rows under every conjugation
-sample = stack[0]  # the sample's rows, flattened, none conjugated
+# the sample at u = 1, which is the one at s = t = 2 sqrt 2, built once per
+# process: its rows under every conjugation and the singular values the
+# spanning checks count. Anywhere on s t = 8 the sample is a real diagonal
+# map of it, so these ranks are every point's.
+table = sample_table()
+sample = table.stack[0]  # the sample's rows, flattened, none conjugated
 
 print("the first sampled vector of each family, with its witness value:")
 values = value_on_product(w, sample)
@@ -29,20 +33,20 @@ print(np.round(sample[CANONICAL_TEN_ROWS[6]], 4))
 
 print(f"\nspanning report over {len(labels)} sampled zero vectors:")
 print("  subset : rank of the partially conjugated images")
-ranks = conjugation_ranks(stack)
+ranks = subset_ranks(table.full)
 for subset, rank in ranks.items():
     label = "{" + ",".join(map(str, subset)) + "}" if subset else "{}"
     print(f"  {label:8s}: {rank}")
 print("  full spanning:", all(rank == 8 for rank in ranks.values()))
 
-# the free-factor rows depend on no parameter: one table per process holds
-# their singular values and the basis vectors outside their support
-pv1_rank = subset_ranks(free_table().singular_values)[()]
+# the free-factor rows depend on no parameter: the table holds their
+# singular values and the basis vectors outside their support too
+pv1_rank = subset_ranks(table.free)[()]
 print(f"\nfree-factor families alone: rank {pv1_rank}, orthogonal complement:")
-for v in free_table().complement:
+for v in table.complement:
     idx = int(np.argmax(np.abs(v)))
     print(f"  basis vector |{idx:03b}>")
 
 print("\nthe ten canonical vectors (six basis + four phase-locked at (1,1))")
-ranks = conjugation_ranks(stack[:, CANONICAL_TEN_ROWS])
+ranks = subset_ranks(table.ten)
 print("ranks under all eight conjugations:", list(ranks.values()))

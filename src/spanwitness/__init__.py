@@ -59,7 +59,7 @@ from .family import (
     determinant_d,
     eighth_root,
     rank_one_projector,
-    sample_stack,
+    sample_table,
     witness_matrix,
     zero_pair_and_kernel,
 )

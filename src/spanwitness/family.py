@@ -299,57 +299,62 @@ _FAMILY_NAMES = tuple(f.value for f in PV1_FAMILIES + Z_FAMILIES)
 CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
 
 
-class FreeTable(NamedTuple):
-    """`free_rows` read-only, with their conjugation `stack`, its first half's `singular_values`
-    as `subset_ranks` takes them, and `complement`, the basis vectors outside the rows' support."""
+class SampleTable(NamedTuple):
+    """The default sample at u = 1, `default_zero_sample(CANONICAL)`, each array read-only: its `rows`,
+    their conjugation `stack`, the first half's singular values, as `subset_ranks` takes them, of the
+    `free` rows, of the `full` sample and of the `ten` rows `CANONICAL_TEN_ROWS`, and `complement`,
+    the basis vectors outside the free rows' support.
+
+    Its ranks are those of every point of s t = 8: there the Z rows are D = I (x) I (x) diag(1, u)
+    applied to the Z rows at u = 1; the free rows and the six basis rows span coordinate subspaces,
+    which D maps to themselves; and a real diagonal D commutes with every partial conjugation."""
 
     rows: np.ndarray
     stack: np.ndarray
-    singular_values: np.ndarray
+    free: np.ndarray
+    full: np.ndarray
+    ten: np.ndarray
     complement: np.ndarray
 
 
 def free_rows() -> np.ndarray:
-    """The default sample's first rows, the same for every s, t: each free-factor family at each free
-    parameter in turn, (3, 24, 2). `rho0` reads them here, so `detect` makes no stack and no SVD."""
+    """Each free-factor family at each free parameter in turn, the same for every s, t, (3, 24, 2):
+    built anew on each call. `rho0` reads them here, so `detect` builds no table."""
     return np.array([[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
                      for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES], dtype=complex).transpose(1, 0, 2)
 
 
+def _z_rows(u: float) -> np.ndarray:
+    """Each Z family at its three (a, b), at third-factor scale u, (3, 12, 2)."""
+    rows = [z_factors(fam, a, b, u) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
+    # one flat pass: np.array would spend longer discovering the nesting
+    z = np.fromiter((x for row in rows for factor in row for x in factor), complex, 6 * len(rows))
+    return z.reshape(-1, 3, 2).transpose(1, 0, 2)
+
+
 @cache
-def free_table() -> FreeTable:
-    """Built once per process: every sample and spanning stack starts with it, and the pv1 ranks read it."""
-    rows = free_rows()
+def sample_table() -> SampleTable:
+    """Built once per process; the spanning rows rank it at the document's own tolerance."""
+    rows = np.concatenate([free_rows(), _z_rows(CANONICAL.u)], axis=1)
     stack = conjugation_stack(rows)
-    half = np.linalg.svd(stack[: len(stack) // 2], compute_uv=False)
-    complement = np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0], axis=0)]
-    return FreeTable(*map(read_only, (rows, stack, half, complement)))
+    half = stack[: len(stack) // 2]
+    sets = (half[:, :_FREE_ROWS], half, half[:, CANONICAL_TEN_ROWS])
+    free, full, ten = (np.linalg.svd(x, compute_uv=False) for x in sets)
+    complement = np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0, :_FREE_ROWS], axis=0)]
+    return SampleTable(*map(read_only, (rows, stack, free, full, ten, complement)))
 
 
 def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], np.ndarray]:
-    """The zero-set sample of the spanning checks: a family label per row, and
-    the rows' factors party by party as one complex (3, N, 2) array, as
-    `conjugation_stack` takes them. The rows are `free_table().rows`, then, on
-    s t = 8 only, each Z family at its three (a, b)."""
+    """The zero-set sample at (s, t): a family label per row, and the rows'
+    factors party by party as one complex (3, N, 2) array, as
+    `conjugation_stack` takes them. The rows are `sample_table()`'s free rows,
+    then, on s t = 8 only, each Z family at its three (a, b)."""
     labels = PV1_FAMILIES * len(_PV1_FREE_PARAMS)
+    free = sample_table().rows[:, :_FREE_ROWS]
     if not params.on_variety:
-        return labels, free_table().rows
-    rows = [z_factors(fam, a, b, params.u) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
-    # one flat pass: np.array would spend longer discovering the nesting
-    z = np.fromiter((x for row in rows for factor in row for x in factor), complex, 6 * len(rows))
+        return labels, free
     labels += tuple(fam for fam in Z_FAMILIES for _ in _Z_AB_PARAMS)
-    return labels, np.concatenate([free_table().rows, z.reshape(-1, 3, 2).transpose(1, 0, 2)], axis=1)
-
-
-def sample_stack(params: FamilyParams) -> np.ndarray:
-    """The default zero-set sample's rows under every conjugation, as
-    `conjugation_stack` gives them, its first entry the sample itself:
-    `free_table().stack`, joined on s t = 8 by the Z rows' stack. Off the
-    curve it is the shared read-only table."""
-    if not params.on_variety:
-        return free_table().stack
-    z = conjugation_stack(default_zero_sample(params)[1][:, _FREE_ROWS:])
-    return np.concatenate([free_table().stack, z], axis=1)
+    return labels, np.concatenate([free, _z_rows(params.u)], axis=1)
 
 
 def family_maxima(values: np.ndarray) -> dict[str, float]:

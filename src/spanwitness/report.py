@@ -24,15 +24,14 @@ from . import __version__
 from .errors import UsageError
 from .family import (
     CANONICAL,
-    CANONICAL_TEN_ROWS,
     SQRT2,
     FamilyParams,
     bilinear_map,
+    default_zero_sample,
     eighth_root,
     family_maxima,
-    free_table,
     grid_table,
-    sample_stack,
+    sample_table,
     witness_matrix,
 )
 from .linalg import TOLERANCES, document_tolerances, hermitian_eigenvalues, hermiticity_defect, qubit_lowest, read_only
@@ -47,7 +46,7 @@ from .states import (
     rho_lambda,
     x_state,
 )
-from .tensor import THREE_QUBITS, State, conjugation_ranks, is_ppt, subset_ranks
+from .tensor import THREE_QUBITS, State, is_ppt, kron_rows, subset_ranks
 
 
 @dataclass
@@ -107,9 +106,8 @@ def render_text(doc: ReportDocument) -> str:
 @dataclass
 class Context:
     """What the checks of one document share: its inputs, the checks run so
-    far, and the witness, the smallest eigenvalues of the phase-modulus
-    grid's rank-one images, and the default zero-set sample under every
-    conjugation, each built once, on first use."""
+    far, and the witness and the smallest eigenvalues of the phase-modulus
+    grid's rank-one images, each built once, on first use."""
 
     params: FamilyParams
     seed: int = 7
@@ -126,11 +124,6 @@ class Context:
         """`qubit_lowest` of the images' diagonals s A and t D and |b|, from `grid_table`."""
         g = grid_table()
         return qubit_lowest(self.params.s * g.a, self.params.t * g.d, g.mag)[1]
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """`sample_stack`: off s t = 8, the free-factor rows' table alone."""
-        return sample_stack(self.params)
 
     def document(self, command: str, checks: list[Check]) -> ReportDocument:
         p = self.params
@@ -222,43 +215,44 @@ def check_seesaw(ctx: Context, tol: float) -> tuple[bool, dict]:
 
 def check_zero_set(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Every sampled zero-family vector annihilates the quadratic form: the
-    document's sample, unconjugated, its values from one stacked call."""
-    values = np.abs(value_on_product(ctx.witness, ctx.stack[0]))
+    sample at the document's (s, t), flattened, its values from one stacked call."""
+    values = np.abs(value_on_product(ctx.witness, kron_rows(default_zero_sample(ctx.params)[1])))
     per_family = family_maxima(values)
     worst = float(values.max())
     return worst <= tol, {"samples": len(values), "max_abs_value": worst, "per_family": per_family}
 
 
 def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
-    """The document's sample spans the whole space under every partial conjugation."""
-    ranks = conjugation_ranks(ctx.stack, tol)
+    """The default sample spans the whole space under every partial conjugation:
+    `sample_table`'s ranks at u = 1, the same at every point of s t = 8."""
+    ranks = subset_ranks(sample_table().full, tol)
     dim = THREE_QUBITS.total_dim
     return all(r == dim for r in ranks.values()), {
         "ranks": by_subset(ranks),
         "dimension": dim,
-        "sample_size": ctx.stack.shape[1],
+        "sample_size": sample_table().rows.shape[1],
     }
 
 
 def check_pv1_span(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families span exactly six dimensions; the
     complement, the basis vectors outside their support, is |011> and |100>."""
-    rank = subset_ranks(free_table().singular_values, tol)[()]
-    labels = [format(int(np.argmax(v)), "03b") for v in free_table().complement]
+    rank = subset_ranks(sample_table().free, tol)[()]
+    labels = [format(int(np.argmax(v)), "03b") for v in sample_table().complement]
     basis_ok = labels == ["011", "100"]
     return rank == 6 and basis_ok, {"rank": rank, "complement_labels": labels, "complement_matches": basis_ok}
 
 
 def check_pv1_subset_ranks(ctx: Context, tol: float) -> tuple[bool, dict]:
     """The six free-factor families keep rank 6 under every partial conjugation."""
-    ranks = by_subset(subset_ranks(free_table().singular_values, tol))
+    ranks = by_subset(subset_ranks(sample_table().free, tol))
     return all(r == 6 for r in ranks.values()), {"ranks": ranks}
 
 
 def check_canonical_ten(ctx: Context, tol: float) -> tuple[bool, dict]:
     """Ten vectors alone reach rank 8 under all eight partial conjugations:
-    the rows `CANONICAL_TEN_ROWS` of the document's sample, `conjugation_ranks`."""
-    ranks = by_subset(conjugation_ranks(ctx.stack[:, CANONICAL_TEN_ROWS], tol))
+    the rows `CANONICAL_TEN_ROWS` of `sample_table`, the same at every point of s t = 8."""
+    ranks = by_subset(subset_ranks(sample_table().ten, tol))
     return all(r == 8 for r in ranks.values()), {"ranks": ranks}
 
 

@@ -8,8 +8,10 @@ the exit code on the first line, then everything it wrote to stdout; stderr
 `spanning` (every `--families`) and `detect` (xstate, rho-lambda:0.5,
 perturbed:0.1), each with `--json`, at ST8_GRID, at (1, 1), (2, 5) and
 (3, 1), and at 40 points on s t = 8 from a fixed seed; `report --json
---restarts 16` at the first 8 of those points; and `build` at the default
-point, at (2, 4) and at (1, 1).
+--restarts 16` at the first 8 of those points; `build` at the default
+point, at (2, 4) and at (1, 1); and `spanning --json` at the coarse rank
+tolerances `--tol 0.3` at (1, 8) and `--tol 0.1` at (0.5, 16), where the
+ranks depend on which sample is ranked.
 
 Two trees are compared byte for byte by dumping each and running
 `diff -r OUT_A OUT_B`: empty output means every document is identical.
@@ -50,7 +52,9 @@ def commands() -> list[list[str]]:
         if i < REPORT_POINTS:
             out.append(["report", "--restarts", "16", *at])
     # last, so that the files before them keep their names
-    return out + [["build", "--s", "2", "--t", "4"], ["build", "--s", "1", "--t", "1"]]
+    out += [["build", "--s", "2", "--t", "4"], ["build", "--s", "1", "--t", "1"]]
+    return out + [["spanning", "--s", s, "--t", t, "--tol", tol, "--json"]
+                  for s, t, tol in (("1", "8", "0.3"), ("0.5", "16", "0.1"))]
 
 
 def run(argv: list[str]) -> str:

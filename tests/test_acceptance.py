@@ -33,16 +33,15 @@ from spanwitness import (
     perturbed_detected_state,
     rho1,
     rho_lambda,
-    sample_stack,
     seesaw_block_positivity,
     value_on_product,
     verify_decomposition,
     witness_matrix,
     x_state,
 )
-from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, free_table
+from spanwitness.family import CANONICAL_TEN_ROWS, SQRT2, sample_table
 from spanwitness.linalg import numerical_ranks
-from spanwitness.tensor import all_subsets, conjugation_ranks, subset_ranks
+from spanwitness.tensor import all_subsets, conjugation_ranks, conjugation_stack, subset_ranks
 from test_tensor import kron_flat
 
 DATA = Path(__file__).parent / "data"
@@ -170,10 +169,10 @@ def test_criterion_05_zero_set():
 
 
 def test_criterion_06_full_spanning():
-    ranks = conjugation_ranks(sample_stack(CANONICAL))
+    ranks = conjugation_ranks(conjugation_stack(default_zero_sample(CANONICAL)[1]))
     ranks_ok = set(ranks.values()) == {8} and len(ranks) == 8
-    pv1_rank = subset_ranks(free_table().singular_values)[()]
-    comp = free_table().complement
+    pv1_rank = subset_ranks(sample_table().free)[()]
+    comp = sample_table().complement
     expected = np.zeros((2, 8))
     expected[0, 3] = 1.0
     expected[1, 4] = 1.0

@@ -21,7 +21,6 @@ from spanwitness import (
     evaluate,
     rank_one_projector,
     rho1,
-    sample_stack,
     value_on_product,
     witness_matrix,
     zero_pair_and_kernel,
@@ -32,8 +31,8 @@ from spanwitness.family import (
     SQRT2,
     Z_FAMILIES,
     family_maxima,
-    free_table,
     grid_table,
+    sample_table,
     z_factors,
 )
 from spanwitness.linalg import numerical_ranks
@@ -334,14 +333,15 @@ def test_z_formulas_vanish_at_mixed_sign_parameters():
 
 
 def test_z_families_gated_off_variety():
-    # off the curve the sample is its free-factor rows alone, which stay zeros
-    # of the witness and rank 6; rho_1, made of Z rows, is not defined there
+    # off the curve the sample is its free-factor rows alone, the table's own,
+    # which stay zeros of the witness and rank 6; rho_1, made of Z rows, is
+    # not defined there
     off = FamilyParams(1.0, 1.0)
     labels, pvs = sample_vectors(off)
     assert len(labels) == 24 and set(labels) == set(PV1_FAMILIES)
-    stack = sample_stack(off)
-    assert stack is free_table().stack and stack.shape == (8, 24, 8)
-    assert set(conjugation_ranks(stack).values()) == {6}
+    factors = default_zero_sample(off)[1]
+    assert np.shares_memory(factors, sample_table().rows) and factors.shape == (3, 24, 2)
+    assert set(conjugation_ranks(conjugation_stack(factors)).values()) == {6}
     assert max(abs(value_on_product(witness_matrix(off), kron_flat(pv))) for pv in pvs) < 1e-12
     with pytest.raises(OffVarietyError):
         rho1(off)
@@ -373,8 +373,8 @@ def test_spanning_report_default():
     assert set(full["ranks"].values()) == {8} and full["sample_size"] == 36
     assert pv1["rank"] == 6 and pv1["complement_labels"] == ["011", "100"]
     # |011> and |100>, read off the support: bit for bit, no rounding
-    assert np.array_equal(free_table().complement, np.eye(8)[[3, 4]])
-    assert pv1["rank"] + len(free_table().complement) == full["dimension"]
+    assert np.array_equal(sample_table().complement, np.eye(8)[[3, 4]])
+    assert pv1["rank"] + len(sample_table().complement) == full["dimension"]
 
 
 @pytest.mark.parametrize(
@@ -499,13 +499,14 @@ def written_out_sample(params):
     ids=lambda p: f"{p.s:.6g}_{p.t:.6g}",
 )
 def test_default_sample_rows_match_per_vector_path(params):
-    # default_zero_sample's labels and factors, and sample_stack's rows under
-    # every conjugation, bit for bit against each row written out from the
-    # families' formulas, its factors conjugated one by one and multiplied
-    # out with np.kron; off the curve the sample is its free-factor rows
+    # default_zero_sample's labels and factors, and conjugation_stack's rows
+    # of them under every conjugation, bit for bit against each row written
+    # out from the families' formulas, its factors conjugated one by one and
+    # multiplied out with np.kron; off the curve the sample is its
+    # free-factor rows
     rows = written_out_sample(params)
     labels, factors = default_zero_sample(params)
-    stack = sample_stack(params)
+    stack = conjugation_stack(factors)
     assert [fam.value for fam in labels] == [name for name, *_ in rows]
     assert len(rows) == (36 if params.on_variety else 24)
     assert np.array_equal(factors, np.array([fs for _, *fs in rows]).transpose(1, 0, 2))
@@ -546,20 +547,22 @@ def test_family_maxima_keeps_a_nan_to_its_own_family(params):
 
 
 def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
-    # s = 10^k, k in [-12, 12] in steps of 1/4, t = 8 / s: the sample's ranks,
-    # the pv1 table's and the canonical ten's, each from one SVD of half the
-    # conjugations, against one SVD of all eight, FAILs included: the sample loses
-    # rank at both ends of the scan and the canonical ten from k = 4.25 on
+    # s = 10^k, k in [-12, 12] in steps of 1/4, t = 8 / s: the sample's ranks
+    # at (s, t), the pv1 table's and the canonical ten's, each from one SVD of
+    # half the conjugations, against one SVD of all eight, short ranks
+    # included: in floats the sample at (s, t) loses rank at both ends of the
+    # scan and its canonical ten from k = 4.25 on, which is why the spanning
+    # rows rank the u = 1 table instead
     tol = TOLERANCES["rank"]
     short = set()
     for k in np.arange(-48, 49) / 4:
         params = FamilyParams(10.0**k, 8.0 / 10.0**k)
-        stack = sample_stack(params)
+        stack = conjugation_stack(default_zero_sample(params)[1])
         ranks = conjugation_ranks(stack, tol)
         pv1 = stack[:, [fam in PV1_FAMILIES for fam in default_zero_sample(params)[0]]]
         ten = stack[:, CANONICAL_TEN_ROWS]
         assert list(ranks.values()) == numerical_ranks(stack, tol).tolist()
-        pv1_ranks = subset_ranks(free_table().singular_values, tol)
+        pv1_ranks = subset_ranks(sample_table().free, tol)
         assert list(pv1_ranks.values()) == numerical_ranks(pv1, tol).tolist()
         assert conjugation_ranks(ten, tol) == dict(zip(all_subsets(3), numerical_ranks(ten, tol).tolist()))
         if min(ranks.values()) < 8:
@@ -568,3 +571,31 @@ def test_halved_conjugation_ranks_match_the_full_stack_along_the_curve():
             short.add(("ten", k))
     assert {("full", -12.0), ("full", 12.0), ("ten", 4.25), ("ten", 12.0)} <= short
     assert ("full", 0.0) not in short and ("ten", 4.0) not in short
+
+
+@pytest.mark.parametrize("s", [10**4.25, 1e-7], ids=["1e4.25", "1e-7"])
+def test_spanning_rows_pass_at_the_far_ends_of_the_curve(s):
+    # the curve scan's worst points, where the sample at (s, t) ranks 7 in
+    # floats: the rows rank the u = 1 table, whose ranks are every curve point's
+    params = FamilyParams(s, 8.0 / s)
+    for families, row in (("default", "full_spanning"), ("canonical-ten", "canonical_ten_spanning")):
+        check = {c.name: c for c in run_spanning(params, families).checks}[row]
+        assert check.status == "PASS" and list(check.values["ranks"].values()) == [8] * 8
+
+
+@pytest.mark.parametrize("j", range(-6, 7))
+def test_curve_sample_is_the_table_under_a_real_diagonal_map(j):
+    # s = 2^j keeps s t = 8 exact. The table is the sample at u = 1 and its
+    # stack; the sample at (s, t) is the table's rows with the Z rows' third
+    # factor scaled by diag(1, u), and it has the table's ranks under every
+    # conjugation, all 36 rows and the canonical ten alike
+    table = sample_table()
+    assert CANONICAL.u == 1.0 and np.array_equal(default_zero_sample(CANONICAL)[1], table.rows)
+    assert np.array_equal(conjugation_stack(table.rows), table.stack)
+    params = FamilyParams(2.0**j, 8.0 / 2.0**j)
+    rows = default_zero_sample(params)[1]
+    scaled = table.rows.copy()
+    scaled[2, 24:, 1] *= params.u
+    assert np.array_equal(rows, scaled)
+    assert conjugation_ranks(conjugation_stack(rows)) == subset_ranks(table.full)
+    assert conjugation_ranks(conjugation_stack(rows[:, CANONICAL_TEN_ROWS])) == subset_ranks(table.ten)

@@ -140,32 +140,30 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 
 
 # Per warm document: the exit code, and calls of (default_zero_sample,
-# conjugation_stack, svd, eigvalsh, seesaw_block_positivity). Each row ranks
-# only what it reads: the sample's stack (one SVD for full_spanning, one for
-# the canonical ten, on the curve only), and the pv1 rows from the
-# per-process table, with no SVD.
+# conjugation_stack, svd, eigvalsh, seesaw_block_positivity). Every spanning
+# row reads the per-process sample table, with no SVD; only zero_set_families
+# builds the sample at (s, t), on the curve.
 SVD_CASES = {
-    "verify": (["verify"], 0, (1, 1, 2, 1, 1)),
-    "spanning": (["spanning"], 0, (1, 1, 1, 0, 0)),
+    "verify": (["verify"], 0, (1, 0, 0, 1, 1)),
+    "spanning": (["spanning"], 0, (0, 0, 0, 0, 0)),
     "verify-off-curve": (["verify", "--s", "3", "--t", "1"], 1, (0, 0, 0, 1, 1)),
     # the report's verify rows, then report_determinism's re-run of them
     "report-1-1": (["report", "--restarts", "4", "--s", "1", "--t", "1"], 1, (0, 0, 0, 2, 2)),
     "pv1": (["spanning", "--families", "pv1"], 0, (0, 0, 0, 0, 0)),
     "pv1-off-curve": (["spanning", "--families", "pv1", "--s", "1", "--t", "1"], 0, (0, 0, 0, 0, 0)),
-    "canonical-ten": (["spanning", "--families", "canonical-ten"], 0, (1, 1, 1, 0, 0)),
+    "canonical-ten": (["spanning", "--families", "canonical-ten"], 0, (0, 0, 0, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("argv, code, counts", SVD_CASES.values(), ids=SVD_CASES)
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, code, counts):
-    # the document's spanning sample is built once, as one factor array; the
-    # free-factor rows, their conjugation stack and its singular values are
-    # built once per process, so only the Z rows are conjugated and the pv1
-    # ranks take no SVD; the sample is ranked by stacked SVDs, each over half
-    # the conjugations, the other half taking their complements' ranks; W's
-    # spectrum is computed once per verify pass; the see-saw runs once per
-    # verify pass, for the global minimum, and never across a cut; calls are
-    # counted in every module that binds the name, as a tracer sees them
+    # the sample at (s, t) is built once, as one factor array, and only on
+    # the curve, where zero_set_families reads it; the sample at u = 1, its
+    # conjugation stack and its singular values are built once per process,
+    # so a warm document conjugates nothing and takes no SVD; W's spectrum is
+    # computed once per verify pass; the see-saw runs once per verify pass,
+    # for the global minimum, and never across a cut; calls are counted in
+    # every module that binds the name, as a tracer sees them
     owners = {
         "default_zero_sample": spanwitness.family,
         "conjugation_stack": spanwitness.tensor,
@@ -192,32 +190,43 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, co
     main(argv)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
     svd_stacks.clear()
-    free_rows_built = spanwitness.family.free_table.cache_info().misses
+    table_built = spanwitness.family.sample_table.cache_info().misses
     assert main(argv) == code
     capsys.readouterr()
-    assert spanwitness.family.free_table.cache_info().misses == free_rows_built
-    # each SVD ranks the 4 conjugations that leave party 3 unconjugated
-    assert [shape[0] for shape in svd_stacks] == [4] * counts[2]
+    assert spanwitness.family.sample_table.cache_info().misses == table_built
     assert calls == dict(zip(owners, counts + (0,)))
+    # first use: one conjugation stack of the 36 rows and three SVDs, each of
+    # the 4 conjugations that leave party 3 unconjugated, of the free rows,
+    # the whole sample and the canonical ten
+    calls.update(dict.fromkeys(calls, 0))
+    spanwitness.family.sample_table.__wrapped__()
+    assert svd_stacks == [(4, 24, 8), (4, 36, 8), (4, 10, 8)]
+    assert calls == dict(zip(owners, (0, 1, 3, 0, 0, 0)))
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
     # the grid table (the grid, the parts of its images that no (s, t)
-    # enters, its D and norm-scale tables), the free-factor rows' table (the
-    # rows, alone and under every conjugation, their pv1 singular values and
-    # complement) and the cut vectors depend on no parameter: a second
-    # document, at other (s, t), on the curve or off it, evaluates no map and
-    # no D, builds no free-factor row, conjugates only the Z rows (on the
-    # curve), and shares every table, each built once and read-only
+    # enters, its D and norm-scale tables), the sample table (the sample at
+    # u = 1, alone and under every conjugation, the singular values the
+    # spanning rows rank and the free rows' complement) and the cut vectors
+    # depend on no parameter: a second document, at other (s, t), on the
+    # curve or off it, evaluates no map and no D, builds no free-factor row,
+    # conjugates nothing, and shares every table, each built once and
+    # read-only
     def tables():
-        return [*family.grid_table(), *family.free_table(), *spanwitness.report._cut_vectors()]
+        return [*family.grid_table(), *family.sample_table(), *spanwitness.report._cut_vectors()]
 
     family = spanwitness.family
     run_verify(CANONICAL, restarts=1)
     first = tables()
-    built = family.grid_table.cache_info().misses, family.free_table.cache_info().misses
+    built = family.grid_table.cache_info().misses, family.sample_table.cache_info().misses
     calls = []
-    owners = {"determinant_d": family, "evaluate": spanwitness.maps, "conjugation_stack": spanwitness.tensor}
+    owners = {
+        "determinant_d": family,
+        "evaluate": spanwitness.maps,
+        "conjugation_stack": spanwitness.tensor,
+        "free_rows": family,
+    }
     for name, owner in owners.items():
         real = getattr(owner, name)
 
@@ -230,11 +239,9 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert run_verify(FamilyParams(2.0, 4.0), restarts=1).all_pass
     assert not run_verify(FamilyParams(3.0, 1.0), restarts=1).all_pass
-    assert calls == ["conjugation_stack"]
-    assert (family.grid_table.cache_info().misses, family.free_table.cache_info().misses) == built
+    assert calls == []
+    assert (family.grid_table.cache_info().misses, family.sample_table.cache_info().misses) == built
     assert all(a is b for a, b in zip(tables(), first, strict=True))
-    # off the curve the document's sample stack is the shared table itself
-    assert Context(FamilyParams(3.0, 1.0)).stack is family.free_table().stack
     for table in first:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -247,7 +254,7 @@ def test_detect_builds_no_family_table(monkeypatch):
         raise AssertionError("detect built a family table")
 
     for key, module in list(sys.modules.items()):
-        for name in ("grid_table", "free_table"):
+        for name in ("grid_table", "sample_table"):
             if key.startswith("spanwitness") and hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
     spanwitness.states.rho0.__wrapped__()
