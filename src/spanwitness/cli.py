@@ -8,9 +8,9 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
 error, an --out path that cannot be written, a run too large for memory,
-or a NaN or infinity in a JSON document. Irrational parameters are written
-as tokens (`2r2` for 2 sqrt 2, `r2` for sqrt 2) so fixtures avoid decimal
-round-trip loss.
+a NaN or infinity in a JSON document, or an (s, t) at which W's spectrum
+overflows a float. Irrational parameters are written as tokens (`2r2` for
+2 sqrt 2, `r2` for sqrt 2) so fixtures avoid decimal round-trip loss.
 """
 
 from __future__ import annotations

@@ -263,13 +263,13 @@ Z_FAMILIES = tuple(_Z_EXPONENTS)
 PV1_FAMILIES = tuple(_PV1_SLOTS)
 
 
-def z_factors(family: ZeroFamily, a: float, b: float, u: float) -> tuple:
-    """A Z family's three factors at (a, b), from its omega exponents (k1, k2, k3)
-    and the third-factor scale u = s / (2 sqrt 2), as pairs of scalars:
-    (1, a w^k1), (1, b w^k2), (b, u a w^k3), w^k read from the exact table;
-    Z1 = (1, a w^7) (x) (1, b w) (x) (b, u a w^3)."""
+def z_factors(family: ZeroFamily, a: float, b: float) -> tuple:
+    """A Z family's three factors at (a, b) and u = 1, from its omega exponents
+    (k1, k2, k3), as pairs of scalars: (1, a w^k1), (1, b w^k2), (b, a w^k3),
+    w^k read from the exact table; Z1 = (1, a w^7) (x) (1, b w) (x) (b, a w^3).
+    At u = s / (2 sqrt 2) on s t = 8 the third factor is diag(1, u) of this one."""
     k1, k2, k3 = _Z_EXPONENTS[family]
-    return (1.0, a * eighth_root(k1)), (1.0, b * eighth_root(k2)), (b, u * a * eighth_root(k3))
+    return (1.0, a * eighth_root(k1)), (1.0, b * eighth_root(k2)), (b, a * eighth_root(k3))
 
 
 def zero_pair_and_kernel(
@@ -299,17 +299,26 @@ _FAMILY_NAMES = tuple(f.value for f in PV1_FAMILIES + Z_FAMILIES)
 CANONICAL_TEN_ROWS = (2, 0, 1, 6, 7, 9, 24, 27, 30, 33)
 
 
+@cache
+def sample_rows() -> np.ndarray:
+    """The default sample at u = 1, read-only, (3, 36, 2): each free-factor family at each free
+    parameter in turn, then each Z family at its three (a, b). Built once per process, with no SVD,
+    so `detect` reads it too: `rho0` its basis rows, `rho1` its Z rows through `default_zero_sample`."""
+    pv1 = [[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
+           for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES]
+    z = [z_factors(fam, a, b) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
+    return read_only(np.array(pv1 + z, dtype=complex).transpose(1, 0, 2))
+
+
 class SampleTable(NamedTuple):
-    """The default sample at u = 1, `default_zero_sample(CANONICAL)`, each array read-only: its `rows`,
-    their conjugation `stack`, the first half's singular values, as `subset_ranks` takes them, of the
-    `free` rows, of the `full` sample and of the `ten` rows `CANONICAL_TEN_ROWS`, and `complement`,
-    the basis vectors outside the free rows' support.
+    """What the spanning rows rank of `sample_rows()`, each array read-only: its conjugation `stack`, the
+    first half's singular values, as `subset_ranks` takes them, of the `free` rows, of the `full` sample
+    and of the `ten` rows `CANONICAL_TEN_ROWS`, and `complement`, the basis vectors outside the free rows' support.
 
-    Its ranks are those of every point of s t = 8: there the Z rows are D = I (x) I (x) diag(1, u)
-    applied to the Z rows at u = 1; the free rows and the six basis rows span coordinate subspaces,
-    which D maps to themselves; and a real diagonal D commutes with every partial conjugation."""
+    Its ranks are those of every point of s t = 8: there the sample is D = I (x) I (x) diag(1, u) of
+    this one; the free rows and the six basis rows span coordinate subspaces, which D maps to
+    themselves; and a real diagonal D commutes with every partial conjugation."""
 
-    rows: np.ndarray
     stack: np.ndarray
     free: np.ndarray
     full: np.ndarray
@@ -317,44 +326,30 @@ class SampleTable(NamedTuple):
     complement: np.ndarray
 
 
-def free_rows() -> np.ndarray:
-    """Each free-factor family at each free parameter in turn, the same for every s, t, (3, 24, 2):
-    built anew on each call. `rho0` reads them here, so `detect` builds no table."""
-    return np.array([[free if c == "f" else _BASIS[int(c)] for c in _PV1_SLOTS[fam]]
-                     for free in _PV1_FREE_PARAMS for fam in PV1_FAMILIES], dtype=complex).transpose(1, 0, 2)
-
-
-def _z_rows(u: float) -> np.ndarray:
-    """Each Z family at its three (a, b), at third-factor scale u, (3, 12, 2)."""
-    rows = [z_factors(fam, a, b, u) for fam in Z_FAMILIES for a, b in _Z_AB_PARAMS]
-    # one flat pass: np.array would spend longer discovering the nesting
-    z = np.fromiter((x for row in rows for factor in row for x in factor), complex, 6 * len(rows))
-    return z.reshape(-1, 3, 2).transpose(1, 0, 2)
-
-
 @cache
 def sample_table() -> SampleTable:
     """Built once per process; the spanning rows rank it at the document's own tolerance."""
-    rows = np.concatenate([free_rows(), _z_rows(CANONICAL.u)], axis=1)
-    stack = conjugation_stack(rows)
+    stack = conjugation_stack(sample_rows())
     half = stack[: len(stack) // 2]
     sets = (half[:, :_FREE_ROWS], half, half[:, CANONICAL_TEN_ROWS])
     free, full, ten = (np.linalg.svd(x, compute_uv=False) for x in sets)
     complement = np.eye(THREE_QUBITS.total_dim)[~np.any(stack[0, :_FREE_ROWS], axis=0)]
-    return SampleTable(*map(read_only, (rows, stack, free, full, ten, complement)))
+    return SampleTable(*map(read_only, (stack, free, full, ten, complement)))
 
 
 def default_zero_sample(params: FamilyParams) -> tuple[tuple[ZeroFamily, ...], np.ndarray]:
     """The zero-set sample at (s, t): a family label per row, and the rows'
     factors party by party as one complex (3, N, 2) array, as
-    `conjugation_stack` takes them. The rows are `sample_table()`'s free rows,
-    then, on s t = 8 only, each Z family at its three (a, b)."""
+    `conjugation_stack` takes them. Off s t = 8 the rows are a read-only view
+    of `sample_rows()`'s free rows; on it, a copy of all 36 with
+    D = I (x) I (x) diag(1, u) applied to the Z rows, exact in floats: their
+    a is 1 or 2, so u a w^k3 and (a w^k3) u round alike."""
     labels = PV1_FAMILIES * len(_PV1_FREE_PARAMS)
-    free = sample_table().rows[:, :_FREE_ROWS]
     if not params.on_variety:
-        return labels, free
-    labels += tuple(fam for fam in Z_FAMILIES for _ in _Z_AB_PARAMS)
-    return labels, np.concatenate([free, _z_rows(params.u)], axis=1)
+        return labels, sample_rows()[:, :_FREE_ROWS]
+    rows = sample_rows().copy()
+    rows[2, _FREE_ROWS:, 1] *= params.u
+    return labels + tuple(fam for fam in Z_FAMILIES for _ in _Z_AB_PARAMS), rows
 
 
 def family_maxima(values: np.ndarray) -> dict[str, float]:

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import __version__
-from .errors import UsageError
+from .errors import InvalidParamsError, UsageError
 from .family import (
     CANONICAL,
     SQRT2,
@@ -31,6 +31,7 @@ from .family import (
     eighth_root,
     family_maxima,
     grid_table,
+    sample_rows,
     sample_table,
     witness_matrix,
 )
@@ -160,9 +161,13 @@ def check_witness_fixture(ctx: Context, tol: float) -> tuple[bool, dict]:
 def _closed_form_spectrum(params: FamilyParams) -> list[float]:
     """W's ascending spectrum: -1 and 1 from each anti-diagonal pair, and the
     central block [[t, 1], [1, s]]'s, whose smaller eigenvalue exceeds -1 for
-    s, t > 0, as (s + t + 2)^2 - (s - t)^2 - 4 = 4(st + s + t) > 0."""
+    s, t > 0, as (s + t + 2)^2 - (s - t)^2 - 4 = 4(st + s + t) > 0. Where
+    (s - t)^2 overflows a float it raises InvalidParamsError."""
     s, t = float(params.s), float(params.t)
-    disc = math.sqrt((s - t) ** 2 + 4.0)
+    try:
+        disc = math.sqrt((s - t) ** 2 + 4.0)
+    except OverflowError:
+        raise InvalidParamsError(f"W's spectrum overflows a float at s={s!r}, t={t!r}") from None
     return sorted([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, (s + t - disc) / 2, (s + t + disc) / 2])
 
 
@@ -230,7 +235,7 @@ def check_full_spanning(ctx: Context, tol: float) -> tuple[bool, dict]:
     return all(r == dim for r in ranks.values()), {
         "ranks": by_subset(ranks),
         "dimension": dim,
-        "sample_size": sample_table().rows.shape[1],
+        "sample_size": sample_rows().shape[1],
     }
 
 

@@ -11,7 +11,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatchError, OffVarietyError, OutOfRangeError
-from .family import CANONICAL, CANONICAL_TEN_ROWS, R, Z_FAMILIES, FamilyParams, free_rows, z_factors
+from .family import CANONICAL, CANONICAL_TEN_ROWS, R, FamilyParams, default_zero_sample, sample_rows
 from .linalg import TOLERANCES, read_only
 from .maps import pairing
 from .tensor import THREE_QUBITS, PptReport, State, is_ppt, kron_rows
@@ -112,10 +112,11 @@ def _equal_mixture(factors: np.ndarray, weight: float) -> tuple[State, Separable
 def rho0() -> tuple[State, SeparableDecomposition]:
     """Equal mixture of the six basis zero-set vectors: diag(1,1,1,0,0,1,1,1)/6.
 
+    Its certificate is the rows `CANONICAL_TEN_ROWS[:6]` of `sample_rows()`.
     No (s, t) enters it, so it is built once per process, its arrays
     read-only; `rho_lambda` reads it, for the `boundary_family` row and
     `detect rho-lambda:X`."""
-    state, dec = _equal_mixture(free_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
+    state, dec = _equal_mixture(sample_rows()[:, CANONICAL_TEN_ROWS[:6]], 1.0 / 6.0)
     for table in (state.matrix, dec.weights, dec.factors):
         read_only(table)
     return state, dec
@@ -123,8 +124,8 @@ def rho0() -> tuple[State, SeparableDecomposition]:
 
 def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecomposition]:
     """Normalized mixture of the four phase-locked vectors Z1..Z4 at
-    (a, b) = (1, 1), the default zero-set sample's rows built alone; on
-    s t = 8 only.
+    (a, b) = (1, 1), the rows `CANONICAL_TEN_ROWS[6:]` of the default
+    zero-set sample at (s, t); on s t = 8 only.
 
     Built from its separability certificate; the matrix is the consequence,
     not the definition. At s = t = 2 sqrt 2 every flattened vector has
@@ -134,8 +135,7 @@ def rho1(params: FamilyParams = CANONICAL) -> tuple[State, SeparableDecompositio
         raise OffVarietyError(f"rho_1 needs s*t = 8, got {params.s * params.t}")
     # each flattened vector has squared norm 2 * 2 * (1 + u^2)
     weight = 1.0 / (16.0 * (1.0 + params.u**2))
-    rows = [z_factors(fam, 1.0, 1.0, params.u) for fam in Z_FAMILIES]
-    return _equal_mixture(np.array(rows, dtype=complex).transpose(1, 0, 2), weight)
+    return _equal_mixture(default_zero_sample(params)[1][:, CANONICAL_TEN_ROWS[6:]], weight)
 
 
 def rho_lambda(

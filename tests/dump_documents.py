@@ -11,7 +11,11 @@ perturbed:0.1), each with `--json`, at ST8_GRID, at (1, 1), (2, 5) and
 --restarts 16` at the first 8 of those points; `build` at the default
 point, at (2, 4) and at (1, 1); and `spanning --json` at the coarse rank
 tolerances `--tol 0.3` at (1, 8) and `--tol 0.1` at (0.5, 16), where the
-ranks depend on which sample is ranked.
+ranks depend on which sample is ranked; `verify`, `detect rho-lambda:0.5`
+and `report --restarts 16` at s = 10^6 and 10^-6, t = 8 / s, far along the
+curve; and `verify` at (1e-150, 1e156), where W's spectrum overflows. A
+command that raises instead of returning is recorded as exit 1, the status
+of an uncaught exception.
 
 Two trees are compared byte for byte by dumping each and running
 `diff -r OUT_A OUT_B`: empty output means every document is identical.
@@ -31,6 +35,7 @@ SEED = 2015
 CURVE_POINTS = 40
 REPORT_POINTS = 8
 DETECT_SPECS = ("xstate", "rho-lambda:0.5", "perturbed:0.1")
+FAR_CURVE_S = (1e6, 1e-6)
 
 
 def points() -> list[tuple[float, float]]:
@@ -53,14 +58,21 @@ def commands() -> list[list[str]]:
             out.append(["report", "--restarts", "16", *at])
     # last, so that the files before them keep their names
     out += [["build", "--s", "2", "--t", "4"], ["build", "--s", "1", "--t", "1"]]
-    return out + [["spanning", "--s", s, "--t", t, "--tol", tol, "--json"]
-                  for s, t, tol in (("1", "8", "0.3"), ("0.5", "16", "0.1"))]
+    out += [["spanning", "--s", s, "--t", t, "--tol", tol, "--json"]
+            for s, t, tol in (("1", "8", "0.3"), ("0.5", "16", "0.1"))]
+    for s in FAR_CURVE_S:
+        at = ["--s", repr(s), "--t", repr(8 / s), "--json"]
+        out += [["verify", *at], ["detect", "rho-lambda:0.5", *at], ["report", "--restarts", "16", *at]]
+    return out + [["verify", "--s", "1e-150", "--t", "1e156", "--json"]]
 
 
 def run(argv: list[str]) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception:  # uncaught, as `python -m spanwitness` would exit
+            code = 1
     return f"exit {code}\n{stdout.getvalue()}"
 
 

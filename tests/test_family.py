@@ -32,6 +32,7 @@ from spanwitness.family import (
     Z_FAMILIES,
     family_maxima,
     grid_table,
+    sample_rows,
     sample_table,
     z_factors,
 )
@@ -321,12 +322,14 @@ def test_all_sampled_zero_vectors_annihilate_witness():
 def test_z_formulas_vanish_at_mixed_sign_parameters():
     # the sampled families are not the whole zero set: the Z formulas vanish
     # at (a, b) of mixed sign too, where the first two phases are a pair
-    # k1 + k2 = 4 (mod 8) that no sampled family has (ROADMAP item 2)
+    # k1 + k2 = 4 (mod 8) that no sampled family has (ROADMAP item 2); at
+    # (s, t) the factors are D = I (x) I (x) diag(1, u) of z_factors' at u = 1
     for params in ST8_GRID:
         w = witness_matrix(params)
         for fam in Z_FAMILIES:
             for a, b in ((-1.3, 0.7), (1.3, -0.7), (-1.0, 2.0), (2.0, -1.0)):
-                factors = [np.array(f, dtype=complex) for f in z_factors(fam, a, b, params.u)]
+                factors = [np.array(f, dtype=complex) for f in z_factors(fam, a, b)]
+                factors[2][1] *= params.u
                 k1, k2 = (round(np.angle(f[1]) / (np.pi / 4)) for f in factors[:2])
                 assert (k1 + k2) % 8 == 4
                 assert abs(value_on_product(w, kron_flat(factors))) < 1e-13
@@ -340,7 +343,7 @@ def test_z_families_gated_off_variety():
     labels, pvs = sample_vectors(off)
     assert len(labels) == 24 and set(labels) == set(PV1_FAMILIES)
     factors = default_zero_sample(off)[1]
-    assert np.shares_memory(factors, sample_table().rows) and factors.shape == (3, 24, 2)
+    assert np.shares_memory(factors, sample_rows()) and factors.shape == (3, 24, 2)
     assert set(conjugation_ranks(conjugation_stack(factors)).values()) == {6}
     assert max(abs(value_on_product(witness_matrix(off), kron_flat(pv))) for pv in pvs) < 1e-12
     with pytest.raises(OffVarietyError):
@@ -460,6 +463,9 @@ def test_conjugation_ranks_match_reference_loop(label, pvs):
 
 
 CURVE_S = 2 ** np.random.default_rng(3).uniform(-0.5, 2.5, 20)
+# far along the curve, u = s / (2 sqrt 2) from 3.5e-8 to 3.5e5: the written-out
+# Z rows at u are the oracle for D = I (x) I (x) diag(1, u) of the u = 1 table
+FAR_CURVE_S = (1e6, 1e-6, 10**4.25, 1e-7)
 
 _H = math.sqrt(2.0) / 2
 # omega^k = exp(i pi k / 4), k = 0..7, written out
@@ -495,7 +501,7 @@ def written_out_sample(params):
 
 @pytest.mark.parametrize(
     "params",
-    [*ST8_GRID, *(FamilyParams(s, 8.0 / s) for s in CURVE_S), FamilyParams(1.0, 1.0)],
+    [*ST8_GRID, *(FamilyParams(s, 8.0 / s) for s in (*CURVE_S, *FAR_CURVE_S)), FamilyParams(1.0, 1.0)],
     ids=lambda p: f"{p.s:.6g}_{p.t:.6g}",
 )
 def test_default_sample_rows_match_per_vector_path(params):
@@ -585,16 +591,16 @@ def test_spanning_rows_pass_at_the_far_ends_of_the_curve(s):
 
 @pytest.mark.parametrize("j", range(-6, 7))
 def test_curve_sample_is_the_table_under_a_real_diagonal_map(j):
-    # s = 2^j keeps s t = 8 exact. The table is the sample at u = 1 and its
-    # stack; the sample at (s, t) is the table's rows with the Z rows' third
-    # factor scaled by diag(1, u), and it has the table's ranks under every
-    # conjugation, all 36 rows and the canonical ten alike
+    # s = 2^j keeps s t = 8 exact. sample_rows is the sample at u = 1 and
+    # the table holds its stack; the sample at (s, t) is those rows with the
+    # Z rows' third factor scaled by diag(1, u), and it has the table's ranks
+    # under every conjugation, all 36 rows and the canonical ten alike
     table = sample_table()
-    assert CANONICAL.u == 1.0 and np.array_equal(default_zero_sample(CANONICAL)[1], table.rows)
-    assert np.array_equal(conjugation_stack(table.rows), table.stack)
+    assert CANONICAL.u == 1.0 and np.array_equal(default_zero_sample(CANONICAL)[1], sample_rows())
+    assert np.array_equal(conjugation_stack(sample_rows()), table.stack)
     params = FamilyParams(2.0**j, 8.0 / 2.0**j)
     rows = default_zero_sample(params)[1]
-    scaled = table.rows.copy()
+    scaled = sample_rows().copy()
     scaled[2, 24:, 1] *= params.u
     assert np.array_equal(rows, scaled)
     assert conjugation_ranks(conjugation_stack(rows)) == subset_ranks(table.full)

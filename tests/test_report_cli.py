@@ -142,23 +142,26 @@ def test_run_verify_calls_checks_by_module_name(monkeypatch):
 # Per warm document: the exit code, and calls of (default_zero_sample,
 # conjugation_stack, svd, eigvalsh, seesaw_block_positivity). Every spanning
 # row reads the per-process sample table, with no SVD; only zero_set_families
-# builds the sample at (s, t), on the curve.
+# and rho1 build the sample at (s, t), on the curve. detect's eight eigvalsh
+# calls are its PPT table, and it never reads the sample table.
 SVD_CASES = {
     "verify": (["verify"], 0, (1, 0, 0, 1, 1)),
     "spanning": (["spanning"], 0, (0, 0, 0, 0, 0)),
     "verify-off-curve": (["verify", "--s", "3", "--t", "1"], 1, (0, 0, 0, 1, 1)),
-    # the report's verify rows, then report_determinism's re-run of them
-    "report-1-1": (["report", "--restarts", "4", "--s", "1", "--t", "1"], 1, (0, 0, 0, 2, 2)),
+    # the report's verify rows, then report_determinism's re-run of them;
+    # rho1_fixture's rho1 at the canonical point reads the sample there
+    "report-1-1": (["report", "--restarts", "4", "--s", "1", "--t", "1"], 1, (1, 0, 0, 2, 2)),
     "pv1": (["spanning", "--families", "pv1"], 0, (0, 0, 0, 0, 0)),
     "pv1-off-curve": (["spanning", "--families", "pv1", "--s", "1", "--t", "1"], 0, (0, 0, 0, 0, 0)),
     "canonical-ten": (["spanning", "--families", "canonical-ten"], 0, (0, 0, 0, 0, 0)),
+    "detect-rho-lambda": (["detect", "rho-lambda:0.5", "--s", "2", "--t", "4"], 0, (1, 0, 0, 8, 0)),
 }
 
 
 @pytest.mark.parametrize("argv, code, counts", SVD_CASES.values(), ids=SVD_CASES)
 def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, code, counts):
     # the sample at (s, t) is built once, as one factor array, and only on
-    # the curve, where zero_set_families reads it; the sample at u = 1, its
+    # the curve, where zero_set_families and rho1 read it; the sample at u = 1, its
     # conjugation stack and its singular values are built once per process,
     # so a warm document conjugates nothing and takes no SVD; W's spectrum is
     # computed once per verify pass; the see-saw runs once per verify pass,
@@ -190,10 +193,12 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, co
     main(argv)  # builds the tables that depend on no parameter
     calls.update(dict.fromkeys(calls, 0))
     svd_stacks.clear()
-    table_built = spanwitness.family.sample_table.cache_info().misses
+    before = spanwitness.family.sample_table.cache_info()
     assert main(argv) == code
     capsys.readouterr()
-    assert spanwitness.family.sample_table.cache_info().misses == table_built
+    after = spanwitness.family.sample_table.cache_info()
+    # every document but detect reads the sample table, and none builds it again
+    assert after.misses == before.misses and (after.hits > before.hits) == (argv[0] != "detect")
     assert calls == dict(zip(owners, counts + (0,)))
     # first use: one conjugation stack of the 36 rows and three SVDs, each of
     # the 4 conjugations that leave party 3 unconjugated, of the free rows,
@@ -205,16 +210,17 @@ def test_run_verify_ranks_without_per_vector_loops(monkeypatch, capsys, argv, co
 
 
 def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
-    # the grid table (the grid, the parts of its images that no (s, t)
-    # enters, its D and norm-scale tables), the sample table (the sample at
-    # u = 1, alone and under every conjugation, the singular values the
+    # the sample rows at u = 1, the grid table (the grid, the parts of its
+    # images that no (s, t) enters, its D and norm-scale tables), the sample
+    # table (the rows under every conjugation, the singular values the
     # spanning rows rank and the free rows' complement) and the cut vectors
     # depend on no parameter: a second document, at other (s, t), on the
-    # curve or off it, evaluates no map and no D, builds no free-factor row,
+    # curve or off it, evaluates no map and no D, builds no zero-set row,
     # conjugates nothing, and shares every table, each built once and
     # read-only
     def tables():
-        return [*family.grid_table(), *family.sample_table(), *spanwitness.report._cut_vectors()]
+        return [family.sample_rows(), *family.grid_table(), *family.sample_table(),
+                *spanwitness.report._cut_vectors()]
 
     family = spanwitness.family
     run_verify(CANONICAL, restarts=1)
@@ -225,7 +231,7 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
         "determinant_d": family,
         "evaluate": spanwitness.maps,
         "conjugation_stack": spanwitness.tensor,
-        "free_rows": family,
+        "z_factors": family,
     }
     for name, owner in owners.items():
         real = getattr(owner, name)
@@ -248,8 +254,9 @@ def test_parameter_free_tables_are_built_once_per_process(monkeypatch):
 
 
 def test_detect_builds_no_family_table(monkeypatch):
-    # rho0 reads free_rows and rho1 z_factors, so detect builds neither
-    # per-process table of family: no conjugation stack, no SVD, no grid
+    # rho0 and rho1 read sample_rows, the sample at u = 1, so detect builds
+    # neither table of family that ranks or grids: no conjugation stack, no
+    # SVD, no grid
     def unreachable():
         raise AssertionError("detect built a family table")
 
@@ -722,6 +729,19 @@ def test_cli_detect_pairing_overflow_is_one_error_line(tmp_path):
     run = subprocess.run(cmd, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr.startswith("error: pairing overflows") and run.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_cli_spectrum_overflow_is_one_error_line(command):
+    # (s - t)^2 overflows in W's closed-form spectrum, though s and t are
+    # finite: exit 2 with one error line on stderr and no traceback
+    with pytest.raises(SpanWitnessError, match="overflows"):
+        run_verify(FamilyParams(1e-150, 1e156), restarts=1)
+    cmd = [sys.executable, "-m", "spanwitness", command, "--s", "1e-150", "--t", "1e156"]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: W's spectrum overflows") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
 
 
 def test_cli_byte_identical_reports():
